@@ -74,7 +74,7 @@ UnixListener::listen(const std::string &path, std::string *why)
         ::unlink(path.c_str());
         return false;
     }
-    fd_ = fd;
+    fd_.store(fd);
     path_ = path;
     return true;
 }
@@ -83,7 +83,7 @@ int
 UnixListener::accept()
 {
     for (;;) {
-        const int lfd = fd_;
+        const int lfd = fd_.load();
         if (lfd < 0)
             return -1;
         int cfd = ::accept(lfd, nullptr, nullptr);
@@ -98,8 +98,7 @@ UnixListener::accept()
 void
 UnixListener::close()
 {
-    const int fd = fd_;
-    fd_ = -1;
+    const int fd = fd_.exchange(-1);
     if (fd >= 0) {
         // shutdown() unblocks a concurrent accept() before close.
         ::shutdown(fd, SHUT_RDWR);

@@ -19,6 +19,7 @@
 #ifndef DITTO_COMMON_NET_H
 #define DITTO_COMMON_NET_H
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,11 +67,12 @@ class UnixListener
     /** Shut the listener down; safe from another thread. */
     void close();
 
-    bool listening() const { return fd_ >= 0; }
+    bool listening() const { return fd_.load() >= 0; }
     const std::string &path() const { return path_; }
 
   private:
-    int fd_ = -1;
+    /** Atomic: close() on one thread races accept() on another. */
+    std::atomic<int> fd_{-1};
     std::string path_;
 };
 

@@ -221,19 +221,6 @@ operandPrev(const Int8Tensor &codes, const Int16Tensor *d,
 } // namespace
 
 Int32Tensor
-attentionScoresPre(const Int8Tensor &q, const Int16Tensor *dq,
-                   const Int8Tensor *prev_q, const Int8Tensor &k,
-                   const Int16Tensor *dk, const Int8Tensor *prev_k,
-                   const Int32Tensor &prev_scores, OpCounts *counts,
-                   DiffPolicy policy)
-{
-    Int8Tensor qs, ks;
-    const Int8Tensor &pq = operandPrev(q, dq, prev_q, &qs);
-    const Int8Tensor &pk = operandPrev(k, dk, prev_k, &ks);
-    return attentionScoresDiff(q, pq, k, pk, prev_scores, counts, policy);
-}
-
-Int32Tensor
 attentionScoresBatchPre(const Int8Tensor &q, const Int16Tensor *dq,
                         const Int8Tensor *prev_q, const Int8Tensor &k,
                         const Int16Tensor *dk, const Int8Tensor *prev_k,
@@ -252,19 +239,6 @@ Int32Tensor
 attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v)
 {
     return matmulInt8(p, v);
-}
-
-Int32Tensor
-attentionOutputPre(const Int8Tensor &p, const Int16Tensor *dp,
-                   const Int8Tensor *prev_p, const Int8Tensor &v,
-                   const Int16Tensor *dv, const Int8Tensor *prev_v,
-                   const Int32Tensor &prev_out, OpCounts *counts,
-                   DiffPolicy policy)
-{
-    Int8Tensor ps, vs;
-    const Int8Tensor &pp = operandPrev(p, dp, prev_p, &ps);
-    const Int8Tensor &pv = operandPrev(v, dv, prev_v, &vs);
-    return attentionOutputDiff(p, pp, v, pv, prev_out, counts, policy);
 }
 
 Int32Tensor
@@ -454,23 +428,6 @@ CrossAttentionEngine::runDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
     if (policy == DiffPolicy::Auto && !diffWorthIt(probe, ctx))
         return runDirect(q);
     const DiffGemmPlan plan = encodeTemporalDiff(q, prev_q);
-    return matmulDiffPlan(plan, kConstT_, &prev_scores);
-}
-
-Int32Tensor
-CrossAttentionEngine::runDiffPre(const Int8Tensor &q, const Int16Tensor &d,
-                                 const Int32Tensor &prev_scores,
-                                 OpCounts *counts, DiffPolicy policy) const
-{
-    DITTO_ASSERT(d.shape() == q.shape(),
-                 "cross attention pre-diff shape mismatch");
-    const int64_t ctx = kConst_.shape()[0];
-    const DiffClassCounts probe = countDiffClasses(d);
-    if (counts)
-        counts->merge(probeOpCounts(probe, ctx));
-    if (policy == DiffPolicy::Auto && !diffWorthIt(probe, ctx))
-        return runDirect(q);
-    const DiffGemmPlan plan = encodeDiff(d);
     return matmulDiffPlan(plan, kConstT_, &prev_scores);
 }
 

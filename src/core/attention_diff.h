@@ -78,33 +78,21 @@ Int32Tensor attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
                                  DiffPolicy policy = DiffPolicy::Auto);
 
 /**
- * Difference-processed scores with per-operand payload hand-over (the
- * graph runtime's dynamic-attention counterpart of runDiffPre): each
+ * attentionScoresBatch with per-operand payload hand-over (the graph
+ * runtime's dynamic-attention counterpart of runBatchPre): each
  * operand arrives either with its producer's requantized code
  * difference `d*` (diff-calc bypassed — no previous codes were stored
  * for it) or with stored previous codes `prev_*` (exactly one of the
  * two per operand). The previous operand the two-term expansion
  * multiplies against is reconstructed as codes - d, which is exact in
  * the integer domain, so results, probes and Defo decisions are
- * bitwise identical to attentionScoresDiff on operands whose
- * subtraction equals the handed-over difference.
- */
-Int32Tensor attentionScoresPre(const Int8Tensor &q, const Int16Tensor *dq,
-                               const Int8Tensor *prev_q,
-                               const Int8Tensor &k, const Int16Tensor *dk,
-                               const Int8Tensor *prev_k,
-                               const Int32Tensor &prev_scores,
-                               OpCounts *counts = nullptr,
-                               DiffPolicy policy = DiffPolicy::Auto);
-
-/**
- * Batched attentionScoresPre over `slabs` stacked requests
- * (attentionScoresBatch semantics). Handed-over differences are
- * stacked like their codes; unprimed slabs' difference regions must
- * be zero (the payload emitters leave them zero-initialized) — the
- * reconstruction reads the whole tensor, so an unprimed slab's
- * "previous" codes come out equal to its current codes, and the
- * delegated batch body then never consumes them.
+ * bitwise identical to attentionScoresBatch on operands whose
+ * subtraction equals the handed-over difference. Handed-over
+ * differences are stacked like their codes; unprimed slabs' difference
+ * regions must be zero (the payload emitters leave them
+ * zero-initialized) — the reconstruction reads the whole tensor, so an
+ * unprimed slab's "previous" codes come out equal to its current
+ * codes, and the delegated batch body then never consumes them.
  */
 Int32Tensor attentionScoresBatchPre(
     const Int8Tensor &q, const Int16Tensor *dq, const Int8Tensor *prev_q,
@@ -140,16 +128,7 @@ Int32Tensor attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
                                  OpCounts *counts = nullptr,
                                  DiffPolicy policy = DiffPolicy::Auto);
 
-/** attentionScoresPre for the weighted sum (P and V operands). */
-Int32Tensor attentionOutputPre(const Int8Tensor &p, const Int16Tensor *dp,
-                               const Int8Tensor *prev_p,
-                               const Int8Tensor &v, const Int16Tensor *dv,
-                               const Int8Tensor *prev_v,
-                               const Int32Tensor &prev_out,
-                               OpCounts *counts = nullptr,
-                               DiffPolicy policy = DiffPolicy::Auto);
-
-/** Batched attentionOutputPre (attentionOutputBatch semantics). */
+/** attentionScoresBatchPre for the weighted sum (P and V operands). */
 Int32Tensor attentionOutputBatchPre(
     const Int8Tensor &p, const Int16Tensor *dp, const Int8Tensor *prev_p,
     const Int8Tensor &v, const Int16Tensor *dv, const Int8Tensor *prev_v,
@@ -176,16 +155,6 @@ class CrossAttentionEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Difference execution with a caller-supplied query difference
-     * (DiffFcEngine::runDiffPre semantics: the dependency analysis
-     * bypassed difference calculation, the producer handed `d` over).
-     */
-    Int32Tensor runDiffPre(const Int8Tensor &q, const Int16Tensor &d,
-                           const Int32Tensor &prev_scores,
-                           OpCounts *counts = nullptr,
-                           DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
      * Batched execution over `slabs` requests stacked along the query
      * row dimension (DiffFcEngine::runBatch semantics: per-slab
      * decisions, folded direct runs, one batched plan dispatch;
@@ -197,7 +166,10 @@ class CrossAttentionEngine
                          const uint8_t *primed, OpCounts *counts = nullptr,
                          DiffPolicy policy = DiffPolicy::Auto) const;
 
-    /** runBatch with a caller-supplied stacked query difference. */
+    /**
+     * runBatch with a caller-supplied stacked query difference
+     * (DiffFcEngine::runBatchPre semantics).
+     */
     Int32Tensor runBatchPre(const Int8Tensor &q, const Int16Tensor &d,
                             int64_t slabs, const Int32Tensor *prev_scores,
                             const uint8_t *primed,

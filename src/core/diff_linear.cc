@@ -240,23 +240,6 @@ DiffFcEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
     return matmulDiffPlan(plan, weightT_, &prev_out);
 }
 
-Int32Tensor
-DiffFcEngine::runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                         const Int32Tensor &prev_out, OpCounts *counts,
-                         DiffPolicy policy) const
-{
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "fc pre-diff operand shape mismatch");
-    const int64_t out_features = weight_.shape()[0];
-    const DiffClassCounts probe = countDiffClasses(d);
-    if (counts)
-        counts->merge(probeOpCounts(probe, out_features));
-    if (policy == DiffPolicy::Auto && !diffWorthIt(probe, out_features))
-        return runDirect(x);
-    const DiffGemmPlan plan = encodeDiff(d);
-    return matmulDiffPlan(plan, weightT_, &prev_out);
-}
-
 namespace detail {
 
 Int32Tensor
@@ -358,7 +341,7 @@ runBatchWeightStationaryPre(const Int8Tensor &x, const Int16Tensor &d,
     const int64_t slab_elems = slab_rows * in;
     const int64_t out_elems = slab_rows * out_features;
 
-    // Per-slab decisions, identical to runDiffPre's.
+    // Per-slab decisions, identical to runBatchWeightStationary's.
     std::vector<uint8_t> use_diff(static_cast<size_t>(slabs), 0);
     bool any_diff = false;
     for (int64_t s = 0; s < slabs; ++s) {
@@ -524,39 +507,6 @@ DiffConvEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
 }
 
 Int32Tensor
-DiffConvEngine::runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                           const Int32Tensor &prev_out, OpCounts *counts,
-                           DiffPolicy policy) const
-{
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "conv pre-diff operand shape mismatch");
-    DITTO_ASSERT(x.shape().rank() == 4, "conv diff input must be NCHW");
-    const int64_t batches = x.shape()[0];
-    const int64_t cin = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    const int64_t cout = weight_.shape()[0];
-    const int64_t per_elem = std::max<int64_t>(
-        1, cout * params_.kernel * params_.kernel /
-               (params_.stride * params_.stride));
-
-    const DiffClassCounts probe = countDiffClasses(d);
-    if (counts)
-        counts->merge(probeOpCounts(probe, per_elem));
-    if (policy == DiffPolicy::Auto &&
-        !diffWorthIt(probe, params_.kernel * cout))
-        return runDirect(x);
-
-    std::vector<DiffGemmPlan> plans;
-    plans.reserve(static_cast<size_t>(batches));
-    for (int64_t b = 0; b < batches; ++b)
-        plans.push_back(encodeDiffRegion(d, b * cin * h * w, cin, h * w));
-    const Int32Tensor delta =
-        convDeltaDiffPlanBatch(plans, wmatT_, wrevT_, params_, h, w);
-    return addConvDeltaInt32(prev_out, delta);
-}
-
-Int32Tensor
 DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
                          const Int32Tensor *prev_out, const uint8_t *primed,
                          OpCounts *counts, DiffPolicy policy) const
@@ -672,7 +622,7 @@ DiffConvEngine::runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
         1, cout * params_.kernel * params_.kernel /
                (params_.stride * params_.stride));
 
-    // Per-slab decisions, identical to a single-batch runDiffPre.
+    // Per-slab decisions, identical to runBatch's.
     std::vector<uint8_t> use_diff(static_cast<size_t>(batches), 0);
     bool any_diff = false;
     for (int64_t b = 0; b < batches; ++b) {

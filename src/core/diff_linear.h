@@ -173,21 +173,6 @@ class DiffFcEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Difference execution with a caller-supplied difference operand:
-     * `d` is x - prev_x already subtracted — the graph runtime hands
-     * it over when the dependency analysis says the producer's output
-     * is already a difference, so this layer stores no previous input
-     * codes. Bitwise identical to runDiff on operands whose
-     * subtraction equals `d` (same probe, same plan, same decision).
-     * `x` is still needed for the direct fallback when the probe
-     * reverts.
-     */
-    Int32Tensor runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                           const Int32Tensor &prev_out,
-                           OpCounts *counts = nullptr,
-                           DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
      * Batched execution over `slabs` requests stacked along the row
      * dimension: x is [slabs * rows, in]; slab s covers rows
      * [s * rows, (s+1) * rows). Per slab the engine makes exactly the
@@ -213,9 +198,13 @@ class DiffFcEngine
 
     /**
      * runBatch with a caller-supplied stacked difference `d` (int16,
-     * x's shape): per-slab probes and plans read slab regions of `d`
-     * instead of subtracting stored previous codes. Unprimed slabs run
-     * direct and never read their `d` region.
+     * x's shape): `d` is x - prev_x already subtracted — the graph
+     * runtime hands it over when the dependency analysis says the
+     * producer's output is already a difference, so this layer stores
+     * no previous input codes. Per-slab probes and plans read slab
+     * regions of `d`; results, tallies and Defo decisions are bitwise
+     * identical to runBatch on operands whose subtraction equals `d`.
+     * Unprimed slabs run direct and never read their `d` region.
      */
     Int32Tensor runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
                             int64_t slabs, const Int32Tensor *prev_out,
@@ -254,16 +243,6 @@ class DiffConvEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Difference execution with a caller-supplied NCHW difference
-     * (DiffFcEngine::runDiffPre semantics: the dependency analysis
-     * bypassed difference calculation, the producer handed `d` over).
-     */
-    Int32Tensor runDiffPre(const Int8Tensor &x, const Int16Tensor &d,
-                           const Int32Tensor &prev_out,
-                           OpCounts *counts = nullptr,
-                           DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
      * Batched execution over the batch dimension of a stacked NCHW
      * input: slab b is x[b]. Per-slab decisions exactly as runDiff
      * makes them for a single-batch tensor; direct runs fold into
@@ -277,7 +256,10 @@ class DiffConvEngine
                          OpCounts *counts = nullptr,
                          DiffPolicy policy = DiffPolicy::Auto) const;
 
-    /** runBatch with a caller-supplied stacked NCHW difference. */
+    /**
+     * runBatch with a caller-supplied stacked NCHW difference
+     * (DiffFcEngine::runBatchPre semantics).
+     */
     Int32Tensor runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
                             const Int32Tensor *prev_out,
                             const uint8_t *primed,

@@ -1,9 +1,10 @@
 /**
  * @file
- * CompiledModel implementation: compile() and the three executors
- * (FP32, quantized single, quantized batch).
+ * CompiledModel implementation: compile() and the two executors (FP32
+ * and the batched quantized executor, which runs a single request as a
+ * batch of one).
  *
- * The quantized executors mirror the historic hand-wired MiniUnet
+ * The quantized executor mirrors the historic hand-wired MiniUnet
  * paths call for call — quantize, engine entry point, dequantize, the
  * same float ops between — which is what makes compiled execution of
  * the MiniUnet preset bitwise identical to the legacy implementation
@@ -188,43 +189,15 @@ requantCodes(const Int32Tensor &acc, float combined, const QuantParams &qp)
 }
 
 /**
- * Requantize the current accumulator and emit both the codes and
- * their difference against the previous step's emission (the
- * producer-resident code cache) — the diff-calc-bypass payload.
- * `prev` is the same requantization of the previous accumulator, so
- * `d16` equals subtractInt8(codes_t, codes_prev) element for element
- * and a consumer running on it is bitwise identical to one that
- * stored the previous codes itself — without re-running the float
- * requantization of the previous step.
- */
-void
-requantCodesDelta(const Int32Tensor &acc, const Int8Tensor &prev,
-                  float combined, const QuantParams &qp, Int8Tensor *codes,
-                  Int16Tensor *d16)
-{
-    DITTO_ASSERT(prev.shape() == acc.shape(),
-                 "payload code-cache shape mismatch");
-    *codes = Int8Tensor(acc.shape());
-    *d16 = Int16Tensor(acc.shape());
-    const float inv = 1.0f / qp.scale;
-    const float lo = static_cast<float>(qp.minCode());
-    const float hi = static_cast<float>(qp.maxCode());
-    auto sa = acc.data();
-    auto sp = prev.data();
-    auto sc = codes->data();
-    auto sd = d16->data();
-    for (size_t i = 0; i < sa.size(); ++i) {
-        const int8_t ct = requantOne(sa[i], combined, inv, lo, hi);
-        sc[i] = ct;
-        sd[i] = static_cast<int16_t>(static_cast<int16_t>(ct) -
-                                     static_cast<int16_t>(sp[i]));
-    }
-}
-
-/**
- * Batched payload: per-slab primed flags — unprimed slabs get codes
- * only (their `d16` region stays zero and is never read, exactly like
- * an unprimed slab's engine state).
+ * Requantize the current accumulator and emit both the codes and, for
+ * primed slabs, their difference against the previous step's emission
+ * (the producer-resident code cache `prev`) — the diff-calc-bypass
+ * payload. `prev` is the same requantization of the previous
+ * accumulator, so `d16` equals subtractInt8(codes_t, codes_prev)
+ * element for element and a consumer running on it is bitwise
+ * identical to one that stored the previous codes itself. Unprimed
+ * slabs get codes only (their `d16` region stays zero and is never
+ * read, exactly like an unprimed slab's engine state).
  */
 void
 requantCodesDeltaBatch(const Int32Tensor &acc, const Int8Tensor *prev,
@@ -324,58 +297,11 @@ stackedShape(const Shape &one, int64_t b)
     return Shape{one[0] * b, one[1]};
 }
 
-/**
- * Shared per-node epilogue of the four quant-executor compute paths
- * (single/batch x weight-stationary/attention): payload emission plus
- * code-cache refresh, f-liveness-gated float materialization, the
- * mode-specific operand code-state stores, and the accumulator's
- * disposition (value table for QuantDirect junction sources, prevOut
- * slot in Ditto mode). The call sites differ only in how a primed
- * payload delta is produced (single vs per-slab) and how summation
- * work is counted, passed in as lambdas — one definition to keep the
- * single and batched modes from silently diverging.
- *
- * `emit_stash` (ApproxDitto passes only) parks the pre-update emission
- * cache, indexed by slot: a hand-over consumer that decides to skip
- * this step must roll its producer's cache back to the emission its
- * replayed output corresponds to, so the next executed step's delta
- * telescopes across the skipped one exactly.
- */
-template <typename Node, typename Value, typename State,
-          typename EmitDeltaFn, typename CountSumFn, typename StoreFn>
+/** The reverse-diffusion update rule: x += -0.15 * eps. */
 void
-nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc, float combined,
-             bool use_ditto, State *state,
-             const std::vector<float> &act_scale, bool any_primed,
-             Int8Tensor *emit_stash, EmitDeltaFn &&emitDelta,
-             CountSumFn &&countSum, StoreFn &&storeCodes)
+applyUpdate(FloatTensor *x, const FloatTensor &eps)
 {
-    if (nd.emitPayload) {
-        const QuantParams eqp{
-            act_scale[static_cast<size_t>(nd.emitScale)], 8};
-        if (any_primed)
-            emitDelta(eqp, combined);
-        else
-            out.codes = requantCodes(acc, combined, eqp);
-        // The emission becomes the next step's subtrahend.
-        if (use_ditto) {
-            Int8Tensor &cache =
-                state->prevIn[static_cast<size_t>(nd.emitSlot)];
-            if (emit_stash)
-                emit_stash[static_cast<size_t>(nd.emitSlot)] =
-                    std::move(cache);
-            cache = out.codes;
-        }
-    }
-    if (nd.fLive) {
-        out.f = dequantizeAccum(acc, combined);
-        countSum();
-    }
-    storeCodes();
-    if (nd.keepAcc && !use_ditto)
-        out.acc = std::move(acc);
-    else if (use_ditto)
-        state->prevOut[static_cast<size_t>(nd.outSlot)] = std::move(acc);
+    *x = add(*x, affine(eps, -0.15f, 0.0f));
 }
 
 } // namespace
@@ -857,353 +783,42 @@ CompiledModel::runStructural(const Node &nd, std::vector<Value> &vals,
     }
 }
 
-FloatTensor
-CompiledModel::forwardQuant(const FloatTensor &x, bool use_ditto,
-                            bool approx, DittoState *state,
-                            OpCounts *counts) const
+void
+CompiledModel::nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc,
+                            BatchDittoState *state, const uint8_t *primed,
+                            bool any_primed, int64_t bsz,
+                            Int8Tensor *emit_stash, OpCounts *counts) const
 {
-    DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent state");
-    DITTO_ASSERT(!approx || use_ditto,
-                 "ApproxDitto runs on the Ditto state machinery");
-    const bool primed = use_ditto && state->primed;
-    if (use_ditto && state->prevIn.empty()) {
-        state->prevIn.resize(static_cast<size_t>(numInSlots_));
-        state->prevOut.resize(static_cast<size_t>(numOutSlots_));
-    }
-    if (approx && state->consec.size() != nodes_.size()) {
-        state->consec.assign(nodes_.size(), 0);
-        state->skips.assign(nodes_.size(), 0);
-    }
-    // Skips are only legal on primed steps (there is a cached output
-    // to replay). The stash holds every emitting producer's pre-update
-    // code cache so a skipping consumer can roll it back.
-    const bool approx_pass = approx && primed;
-    std::vector<Int8Tensor> emit_stash(
-        approx_pass ? static_cast<size_t>(numInSlots_) : 0);
-    Int8Tensor *stash = approx_pass ? emit_stash.data() : nullptr;
-
-    std::vector<Value> vals(nodes_.size());
-    for (const Node &nd : nodes_) {
-        const NodeSpec &ns = nd.spec;
-        Value &out = vals[static_cast<size_t>(ns.id)];
-        auto inVal = [&](int j) -> Value & {
-            return vals[static_cast<size_t>(
-                ns.inputs[static_cast<size_t>(j)])];
-        };
-
-        // Weight-stationary compute: one engine, one dynamic operand.
-        if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
-            ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
-            Value &in = inVal(0);
-            const QuantParams qp{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            // The operand arrives pre-quantized in this node's code
-            // domain from a junction fold or a single-producer
-            // payload; everyone else quantizes the float input.
-            Int8Tensor codes;
-            Int16Tensor jd16;
-            const Int16Tensor *dptr = nullptr;
-            if (nd.junction) {
-                const uint8_t one = 1;
-                runJunction(nd, vals,
-                            use_ditto ? &state->prevOut : nullptr,
-                            primed ? state
-                                         ->prevIn[static_cast<size_t>(
-                                             nd.jSlot)]
-                                         .data()
-                                         .data()
-                                   : nullptr,
-                            primed ? &one : nullptr, 1, &codes, &jd16);
-                if (primed)
-                    dptr = &jd16;
-            } else if (nd.diffBypass) {
-                DITTO_ASSERT(in.codes.numel() > 0,
-                             "bypass payload missing codes");
-                codes = std::move(in.codes);
-                if (primed) {
-                    DITTO_ASSERT(in.d16.numel() > 0,
-                                 "bypass payload missing difference");
-                    dptr = &in.d16;
-                }
-            } else {
-                codes = quantize(in.f, qp);
-            }
-
-            // ApproxDitto: probe the operand's temporal difference and
-            // replay the cached previous output when it is stable
-            // enough. Every operand form reuses its step's difference
-            // reference: a handed-over delta, a junction fold's delta,
-            // or the stored previous codes.
-            bool skipped = false;
-            if (approx_pass) {
-                int32_t &consec =
-                    state->consec[static_cast<size_t>(ns.id)];
-                if (consec < approxCap_) {
-                    const DiffClassCounts pc =
-                        dptr ? countDiffClasses(*dptr)
-                             : countTemporalDiffClasses(
-                                   codes,
-                                   state->prevIn[static_cast<size_t>(
-                                       nd.inSlot)]);
-                    skipped = approxActivity(pc) <= approxThresh_;
-                }
-                if (skipped) {
-                    ++consec;
-                    ++state->skips[static_cast<size_t>(ns.id)];
-                } else {
-                    consec = 0;
-                }
-            }
-
-            Int32Tensor acc;
-            if (skipped) {
-                // Replay, and freeze the difference reference to the
-                // operand this output corresponds to: the next
-                // executed step's delta then telescopes across the
-                // skipped one exactly (out = prevOut + W(x_{t+1} -
-                // x_{t-1})), so the error stays confined to skipped
-                // steps.
-                acc = state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.junction) {
-                    codes =
-                        state->prevIn[static_cast<size_t>(nd.jSlot)];
-                } else if (nd.diffBypass) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    Int8Tensor &old = emit_stash[static_cast<size_t>(
-                        prod.emitSlot)];
-                    DITTO_ASSERT(old.numel() > 0,
-                                 "skip needs the producer's stashed "
-                                 "emission cache");
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(old);
-                } else {
-                    codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                if (counts)
-                    counts->reusedElems += acc.numel();
-            } else if (!primed) {
-                if (nd.conv)
-                    acc = nd.conv->runDirect(codes);
-                else if (nd.cross)
-                    acc = nd.cross->runDirect(codes);
-                else
-                    acc = nd.fc->runDirect(codes);
-            } else if (dptr) {
-                const Int32Tensor &prev =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.conv)
-                    acc = nd.conv->runDiffPre(codes, *dptr, prev, counts,
-                                              opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runDiffPre(codes, *dptr, prev,
-                                               counts, opts_.policy);
-                else
-                    acc = nd.fc->runDiffPre(codes, *dptr, prev, counts,
-                                            opts_.policy);
-            } else {
-                const Int8Tensor &prev_in =
-                    state->prevIn[static_cast<size_t>(nd.inSlot)];
-                const Int32Tensor &prev_out =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.conv)
-                    acc = nd.conv->runDiff(codes, prev_in, prev_out,
-                                           counts, opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runDiff(codes, prev_in, prev_out,
-                                            counts, opts_.policy);
-                else
-                    acc = nd.fc->runDiff(codes, prev_in, prev_out, counts,
-                                         opts_.policy);
-                if (counts)
-                    counts->diffCalcElems += codes.numel();
-            }
-
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDelta(
-                        acc,
-                        state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, &out.codes, &out.d16);
-                },
-                [&] {
-                    if (counts && primed)
-                        counts->summationElems += acc.numel();
-                },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(codes);
-                    else if (nd.junction)
-                        state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                            std::move(codes);
-                });
-            continue;
+    const float combined = combinedScale(nd);
+    if (nd.emitPayload) {
+        const QuantParams eqp{
+            actScale_[static_cast<size_t>(nd.emitScale)], 8};
+        if (any_primed)
+            requantCodesDeltaBatch(
+                acc, &state->prevIn[static_cast<size_t>(nd.emitSlot)],
+                combined, eqp, primed, bsz, &out.codes, &out.d16);
+        else
+            out.codes = requantCodes(acc, combined, eqp);
+        // The emission becomes the next step's subtrahend.
+        if (state) {
+            Int8Tensor &cache =
+                state->prevIn[static_cast<size_t>(nd.emitSlot)];
+            if (emit_stash)
+                emit_stash[static_cast<size_t>(nd.emitSlot)] =
+                    std::move(cache);
+            cache = out.codes;
         }
-
-        // Dynamic-dynamic attention: two operands, two-term expansion,
-        // either operand possibly handed over by its producer.
-        if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
-            Value &av = inVal(0);
-            Value &bv = inVal(1);
-            const QuantParams qpa{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            const QuantParams qpb{
-                actScale_[static_cast<size_t>(ns.scaleIn2)], 8};
-            Int8Tensor a_codes, b_codes;
-            if (nd.diffBypass) {
-                DITTO_ASSERT(av.codes.numel() > 0,
-                             "operand payload missing codes");
-                a_codes = std::move(av.codes);
-            } else {
-                a_codes = quantize(av.f, qpa);
-            }
-            if (nd.diffBypass2) {
-                DITTO_ASSERT(bv.codes.numel() > 0,
-                             "operand payload missing codes");
-                b_codes = std::move(bv.codes);
-            } else {
-                b_codes = quantize(bv.f, qpb);
-            }
-
-            // ApproxDitto is all-or-nothing per attention node: both
-            // operands must be stable (every expansion term carries a
-            // difference factor of one operand or the other).
-            bool skipped = false;
-            if (approx_pass) {
-                int32_t &consec =
-                    state->consec[static_cast<size_t>(ns.id)];
-                if (consec < approxCap_) {
-                    const DiffClassCounts ca =
-                        nd.diffBypass
-                            ? countDiffClasses(av.d16)
-                            : countTemporalDiffClasses(
-                                  a_codes,
-                                  state->prevIn[static_cast<size_t>(
-                                      nd.inSlot)]);
-                    const DiffClassCounts cb =
-                        nd.diffBypass2
-                            ? countDiffClasses(bv.d16)
-                            : countTemporalDiffClasses(
-                                  b_codes,
-                                  state->prevIn[static_cast<size_t>(
-                                      nd.inSlot2)]);
-                    skipped = approxActivity(ca) <= approxThresh_ &&
-                              approxActivity(cb) <= approxThresh_;
-                }
-                if (skipped) {
-                    ++consec;
-                    ++state->skips[static_cast<size_t>(ns.id)];
-                } else {
-                    consec = 0;
-                }
-            }
-
-            Int32Tensor acc;
-            if (skipped) {
-                acc = state->prevOut[static_cast<size_t>(nd.outSlot)];
-                if (nd.diffBypass) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(emit_stash[static_cast<size_t>(
-                            prod.emitSlot)]);
-                } else {
-                    a_codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                if (nd.diffBypass2) {
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer2)];
-                    state->prevIn[static_cast<size_t>(prod.emitSlot)] =
-                        std::move(emit_stash[static_cast<size_t>(
-                            prod.emitSlot)]);
-                } else {
-                    b_codes =
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)];
-                }
-                if (counts)
-                    counts->reusedElems += acc.numel();
-            } else if (!primed) {
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresDirect(a_codes, b_codes)
-                          : attentionOutputDirect(a_codes, b_codes);
-            } else {
-                const Int16Tensor *da = nullptr;
-                const Int8Tensor *pa = nullptr;
-                if (nd.diffBypass) {
-                    DITTO_ASSERT(av.d16.numel() > 0,
-                                 "operand payload missing difference");
-                    da = &av.d16;
-                } else {
-                    pa = &state->prevIn[static_cast<size_t>(nd.inSlot)];
-                }
-                const Int16Tensor *db = nullptr;
-                const Int8Tensor *pb = nullptr;
-                if (nd.diffBypass2) {
-                    DITTO_ASSERT(bv.d16.numel() > 0,
-                                 "operand payload missing difference");
-                    db = &bv.d16;
-                } else {
-                    pb = &state->prevIn[static_cast<size_t>(nd.inSlot2)];
-                }
-                const Int32Tensor &prev_out =
-                    state->prevOut[static_cast<size_t>(nd.outSlot)];
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresPre(a_codes, da, pa, b_codes,
-                                               db, pb, prev_out, counts,
-                                               opts_.policy)
-                          : attentionOutputPre(a_codes, da, pa, b_codes,
-                                               db, pb, prev_out, counts,
-                                               opts_.policy);
-                if (counts)
-                    counts->diffCalcElems +=
-                        (pa ? a_codes.numel() : 0) +
-                        (pb ? b_codes.numel() : 0);
-            }
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDelta(
-                        acc,
-                        state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, &out.codes, &out.d16);
-                },
-                [&] {
-                    if (counts && primed)
-                        counts->summationElems += acc.numel();
-                },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(a_codes);
-                    if (nd.inSlot2 >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                            std::move(b_codes);
-                });
-            continue;
-        }
-
-        // Vector / structural ops on full values; reshapes also carry
-        // the bypass payload through unchanged (element bijections).
-        // Plan-covered junction subtrees never execute.
-        if (!nd.skipExec)
-            runStructural(nd, vals, x);
     }
-    if (use_ditto)
-        state->primed = true;
-    DITTO_ASSERT(vals.back().f.numel() > 0,
-                 "output node must materialize full values");
-    return std::move(vals.back().f);
+    if (nd.fLive) {
+        out.f = dequantizeAccum(acc, combined);
+        for (int64_t s = 0; counts && primed && s < bsz; ++s)
+            if (primed[s])
+                counts[s].summationElems += acc.numel() / bsz;
+    }
+    if (nd.keepAcc && !state)
+        out.acc = std::move(acc);
+    else if (state)
+        state->prevOut[static_cast<size_t>(nd.outSlot)] = std::move(acc);
 }
 
 FloatTensor
@@ -1224,41 +839,35 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
         state->prevOut.resize(static_cast<size_t>(numOutSlots_));
     }
     const uint8_t *primed = use_ditto ? state->primed.data() : nullptr;
-    auto anyPrimed = [&] {
-        if (!primed)
-            return false;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                return true;
-        return false;
-    };
-    const bool have_primed = anyPrimed();
+    bool have_primed = false;
+    for (int64_t s = 0; primed && s < bsz; ++s)
+        have_primed |= primed[s] != 0;
 
     // ApproxDitto bookkeeping: per-slab enables (the serving layer
     // mixes exact and approx requests in one batch; exact slabs are
     // never skipped) and [slab][node] skip counters.
+    const size_t nnodes = nodes_.size();
     if (approx) {
         DITTO_ASSERT(state->approx.size() == static_cast<size_t>(bsz),
                      "approx batch needs per-slab approx flags");
-        if (state->consec.size() !=
-            nodes_.size() * static_cast<size_t>(bsz)) {
-            state->consec.assign(
-                nodes_.size() * static_cast<size_t>(bsz), 0);
-            state->skips.assign(
-                nodes_.size() * static_cast<size_t>(bsz), 0);
+        if (state->consec.size() != nnodes * static_cast<size_t>(bsz)) {
+            state->consec.assign(nnodes * static_cast<size_t>(bsz), 0);
+            state->skips.assign(nnodes * static_cast<size_t>(bsz), 0);
         }
     }
-    const uint8_t *approx_flags = approx ? state->approx.data() : nullptr;
     auto slabApprox = [&](int64_t s) {
-        return approx_flags && approx_flags[s] && primed[s];
+        return approx && state->approx[static_cast<size_t>(s)] &&
+               primed[s];
     };
     bool any_approx = false;
-    for (int64_t s = 0; approx_flags && s < bsz; ++s)
+    for (int64_t s = 0; s < bsz; ++s)
         any_approx |= slabApprox(s);
+    // Skips are only legal on primed steps (there is a cached output
+    // to replay). The stash holds every emitting producer's pre-update
+    // code cache so a skipping consumer can roll it back.
     std::vector<Int8Tensor> emit_stash(
         any_approx ? static_cast<size_t>(numInSlots_) : 0);
     Int8Tensor *stash = any_approx ? emit_stash.data() : nullptr;
-    const size_t nnodes = nodes_.size();
 
     // Previous-state slot pointer, or null while not materialized (the
     // engines only dereference state for primed slabs).
@@ -1275,23 +884,69 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                    ? &state->prevOut[static_cast<size_t>(slot)]
                    : nullptr;
     };
-    // Per-slab tallies for work done against stored previous state.
-    auto countDiffCalc = [&](int64_t elems_per_slab) {
-        if (!counts || !primed)
-            return;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                counts[s].diffCalcElems += elems_per_slab;
+
+    // ApproxDitto per-slab skip decisions for one node: `stable(s)`
+    // probes slab s's operand difference(s) and is consulted only
+    // while the slab's consecutive-skip run is under the cap.
+    struct Skips
+    {
+        std::vector<uint8_t> slab;
+        bool any = false;
+        bool all = false;
     };
-    auto countSummation = [&](int64_t elems_per_slab) {
-        if (!counts || !primed)
-            return;
-        for (int64_t s = 0; s < bsz; ++s)
-            if (primed[s])
-                counts[s].summationElems += elems_per_slab;
+    auto decideSkips = [&](int node, auto &&stable) {
+        Skips sk;
+        if (!any_approx)
+            return sk;
+        sk.slab.assign(static_cast<size_t>(bsz), 0);
+        sk.all = true;
+        for (int64_t s = 0; s < bsz; ++s) {
+            bool skip = false;
+            if (slabApprox(s)) {
+                const size_t at =
+                    static_cast<size_t>(s) * nnodes + static_cast<size_t>(node);
+                int32_t &consec = state->consec[at];
+                skip = consec < approxCap_ && stable(s);
+                if (skip) {
+                    ++consec;
+                    ++state->skips[at];
+                } else {
+                    consec = 0;
+                }
+            }
+            sk.slab[static_cast<size_t>(s)] = skip;
+            sk.any |= skip;
+            sk.all &= skip;
+        }
+        return sk;
+    };
+    auto isSkipped = [](const Skips &sk, int64_t s) {
+        return sk.any && sk.slab[static_cast<size_t>(s)];
     };
 
-    std::vector<Value> vals(nodes_.size());
+    // A partly skipped batch still runs its skipped slabs through the
+    // engine, over a zeroed difference region. Those slabs' tallies
+    // are dropped, so a request reports exactly what a sequential skip
+    // reports (no probe, no diff-calc) whatever its batch-mates do.
+    std::vector<OpCounts> tally;
+    auto engineCounts = [&](const Skips &sk) -> OpCounts * {
+        if (!counts || !sk.any)
+            return counts;
+        tally.assign(static_cast<size_t>(bsz), OpCounts{});
+        return tally.data();
+    };
+    auto settleCounts = [&](const Skips &sk, OpCounts *eng,
+                            int64_t diff_calc_per_slab) {
+        for (int64_t s = 0; counts && primed && s < bsz; ++s) {
+            if (!primed[s] || isSkipped(sk, s))
+                continue;
+            if (eng != counts)
+                counts[s].merge(tally[static_cast<size_t>(s)]);
+            counts[s].diffCalcElems += diff_calc_per_slab;
+        }
+    };
+
+    std::vector<Value> vals(nnodes);
     for (const Node &nd : nodes_) {
         const NodeSpec &ns = nd.spec;
         Value &out = vals[static_cast<size_t>(ns.id)];
@@ -1300,11 +955,15 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 ns.inputs[static_cast<size_t>(j)])];
         };
 
+        // Weight-stationary compute: one engine, one dynamic operand.
         if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
             ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
             Value &in = inVal(0);
             const QuantParams qp{
                 actScale_[static_cast<size_t>(ns.scaleIn)], 8};
+            // The operand arrives pre-quantized in this node's code
+            // domain from a junction fold or a single-producer
+            // payload; everyone else quantizes the float input.
             Int8Tensor codes;
             Int16Tensor jd16;
             const Int16Tensor *dptr = nullptr;
@@ -1335,162 +994,100 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 codes = quantize(in.f, qp);
             }
 
-            // ApproxDitto per-slab skip decisions: a skipped slab's
-            // difference region is forced to zero (and its frozen
-            // codes re-stored), which makes the batched engines
-            // reproduce the replay bitwise — out = prevOut + W*0 —
-            // while non-skipped slabs run unchanged. When every slab
-            // skips, the engine call is bypassed entirely.
-            std::vector<uint8_t> skip_slab;
-            bool any_skip = false;
-            bool all_skip = false;
-            if (any_approx) {
-                skip_slab.assign(static_cast<size_t>(bsz), 0);
-                all_skip = true;
-                const int64_t in_elems = codes.numel() / bsz;
-                for (int64_t s = 0; s < bsz; ++s) {
-                    bool sk = false;
-                    if (slabApprox(s)) {
-                        int32_t &consec = state->consec
-                            [static_cast<size_t>(s) * nnodes +
-                             static_cast<size_t>(ns.id)];
-                        if (consec < approxCap_) {
-                            const DiffClassCounts pc =
-                                dptr ? countDiffClasses(*dptr,
-                                                        s * in_elems,
-                                                        in_elems)
-                                     : countTemporalDiffClasses(
-                                           codes,
-                                           state->prevIn
-                                               [static_cast<size_t>(
-                                                   nd.inSlot)],
-                                           s * in_elems, in_elems);
-                            sk = approxActivity(pc) <= approxThresh_;
-                        }
-                        if (sk) {
-                            ++consec;
-                            ++state->skips
-                                  [static_cast<size_t>(s) * nnodes +
-                                   static_cast<size_t>(ns.id)];
-                        } else {
-                            consec = 0;
-                        }
-                    }
-                    skip_slab[static_cast<size_t>(s)] = sk;
-                    any_skip |= sk;
-                    all_skip &= sk;
+            // ApproxDitto: probe each approx slab's temporal difference
+            // — a handed-over delta, a junction fold's delta, or the
+            // stored previous codes — and skip it when stable enough.
+            const int64_t in_elems = codes.numel() / bsz;
+            const Skips sk = decideSkips(ns.id, [&](int64_t s) {
+                const DiffClassCounts pc =
+                    dptr ? countDiffClasses(*dptr, s * in_elems, in_elems)
+                         : countTemporalDiffClasses(
+                               codes,
+                               state->prevIn[static_cast<size_t>(
+                                   nd.inSlot)],
+                               s * in_elems, in_elems);
+                return approxActivity(pc) <= approxThresh_;
+            });
+            // A skipped slab replays its cached output and freezes its
+            // difference reference to the operand that output
+            // corresponds to, so the next executed step's delta
+            // telescopes across the skipped one exactly (out = prevOut
+            // + W(x_{t+1} - x_{t-1})). Its difference region is forced
+            // to zero (and its frozen codes re-stored), which makes the
+            // batched engines reproduce the replay bitwise — out =
+            // prevOut + W*0 — while non-skipped slabs run unchanged.
+            for (int64_t s = 0; sk.any && s < bsz; ++s) {
+                if (!isSkipped(sk, s))
+                    continue;
+                if (nd.junction) {
+                    copySlabRegion(
+                        state->prevIn[static_cast<size_t>(nd.jSlot)],
+                        &codes, s, in_elems);
+                    zeroSlabRegion(&jd16, s, in_elems);
+                } else if (nd.diffBypass) {
+                    zeroSlabRegion(&jd16, s, in_elems);
+                    const Node &prod =
+                        nodes_[static_cast<size_t>(nd.srcProducer)];
+                    copySlabRegion(
+                        emit_stash[static_cast<size_t>(prod.emitSlot)],
+                        &state->prevIn[static_cast<size_t>(prod.emitSlot)],
+                        s, in_elems);
+                } else {
+                    copySlabRegion(
+                        state->prevIn[static_cast<size_t>(nd.inSlot)],
+                        &codes, s, in_elems);
                 }
-            }
-            if (any_skip) {
-                const int64_t in_elems = codes.numel() / bsz;
-                const int64_t out_elems = ns.outShape.numel();
-                for (int64_t s = 0; s < bsz; ++s) {
-                    if (!skip_slab[static_cast<size_t>(s)])
-                        continue;
-                    if (nd.junction) {
-                        // Freeze the fold: re-emit the previous
-                        // cached codes, zero the delta region.
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.jSlot)],
-                            &codes, s, in_elems);
-                        zeroSlabRegion(&jd16, s, in_elems);
-                    } else if (nd.diffBypass) {
-                        zeroSlabRegion(&jd16, s, in_elems);
-                        const Node &prod = nodes_[static_cast<size_t>(
-                            nd.srcProducer)];
-                        copySlabRegion(
-                            emit_stash[static_cast<size_t>(
-                                prod.emitSlot)],
-                            &state->prevIn[static_cast<size_t>(
-                                prod.emitSlot)],
-                            s, in_elems);
-                    } else {
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.inSlot)],
-                            &codes, s, in_elems);
-                    }
-                    if (counts)
-                        counts[s].reusedElems += out_elems;
-                }
+                if (counts)
+                    counts[s].reusedElems += ns.outShape.numel();
             }
 
+            // When every slab skips, the engine call is bypassed
+            // entirely. A hand-over or fold with no slab primed yet has
+            // no difference and needs none: every slab runs direct.
             Int32Tensor acc;
-            if (all_skip) {
+            OpCounts *eng = engineCounts(sk);
+            const bool stored = !nd.diffBypass && !nd.junction;
+            const Int8Tensor *pin = stored ? prevIn(nd.inSlot) : nullptr;
+            const Int32Tensor *pout = prevOut(nd.outSlot);
+            if (sk.all) {
                 acc = *prevOut(nd.outSlot);
             } else if (dptr) {
                 if (nd.conv)
-                    acc = nd.conv->runBatchPre(codes, *dptr,
-                                               prevOut(nd.outSlot),
-                                               primed, counts,
-                                               opts_.policy);
+                    acc = nd.conv->runBatchPre(codes, *dptr, pout, primed,
+                                               eng, opts_.policy);
                 else if (nd.cross)
-                    acc = nd.cross->runBatchPre(codes, *dptr, bsz,
-                                                prevOut(nd.outSlot),
-                                                primed, counts,
-                                                opts_.policy);
+                    acc = nd.cross->runBatchPre(codes, *dptr, bsz, pout,
+                                                primed, eng, opts_.policy);
                 else
-                    acc = nd.fc->runBatchPre(codes, *dptr, bsz,
-                                             prevOut(nd.outSlot), primed,
-                                             counts, opts_.policy);
-            } else if (nd.diffBypass || nd.junction) {
-                // No slab is primed yet: no payload difference exists
-                // and none is needed — every slab runs direct through
-                // the ordinary batched entry point (which skips all
-                // unprimed slabs' state entirely).
-                if (nd.conv)
-                    acc = nd.conv->runBatch(codes, nullptr, nullptr,
-                                            primed, counts,
-                                            opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runBatch(codes, bsz, nullptr,
-                                             nullptr, primed, counts,
-                                             opts_.policy);
-                else
-                    acc = nd.fc->runBatch(codes, bsz, nullptr, nullptr,
-                                          primed, counts, opts_.policy);
+                    acc = nd.fc->runBatchPre(codes, *dptr, bsz, pout,
+                                             primed, eng, opts_.policy);
             } else {
                 if (nd.conv)
-                    acc = nd.conv->runBatch(codes, prevIn(nd.inSlot),
-                                            prevOut(nd.outSlot), primed,
-                                            counts, opts_.policy);
+                    acc = nd.conv->runBatch(codes, pin, pout, primed, eng,
+                                            opts_.policy);
                 else if (nd.cross)
-                    acc = nd.cross->runBatch(codes, bsz,
-                                             prevIn(nd.inSlot),
-                                             prevOut(nd.outSlot), primed,
-                                             counts, opts_.policy);
+                    acc = nd.cross->runBatch(codes, bsz, pin, pout, primed,
+                                             eng, opts_.policy);
                 else
-                    acc = nd.fc->runBatch(codes, bsz, prevIn(nd.inSlot),
-                                          prevOut(nd.outSlot), primed,
-                                          counts, opts_.policy);
-                countDiffCalc(codes.numel() / bsz);
+                    acc = nd.fc->runBatch(codes, bsz, pin, pout, primed,
+                                          eng, opts_.policy);
             }
+            if (!sk.all)
+                settleCounts(sk, eng, stored ? in_elems : 0);
 
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, have_primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDeltaBatch(
-                        acc,
-                        &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, primed, bsz, &out.codes,
-                        &out.d16);
-                },
-                [&] { countSummation(acc.numel() / bsz); },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(codes);
-                    else if (nd.junction)
-                        state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                            std::move(codes);
-                });
+            nodeEpilogue(nd, out, acc, state, primed, have_primed, bsz,
+                         stash, counts);
+            if (use_ditto && nd.inSlot >= 0)
+                state->prevIn[static_cast<size_t>(nd.inSlot)] =
+                    std::move(codes);
+            else if (use_ditto && nd.junction)
+                state->prevIn[static_cast<size_t>(nd.jSlot)] =
+                    std::move(codes);
             continue;
         }
 
+        // Dynamic-dynamic attention: two operands, two-term expansion,
+        // either operand possibly handed over by its producer.
         if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
             Value &av = inVal(0);
             Value &bv = inVal(1);
@@ -1513,177 +1110,113 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
             } else {
                 b_codes = quantize(bv.f, qpb);
             }
-            // ApproxDitto: all-or-nothing per slab across both
-            // operands, then zero the skipped slabs' difference
-            // regions (every expansion term carries a difference
-            // factor, so the batched engine reproduces the replay
-            // bitwise for those slabs).
-            std::vector<uint8_t> skip_slab;
-            bool any_skip = false;
-            bool all_skip = false;
-            if (any_approx) {
-                skip_slab.assign(static_cast<size_t>(bsz), 0);
-                all_skip = true;
-                const int64_t a_elems = a_codes.numel() / bsz;
-                const int64_t b_elems = b_codes.numel() / bsz;
-                for (int64_t s = 0; s < bsz; ++s) {
-                    bool sk = false;
-                    if (slabApprox(s)) {
-                        int32_t &consec = state->consec
-                            [static_cast<size_t>(s) * nnodes +
-                             static_cast<size_t>(ns.id)];
-                        if (consec < approxCap_) {
-                            const DiffClassCounts ca =
-                                nd.diffBypass
-                                    ? countDiffClasses(av.d16,
-                                                       s * a_elems,
-                                                       a_elems)
-                                    : countTemporalDiffClasses(
-                                          a_codes,
-                                          state->prevIn
-                                              [static_cast<size_t>(
-                                                  nd.inSlot)],
-                                          s * a_elems, a_elems);
-                            const DiffClassCounts cb =
-                                nd.diffBypass2
-                                    ? countDiffClasses(bv.d16,
-                                                       s * b_elems,
-                                                       b_elems)
-                                    : countTemporalDiffClasses(
-                                          b_codes,
-                                          state->prevIn
-                                              [static_cast<size_t>(
-                                                  nd.inSlot2)],
-                                          s * b_elems, b_elems);
-                            sk = approxActivity(ca) <= approxThresh_ &&
-                                 approxActivity(cb) <= approxThresh_;
-                        }
-                        if (sk) {
-                            ++consec;
-                            ++state->skips
-                                  [static_cast<size_t>(s) * nnodes +
-                                   static_cast<size_t>(ns.id)];
-                        } else {
-                            consec = 0;
-                        }
-                    }
-                    skip_slab[static_cast<size_t>(s)] = sk;
-                    any_skip |= sk;
-                    all_skip &= sk;
-                }
-            }
-            if (any_skip) {
-                const int64_t a_elems = a_codes.numel() / bsz;
-                const int64_t b_elems = b_codes.numel() / bsz;
-                const int64_t out_elems = ns.outShape.numel();
-                for (int64_t s = 0; s < bsz; ++s) {
-                    if (!skip_slab[static_cast<size_t>(s)])
-                        continue;
-                    if (nd.diffBypass) {
-                        zeroSlabRegion(&av.d16, s, a_elems);
-                        const Node &prod = nodes_[static_cast<size_t>(
-                            nd.srcProducer)];
+
+            // ApproxDitto is all-or-nothing per slab across both
+            // operands (every expansion term carries a difference
+            // factor of one operand or the other), so zeroing a skipped
+            // slab's difference regions makes the batched engine
+            // reproduce the replay bitwise for it.
+            const int64_t a_elems = a_codes.numel() / bsz;
+            const int64_t b_elems = b_codes.numel() / bsz;
+            const Skips sk = decideSkips(ns.id, [&](int64_t s) {
+                auto stableOperand = [&](bool bypass, const Int16Tensor &d,
+                                         const Int8Tensor &codes, int slot,
+                                         int64_t elems) {
+                    const DiffClassCounts c =
+                        bypass ? countDiffClasses(d, s * elems, elems)
+                               : countTemporalDiffClasses(
+                                     codes,
+                                     state->prevIn[static_cast<size_t>(
+                                         slot)],
+                                     s * elems, elems);
+                    return approxActivity(c) <= approxThresh_;
+                };
+                return stableOperand(nd.diffBypass, av.d16, a_codes,
+                                     nd.inSlot, a_elems) &&
+                       stableOperand(nd.diffBypass2, bv.d16, b_codes,
+                                     nd.inSlot2, b_elems);
+            });
+            for (int64_t s = 0; sk.any && s < bsz; ++s) {
+                if (!isSkipped(sk, s))
+                    continue;
+                auto freeze = [&](bool bypass, Int16Tensor *d,
+                                  Int8Tensor *codes, int src, int slot,
+                                  int64_t elems) {
+                    if (bypass) {
+                        zeroSlabRegion(d, s, elems);
+                        const Node &prod =
+                            nodes_[static_cast<size_t>(src)];
                         copySlabRegion(
-                            emit_stash[static_cast<size_t>(
-                                prod.emitSlot)],
+                            emit_stash[static_cast<size_t>(prod.emitSlot)],
                             &state->prevIn[static_cast<size_t>(
                                 prod.emitSlot)],
-                            s, a_elems);
+                            s, elems);
                     } else {
                         copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.inSlot)],
-                            &a_codes, s, a_elems);
+                            state->prevIn[static_cast<size_t>(slot)],
+                            codes, s, elems);
                     }
-                    if (nd.diffBypass2) {
-                        zeroSlabRegion(&bv.d16, s, b_elems);
-                        const Node &prod = nodes_[static_cast<size_t>(
-                            nd.srcProducer2)];
-                        copySlabRegion(
-                            emit_stash[static_cast<size_t>(
-                                prod.emitSlot)],
-                            &state->prevIn[static_cast<size_t>(
-                                prod.emitSlot)],
-                            s, b_elems);
-                    } else {
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(
-                                nd.inSlot2)],
-                            &b_codes, s, b_elems);
-                    }
-                    if (counts)
-                        counts[s].reusedElems += out_elems;
-                }
+                };
+                freeze(nd.diffBypass, &av.d16, &a_codes, nd.srcProducer,
+                       nd.inSlot, a_elems);
+                freeze(nd.diffBypass2, &bv.d16, &b_codes, nd.srcProducer2,
+                       nd.inSlot2, b_elems);
+                if (counts)
+                    counts[s].reusedElems += ns.outShape.numel();
             }
 
             Int32Tensor acc;
-            if (all_skip) {
+            OpCounts *eng = engineCounts(sk);
+            const bool scores = ns.op == RtOp::AttnScores;
+            if (sk.all) {
                 acc = *prevOut(nd.outSlot);
             } else if (have_primed) {
                 DITTO_ASSERT(!nd.diffBypass || av.d16.numel() > 0,
                              "operand payload missing difference");
                 DITTO_ASSERT(!nd.diffBypass2 || bv.d16.numel() > 0,
                              "operand payload missing difference");
-                const Int16Tensor *da =
-                    nd.diffBypass ? &av.d16 : nullptr;
+                const Int16Tensor *da = nd.diffBypass ? &av.d16 : nullptr;
                 const Int8Tensor *pa =
                     nd.diffBypass ? nullptr : prevIn(nd.inSlot);
                 const Int16Tensor *db =
                     nd.diffBypass2 ? &bv.d16 : nullptr;
                 const Int8Tensor *pb =
                     nd.diffBypass2 ? nullptr : prevIn(nd.inSlot2);
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresBatchPre(
-                                a_codes, da, pa, b_codes, db, pb, bsz,
-                                prevOut(nd.outSlot), primed, counts,
-                                opts_.policy)
-                          : attentionOutputBatchPre(
-                                a_codes, da, pa, b_codes, db, pb, bsz,
-                                prevOut(nd.outSlot), primed, counts,
-                                opts_.policy);
-                if (counts && primed) {
-                    const int64_t per_slab =
-                        (pa ? a_codes.numel() / bsz : 0) +
-                        (pb ? b_codes.numel() / bsz : 0);
-                    for (int64_t s = 0; s < bsz; ++s)
-                        if (primed[s])
-                            counts[s].diffCalcElems += per_slab;
-                }
+                acc = scores ? attentionScoresBatchPre(
+                                   a_codes, da, pa, b_codes, db, pb, bsz,
+                                   prevOut(nd.outSlot), primed, eng,
+                                   opts_.policy)
+                             : attentionOutputBatchPre(
+                                   a_codes, da, pa, b_codes, db, pb, bsz,
+                                   prevOut(nd.outSlot), primed, eng,
+                                   opts_.policy);
+                settleCounts(sk, eng,
+                             (pa ? a_elems : 0) + (pb ? b_elems : 0));
             } else {
-                acc = ns.op == RtOp::AttnScores
-                          ? attentionScoresBatch(a_codes, b_codes, bsz,
-                                                 nullptr, nullptr,
-                                                 nullptr, primed, counts,
-                                                 opts_.policy)
-                          : attentionOutputBatch(a_codes, b_codes, bsz,
-                                                 nullptr, nullptr,
-                                                 nullptr, primed, counts,
-                                                 opts_.policy);
+                acc = scores ? attentionScoresBatch(a_codes, b_codes, bsz,
+                                                    nullptr, nullptr,
+                                                    nullptr, primed, eng,
+                                                    opts_.policy)
+                             : attentionOutputBatch(a_codes, b_codes, bsz,
+                                                    nullptr, nullptr,
+                                                    nullptr, primed, eng,
+                                                    opts_.policy);
             }
-            nodeEpilogue(
-                nd, out, acc, combinedScale(nd), use_ditto, state,
-                actScale_, have_primed, stash,
-                [&](const QuantParams &eqp, float combined) {
-                    requantCodesDeltaBatch(
-                        acc,
-                        &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                        combined, eqp, primed, bsz, &out.codes,
-                        &out.d16);
-                },
-                [&] { countSummation(acc.numel() / bsz); },
-                [&] {
-                    if (!use_ditto)
-                        return;
-                    if (nd.inSlot >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                            std::move(a_codes);
-                    if (nd.inSlot2 >= 0)
-                        state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                            std::move(b_codes);
-                });
+
+            nodeEpilogue(nd, out, acc, state, primed, have_primed, bsz,
+                         stash, counts);
+            if (use_ditto && nd.inSlot >= 0)
+                state->prevIn[static_cast<size_t>(nd.inSlot)] =
+                    std::move(a_codes);
+            if (use_ditto && nd.inSlot2 >= 0)
+                state->prevIn[static_cast<size_t>(nd.inSlot2)] =
+                    std::move(b_codes);
             continue;
         }
 
+        // Vector / structural ops on full values; reshapes also carry
+        // the bypass payload through unchanged (element bijections).
+        // Plan-covered junction subtrees never execute.
         if (!nd.skipExec)
             runStructural(nd, vals, x);
     }
@@ -1699,20 +1232,17 @@ CompiledModel::forward(const FloatTensor &x, RunMode mode,
                        DittoState *state, OpCounts *counts) const
 {
     validateSingle(x, "forward");
-    switch (mode) {
-      case RunMode::Fp32:
-        return forwardFp32(x, nullptr);
-      case RunMode::QuantDirect:
-        return forwardQuant(x, /*use_ditto=*/false, /*approx=*/false,
-                            nullptr, nullptr);
-      case RunMode::QuantDitto:
-        return forwardQuant(x, /*use_ditto=*/true, /*approx=*/false,
-                            state, counts);
-      case RunMode::ApproxDitto:
-        return forwardQuant(x, /*use_ditto=*/true, /*approx=*/true,
-                            state, counts);
+    if (state) {
+        if (state->batch() > 1)
+            DITTO_FATAL("forward: state holds "
+                        << state->batch()
+                        << " slabs, a single request holds one (use "
+                           "forwardBatch for a batch)");
+        if (state->batch() == 0)
+            state->appendSlab();
+        state->approx[0] = mode == RunMode::ApproxDitto;
     }
-    DITTO_PANIC("unknown RunMode");
+    return forwardBatch(x, mode, state, counts);
 }
 
 FloatTensor
@@ -1777,25 +1307,32 @@ CompiledModel::rollout(RunMode mode, const FloatTensor &noise, int steps,
     validateSingle(noise, "rollout");
     if (steps < 0)
         DITTO_FATAL("rollout: negative step count " << steps);
-    if (steps == 0)
-        steps = spec_.steps;
     RolloutResult result;
     DittoState state;
-    FloatTensor x = noise;
-    for (int t = 0; t < steps; ++t) {
-        const FloatTensor eps =
-            forward(x, mode, &state, &result.dittoOps);
-        x = add(x, affine(eps, -0.15f, 0.0f));
-        if (obs)
-            obs(t + 1, x, state);
-    }
-    result.finalImage = std::move(x);
+    state.appendSlab();
+    state.approx[0] = mode == RunMode::ApproxDitto;
+    result.finalImage = noise;
+    runSteps(&result.finalImage, mode, &state, &result.dittoOps,
+             steps == 0 ? spec_.steps : steps, obs);
     result.totalMacsPerStep = macsPerStep_;
     if (mode == RunMode::ApproxDitto)
         result.nodeSkips = state.skips.empty()
                                ? std::vector<int64_t>(nodes_.size(), 0)
                                : state.skips;
     return result;
+}
+
+void
+CompiledModel::runSteps(FloatTensor *x, RunMode mode,
+                        BatchDittoState *state, OpCounts *counts, int steps,
+                        const StepObserver &obs) const
+{
+    DITTO_ASSERT(!obs || state, "a step observer needs the step state");
+    for (int t = 0; t < steps; ++t) {
+        applyUpdate(x, forwardBatch(*x, mode, state, counts));
+        if (obs)
+            obs(t + 1, *x, *state);
+    }
 }
 
 RolloutResult
@@ -1809,35 +1346,24 @@ CompiledModel::rolloutWithFidelity(RunMode mode,
                                    const FloatTensor &noise,
                                    int steps) const
 {
-    validateSingle(noise, "rolloutWithFidelity");
-    if (steps < 0)
-        DITTO_FATAL("rolloutWithFidelity: negative step count "
-                    << steps);
-    if (steps == 0)
-        steps = spec_.steps;
-    RolloutResult result;
-    DittoState state;
-    DittoState ref_state;
-    FloatTensor x = noise;
-    FloatTensor x_ref = noise;
-    result.stepFidelity.reserve(static_cast<size_t>(steps));
-    for (int t = 0; t < steps; ++t) {
-        const FloatTensor eps =
-            forward(x, mode, &state, &result.dittoOps);
-        x = add(x, affine(eps, -0.15f, 0.0f));
-        const FloatTensor eps_ref =
-            forward(x_ref, RunMode::QuantDitto, &ref_state, nullptr);
-        x_ref = add(x_ref, affine(eps_ref, -0.15f, 0.0f));
-        result.stepFidelity.push_back(compareImages(x_ref, x));
-    }
+    // The exact reference first, then the observed rollout compares
+    // against it step by step.
+    std::vector<FloatTensor> ref;
+    rollout(RunMode::QuantDitto, noise, steps,
+            [&](int, const FloatTensor &x, const DittoState &) {
+                ref.push_back(x);
+            });
+    std::vector<FidelityStats> fidelity;
+    fidelity.reserve(ref.size());
+    RolloutResult result = rollout(
+        mode, noise, steps,
+        [&](int k, const FloatTensor &x, const DittoState &) {
+            fidelity.push_back(
+                compareImages(ref[static_cast<size_t>(k - 1)], x));
+        });
+    result.stepFidelity = std::move(fidelity);
     result.fidelity = result.stepFidelity.back();
     result.hasFidelity = true;
-    result.finalImage = std::move(x);
-    result.totalMacsPerStep = macsPerStep_;
-    if (mode == RunMode::ApproxDitto)
-        result.nodeSkips = state.skips.empty()
-                               ? std::vector<int64_t>(nodes_.size(), 0)
-                               : state.skips;
     return result;
 }
 
@@ -1865,15 +1391,11 @@ CompiledModel::rolloutBatch(RunMode mode,
     }
 
     BatchDittoState state;
-    state.primed.assign(static_cast<size_t>(bsz), 0);
-    state.approx.assign(static_cast<size_t>(bsz),
-                        mode == RunMode::ApproxDitto ? 1 : 0);
+    state.appendSlabs(bsz);
+    std::fill(state.approx.begin(), state.approx.end(),
+              mode == RunMode::ApproxDitto ? 1 : 0);
     std::vector<OpCounts> counts(static_cast<size_t>(bsz));
-    for (int t = 0; t < spec_.steps; ++t) {
-        const FloatTensor eps =
-            forwardBatch(x, mode, &state, counts.data());
-        x = add(x, affine(eps, -0.15f, 0.0f));
-    }
+    runSteps(&x, mode, &state, counts.data(), spec_.steps);
 
     const size_t nnodes = nodes_.size();
     std::vector<RolloutResult> results(static_cast<size_t>(bsz));
@@ -1952,10 +1474,8 @@ CompiledModel::calibrate()
             maxabs[static_cast<size_t>(idx)] = m;
         };
     FloatTensor x = noiseInit_;
-    for (int t = 0; t < spec_.steps; ++t) {
-        const FloatTensor eps = forwardFp32(x, &obs);
-        x = add(x, affine(eps, -0.15f, 0.0f));
-    }
+    for (int t = 0; t < spec_.steps; ++t)
+        applyUpdate(&x, forwardFp32(x, &obs));
     actScale_.resize(static_cast<size_t>(spec_.numScales));
     for (int i = 0; i < spec_.numScales; ++i)
         actScale_[static_cast<size_t>(i)] =

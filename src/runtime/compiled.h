@@ -14,7 +14,7 @@
  *    compute producer through reshape-only wire: the node stores *no*
  *    previous-input codes. Its producer requantizes its own resident
  *    accumulator pair into the consumer's code domain and hands the
- *    code difference over (runDiffPre) — the software realization of
+ *    code difference over (runBatchPre) — the software realization of
  *    "the producer's output is already a difference".
  *  - diffCalcNeeded == false and the operand arrives through a
  *    junction subtree (Add / Concat, optionally one Upsample2x /
@@ -46,9 +46,12 @@
  * off. See docs/graph_runtime.md for the scale-alignment algebra.
  *
  * The compiled surface mirrors the historic MiniUnet API: forward /
- * forwardBatch / rollout / rolloutBatch / requestNoise with
- * DittoState / BatchDittoState, so the serving layer (src/serve/)
- * drives any compiled spec. Activation scales are calibrated by an
+ * forwardBatch / rollout / rolloutBatch / requestNoise, so the serving
+ * layer (src/serve/) drives any compiled spec. There is one quantized
+ * executor, and it is batched: a single request runs as a batch of
+ * one (DittoState is a one-slab BatchDittoState, forward() is
+ * forwardBatch on it), and one step loop (runSteps) carries rollouts
+ * and the serving engine alike. Activation scales are calibrated by an
  * FP32 rollout and disk-cached keyed on the spec's content hash
  * (src/trace/calibrate.h).
  */
@@ -105,22 +108,6 @@ struct CompileOptions
 class CompiledModel
 {
   public:
-    /** Per-layer state for difference processing across steps. */
-    struct DittoState
-    {
-        std::vector<Int8Tensor> prevIn;   //!< previous input codes
-        std::vector<Int32Tensor> prevOut; //!< previous int32 outputs
-        bool primed = false;
-
-        /**
-         * ApproxDitto bookkeeping, one entry per program node (lazily
-         * sized by the first approx pass; exact modes never touch it):
-         * the node's current consecutive-skip run and its total skips.
-         */
-        std::vector<int32_t> consec;
-        std::vector<int64_t> skips;
-    };
-
     /**
      * Per-layer state for a *batch* of concurrent Ditto requests:
      * every slot holds the requests' tensors stacked along the batch
@@ -236,6 +223,13 @@ class CompiledModel
         void installSlab(int64_t i, const SlabState &s);
     };
 
+    /**
+     * Per-layer state of a single request: a batch of one. forward()
+     * gives an empty state its slab; a state holding more slabs is
+     * rejected.
+     */
+    using DittoState = BatchDittoState;
+
     const ModelSpec &spec() const { return spec_; }
     const ModelGraph &graph() const { return graph_; }
 
@@ -305,8 +299,9 @@ class CompiledModel
 
     /**
      * One denoising-model evaluation (predicted noise), x shaped
-     * inputShape(). `state` is required (and used) only for
-     * RunMode::QuantDitto; pass the same object for consecutive steps.
+     * inputShape(): forwardBatch on a batch of one. `state` is
+     * required (and used) only for the Ditto modes; pass the same
+     * object for consecutive steps.
      */
     FloatTensor forward(const FloatTensor &x, RunMode mode,
                         DittoState *state, OpCounts *counts) const;
@@ -355,6 +350,17 @@ class CompiledModel
                           int steps, const StepObserver &obs) const;
 
     /**
+     * The denoising loop shared by the rollouts and the serving engine
+     * (src/serve/batch_rollout.cc): `steps` times, evaluate
+     * forwardBatch on the stacked images `x` and apply the update rule
+     * x += -0.15 * eps in place. For the Ditto modes `state` holds one
+     * slab per image; `obs`, when set, sees every step boundary.
+     */
+    void runSteps(FloatTensor *x, RunMode mode, BatchDittoState *state,
+                  OpCounts *counts, int steps,
+                  const StepObserver &obs = StepObserver()) const;
+
+    /**
      * Run N full reverse diffusions as one batch; results are bitwise
      * identical to rollout(mode, noises[i]) for every i.
      */
@@ -363,7 +369,7 @@ class CompiledModel
 
     /**
      * Like rollout(), but additionally runs an exact (QuantDitto)
-     * reference rollout in lockstep and fills the result's fidelity
+     * reference rollout and fills the result's fidelity
      * fields (per-step + end-to-end PSNR and cosine — see
      * docs/approx_reuse.md). Roughly doubles the work; the returned
      * finalImage is bitwise identical to rollout(mode, ...)'s.
@@ -506,10 +512,10 @@ class CompiledModel
 
     /**
      * Execute one vector / structural / reshape node (everything the
-     * engines don't own) on the pass's value table. Shared verbatim
-     * by the single and batched quant executors: every op here is
+     * engines don't own) on the pass's value table. Every op here is
      * batch-general (stacked NCHW and row-stacked token matrices are
-     * handled identically), and reshapes carry the bypass payload.
+     * handled identically, a single request being a batch of one), and
+     * reshapes carry the bypass payload.
      */
     void runStructural(const Node &nd, std::vector<Value> &vals,
                        const FloatTensor &x) const;
@@ -518,12 +524,27 @@ class CompiledModel
     forwardFp32(const FloatTensor &x,
                 const std::function<void(int, const FloatTensor &)> *obs)
         const;
-    FloatTensor forwardQuant(const FloatTensor &x, bool use_ditto,
-                             bool approx, DittoState *state,
-                             OpCounts *counts) const;
     FloatTensor forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                                   bool approx, BatchDittoState *state,
                                   OpCounts *counts) const;
+
+    /**
+     * Shared epilogue of the executor's compute nodes: payload emission
+     * plus code-cache refresh, f-liveness-gated float materialization
+     * (with its per-slab summation tally), and the accumulator's
+     * disposition (value table for QuantDirect junction sources, prevOut
+     * slot in Ditto mode; `state` is null in QuantDirect).
+     *
+     * `emit_stash` (ApproxDitto passes only) parks the pre-update
+     * emission cache, indexed by slot: a hand-over consumer that
+     * decides to skip this step must roll its producer's cache back to
+     * the emission its replayed output corresponds to, so the next
+     * executed step's delta telescopes across the skipped one exactly.
+     */
+    void nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc,
+                      BatchDittoState *state, const uint8_t *primed,
+                      bool any_primed, int64_t bsz, Int8Tensor *emit_stash,
+                      OpCounts *counts) const;
 
     ModelSpec spec_;
     CompileOptions opts_;

@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "tensor/ops.h"
 #include "tensor/slab.h"
 
 namespace ditto {
@@ -102,10 +101,9 @@ BatchEngine::step()
     bool any_approx = false;
     for (const Slot &s : slots_)
         any_approx = any_approx || s.approx;
-    const FloatTensor eps = model_.forwardBatch(
-        x_, any_approx ? RunMode::ApproxDitto : RunMode::QuantDitto,
-        &state_, stepCounts_.data());
-    x_ = add(x_, affine(eps, -0.15f, 0.0f));
+    model_.runSteps(&x_,
+                    any_approx ? RunMode::ApproxDitto : RunMode::QuantDitto,
+                    &state_, stepCounts_.data(), 1);
     for (size_t i = 0; i < slots_.size(); ++i) {
         slots_[i].ops.merge(stepCounts_[i]);
         ++slots_[i].stepsDone;

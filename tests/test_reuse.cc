@@ -494,7 +494,7 @@ TEST(ObserverHook, StepObserverSeesEveryStep)
             seen.push_back(steps_done);
             last = x;
             if (steps_done == 1)
-                primed_after_first = state.primed;
+                primed_after_first = state.primed[0] != 0;
         });
     ASSERT_EQ(seen.size(), 5u);
     for (int i = 0; i < 5; ++i)

@@ -829,33 +829,47 @@ TEST(ApproxMode, BatchedSkipDecisionsMatchSequential)
 {
     // The probes see per-slab regions of the same codes a sequential
     // rollout sees, so every slab must reproduce its single-request
-    // images, skip log and reuse tally at any batch size. (Full
-    // OpCounts lane tallies are NOT compared: a sequential skip
-    // bypasses the engine while a batched skip runs it over a zeroed
-    // region — same bits, different probe bookkeeping.)
+    // images, skip log and every OpCounts tally at any batch size.
+    // Threshold 1.0 skips every slab alike; 0.5 splits the batch, and a
+    // slab skipped beside an executing batch-mate still runs the engine
+    // over a zeroed region — its tallies must not leak into the request.
     setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig du;
     du.resolution = 8;
     du.baseChannels = 8;
     du.steps = 5;
     CompiledModel m = compile(deepUnetSpec(du));
-    m.setApproxPolicy(1.0, 2);
-    for (int64_t batch : {1, 3, 4}) {
-        std::vector<FloatTensor> noises;
-        for (int64_t b = 0; b < batch; ++b)
-            noises.push_back(
-                m.requestNoise(static_cast<uint64_t>(300 + b)));
-        const std::vector<RolloutResult> got =
-            m.rolloutBatch(RunMode::ApproxDitto, noises);
-        ASSERT_EQ(got.size(), noises.size());
-        for (size_t i = 0; i < noises.size(); ++i) {
-            const RolloutResult want =
-                m.rollout(RunMode::ApproxDitto, noises[i]);
-            EXPECT_TRUE(want.finalImage == got[i].finalImage)
-                << "batch " << batch << " slab " << i;
-            EXPECT_EQ(want.nodeSkips, got[i].nodeSkips);
-            EXPECT_EQ(want.dittoOps.reusedElems,
-                      got[i].dittoOps.reusedElems);
+    for (double thresh : {1.0, 0.5}) {
+        m.setApproxPolicy(thresh, 2);
+        for (int64_t batch : {1, 3, 4}) {
+            std::vector<FloatTensor> noises;
+            for (int64_t b = 0; b < batch; ++b)
+                noises.push_back(
+                    m.requestNoise(static_cast<uint64_t>(300 + b)));
+            const std::vector<RolloutResult> got =
+                m.rolloutBatch(RunMode::ApproxDitto, noises);
+            ASSERT_EQ(got.size(), noises.size());
+            for (size_t i = 0; i < noises.size(); ++i) {
+                const RolloutResult want =
+                    m.rollout(RunMode::ApproxDitto, noises[i]);
+                const std::string where = "thresh " +
+                                          std::to_string(thresh) +
+                                          " batch " +
+                                          std::to_string(batch) +
+                                          " slab " + std::to_string(i);
+                EXPECT_TRUE(want.finalImage == got[i].finalImage)
+                    << where;
+                EXPECT_GT(want.dittoOps.reusedElems, 0) << where;
+                EXPECT_EQ(want.nodeSkips, got[i].nodeSkips) << where;
+                const OpCounts &a = want.dittoOps;
+                const OpCounts &b = got[i].dittoOps;
+                EXPECT_EQ(a.zeroSkipped, b.zeroSkipped) << where;
+                EXPECT_EQ(a.low4, b.low4) << where;
+                EXPECT_EQ(a.full8, b.full8) << where;
+                EXPECT_EQ(a.diffCalcElems, b.diffCalcElems) << where;
+                EXPECT_EQ(a.summationElems, b.summationElems) << where;
+                EXPECT_EQ(a.reusedElems, b.reusedElems) << where;
+            }
         }
     }
 }
@@ -1020,6 +1034,22 @@ TEST(ShapeValidation, ForwardBatchRejectsWrongGeometry)
                     bad, RunMode::QuantDirect, nullptr, nullptr),
                 testing::ExitedWithCode(1),
                 "does not stack model inputs");
+}
+
+TEST(ShapeValidation, ForwardRejectsMultiSlabState)
+{
+    // A single request's state is a batch of one; forward() must not
+    // silently run a multi-slab state against a one-slab input.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const CompiledModel &m = parityPair().compiled.compiled();
+    EXPECT_EXIT(
+        {
+            CompiledModel::DittoState st;
+            st.appendSlabs(2);
+            m.forward(m.requestNoise(1), RunMode::QuantDitto, &st,
+                      nullptr);
+        },
+        testing::ExitedWithCode(1), "state holds 2 slabs");
 }
 
 TEST(ShapeValidation, ServerRejectsMalformedRequests)
