@@ -9,6 +9,7 @@
  * check against standalone rollouts.
  *
  *   ./graph_models [--verdicts] [--approx]
+ *   ./graph_models --paired N
  *
  * --verdicts prints, per preset, the per-layer dependency verdicts
  * next to what the compiler wired them into (payload hand-over,
@@ -24,14 +25,30 @@
  * it prints the reuse fraction and end-to-end PSNR/cosine against the
  * exact rollout (docs/approx_reuse.md).
  *
+ * --paired N measures Ditto against Direct paired and in one process,
+ * on all five BM_CompiledRollout presets (8 steps at 16x16): per
+ * preset, after one warm-up rollout of each mode, N pairs of
+ * QuantDirect and QuantDitto rollouts of the same noise (the order
+ * alternating pair by pair). It prints the median and interquartile
+ * range of the per-pair Ditto/Direct time ratio (below 1: Ditto is
+ * faster) and each mode's minor page faults per rollout
+ * (getrusage), then exits. Separate benchmark rows cannot settle the
+ * comparison on a noisy host; per-pair ratios cancel the drift both
+ * modes share.
+ *
  * Exits non-zero on any bitwise mismatch, so CI can run it as a
  * smoke test of the compile-and-run path.
  */
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "common/parallel.h"
 #include "runtime/compiled.h"
 #include "runtime/presets.h"
 #include "serve/server.h"
@@ -202,6 +219,111 @@ driveModel(CompiledModel model, bool verdicts, bool approx)
     return exact && approx_ok && served_exact == ids.size();
 }
 
+/** Minor page faults of this process so far. */
+long
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+}
+
+/** Value at quantile q of sorted `v` (linear interpolation). */
+double
+quantile(const std::vector<double> &v, double q)
+{
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/** One row of the paired Ditto-vs-Direct table; false on mismatch. */
+bool
+pairedRow(const char *name, const CompiledModel &model, int pairs)
+{
+    const FloatTensor noise = model.requestNoise(1);
+    // Warm-up: first-use growth of the workspace, state and kernel
+    // scratch belongs to neither mode's steady state.
+    const bool exact = model.rollout(RunMode::QuantDirect, noise).finalImage ==
+                       model.rollout(RunMode::QuantDitto, noise).finalImage;
+    std::vector<double> ratio, direct_ms, ditto_ms;
+    long direct_faults = 0, ditto_faults = 0;
+    auto timed = [&](RunMode mode, long *faults) {
+        const long f0 = minorFaults();
+        const double ms =
+            runTimedMs([&] { (void)model.rollout(mode, noise); });
+        *faults += minorFaults() - f0;
+        return ms;
+    };
+    for (int p = 0; p < pairs; ++p) {
+        double dir, dit;
+        if (p % 2 == 0) {
+            dir = timed(RunMode::QuantDirect, &direct_faults);
+            dit = timed(RunMode::QuantDitto, &ditto_faults);
+        } else {
+            dit = timed(RunMode::QuantDitto, &ditto_faults);
+            dir = timed(RunMode::QuantDirect, &direct_faults);
+        }
+        direct_ms.push_back(dir);
+        ditto_ms.push_back(dit);
+        ratio.push_back(dit / dir);
+    }
+    std::sort(ratio.begin(), ratio.end());
+    std::sort(direct_ms.begin(), direct_ms.end());
+    std::sort(ditto_ms.begin(), ditto_ms.end());
+    std::printf("%-11s %9.2f %9.2f %10.3f %8.3f %14.1f %13.1f  %s\n",
+                name, quantile(direct_ms, 0.5), quantile(ditto_ms, 0.5),
+                quantile(ratio, 0.5),
+                quantile(ratio, 0.75) - quantile(ratio, 0.25),
+                static_cast<double>(direct_faults) / pairs,
+                static_cast<double>(ditto_faults) / pairs,
+                exact ? "bit-exact" : "MISMATCH");
+    return exact;
+}
+
+/** --paired N: the Ditto/Direct table over the five presets. */
+int
+runPaired(int pairs)
+{
+    MiniUnetConfig mini;
+    mini.channels = 32;
+    mini.resolution = 16;
+    mini.steps = 8;
+    DeepUnetConfig unet;
+    unet.baseChannels = 16;
+    unet.resolution = 16;
+    unet.steps = 8;
+    DitBlockConfig dit;
+    dit.embedDim = 32;
+    dit.resolution = 16;
+    dit.steps = 8;
+    MhsaBlockConfig mhsa;
+    mhsa.embedDim = 32;
+    mhsa.heads = 2;
+    mhsa.resolution = 16;
+    mhsa.steps = 8;
+    DitAdaLnConfig adaln;
+    adaln.embedDim = 32;
+    adaln.resolution = 16;
+    adaln.steps = 8;
+    const CompiledModel models[] = {
+        compile(miniUnetSpec(mini)), compile(deepUnetSpec(unet)),
+        compile(ditBlockSpec(dit)), compile(mhsaBlockSpec(mhsa)),
+        compile(ditAdaLnSpec(adaln))};
+    const char *names[] = {"mini_unet", "deep_unet", "dit_block",
+                           "mhsa_block", "dit_adaln"};
+    std::printf("paired Ditto/Direct: %d pairs per preset, %d thread%s\n",
+                pairs, threadCount(), threadCount() == 1 ? "" : "s");
+    std::printf("%-11s %9s %9s %10s %8s %14s %13s\n", "preset",
+                "direct_ms", "ditto_ms", "ratio_p50", "ratio_iqr",
+                "direct_faults", "ditto_faults");
+    bool ok = true;
+    for (int i = 0; i < 5; ++i)
+        ok &= pairedRow(names[i], models[i], pairs);
+    return ok ? 0 : 1;
+}
+
 } // namespace
 
 int
@@ -212,6 +334,14 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         verdicts |= std::strcmp(argv[i], "--verdicts") == 0;
         approx |= std::strcmp(argv[i], "--approx") == 0;
+        if (std::strcmp(argv[i], "--paired") == 0) {
+            const int pairs = i + 1 < argc ? std::atoi(argv[i + 1]) : 0;
+            if (pairs < 1) {
+                std::fprintf(stderr, "--paired needs a pair count >= 1\n");
+                return 2;
+            }
+            return runPaired(pairs);
+        }
     }
     bool ok = true;
 

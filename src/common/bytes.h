@@ -193,7 +193,10 @@ class ByteReader
     {
         if (!need(n))
             return false;
-        std::memcpy(out, p_ + pos_, n);
+        // memcpy's pointers must be valid even for n == 0, and an empty
+        // destination (e.g. an empty tensor's data()) may be null.
+        if (n > 0)
+            std::memcpy(out, p_ + pos_, n);
         pos_ += n;
         return true;
     }

@@ -26,12 +26,43 @@
 #define DITTO_COMMON_PARALLEL_H
 
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <type_traits>
 
 namespace ditto {
 
-/** Half-open index range [begin, end) processed by one pool task. */
-using RangeFn = std::function<void(int64_t begin, int64_t end)>;
+/**
+ * Non-owning reference to the callable a parallelFor runs over each
+ * half-open index range [begin, end). Unlike std::function it never
+ * allocates, whatever the lambda captures, so a parallel kernel call
+ * costs no heap traffic on the forward-pass hot path. The referenced
+ * callable must outlive the call — parallelFor is synchronous, so a
+ * lambda written at the call site always does.
+ */
+class RangeFn
+{
+  public:
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, RangeFn>>>
+    RangeFn(F &&fn) noexcept // NOLINT: implicit, like std::function
+        : obj_(const_cast<void *>(
+              static_cast<const void *>(std::addressof(fn)))),
+          call_([](void *obj, int64_t begin, int64_t end) {
+              (*static_cast<std::remove_reference_t<F> *>(obj))(begin,
+                                                                 end);
+          })
+    {}
+
+    void operator()(int64_t begin, int64_t end) const
+    {
+        call_(obj_, begin, end);
+    }
+
+  private:
+    void *obj_;
+    void (*call_)(void *, int64_t, int64_t);
+};
 
 /** Number of threads the global pool runs with (including the caller). */
 int threadCount();

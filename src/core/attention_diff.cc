@@ -72,40 +72,67 @@ attentionScoresDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
     return addTransposedInt32(partial, qdk_t);
 }
 
-Int32Tensor
-attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
-                     int64_t slabs, const Int8Tensor *prev_q,
-                     const Int8Tensor *prev_k,
-                     const Int32Tensor *prev_scores, const uint8_t *primed,
-                     OpCounts *counts, DiffPolicy policy)
+namespace {
+
+/**
+ * The stored-codes form of an operand: a handed-over difference `d`
+ * becomes previous codes reconstructed as codes - d into `scratch`.
+ * Both sides of the subtraction are valid symmetric int8 codes, so the
+ * int16 difference of codes always lands back in int8 range — the
+ * reconstruction is exact, which is what makes one stored-codes body
+ * serve both operand kinds bitwise. Unprimed slabs' difference regions
+ * are never consumed, so their reconstructed codes may be anything.
+ */
+DiffOperand
+storedForm(const DiffOperand &op, int64_t n, std::vector<int8_t> *scratch)
 {
-    DITTO_ASSERT(q.shape().rank() == 2 && q.shape() == k.shape() &&
-                 slabs > 0 && q.shape()[0] % slabs == 0,
-                 "batched attention operands must stack equal slabs");
-    const int64_t tokens = q.shape()[0] / slabs;
-    const int64_t d = q.shape()[1];
+    if (!op.diff)
+        return op;
+    DITTO_ASSERT(!op.prev,
+                 "exactly one of payload difference and stored codes");
+    scratch->resize(static_cast<size_t>(n));
+    int8_t *prev = scratch->data();
+    for (int64_t i = 0; i < n; ++i)
+        prev[i] = static_cast<int8_t>(static_cast<int16_t>(op.codes[i]) -
+                                      op.diff[i]);
+    return {op.codes, prev, nullptr};
+}
+
+} // namespace
+
+void
+attentionScoresBatchInto(const DiffOperand &q_in, const DiffOperand &k_in,
+                         int64_t tokens, int64_t d, int64_t slabs,
+                         const uint8_t *primed, int32_t *out,
+                         int32_t *delta, OpCounts *counts,
+                         DiffPolicy policy, EngineScratch *scratch)
+{
     const int64_t in_elems = tokens * d;
     const int64_t out_elems = tokens * tokens;
-    const int8_t *qd = q.data().data();
-    const int8_t *kd = k.data().data();
+    const bool primed_any = anyPrimed(primed, slabs);
+    const DiffOperand q =
+        primed_any ? storedForm(q_in, slabs * in_elems, &scratch->prevA)
+                   : q_in;
+    const DiffOperand k =
+        primed_any ? storedForm(k_in, slabs * in_elems, &scratch->prevB)
+                   : k_in;
 
     // Per-slab decisions, identical to attentionScoresDiff's.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(slabs), 0);
-    bool any_diff = false;
+    std::vector<uint8_t> &use_diff = scratch->useDiff;
+    use_diff.assign(static_cast<size_t>(slabs), 0);
+    if (primed_any) {
+        scratch->reserve(&scratch->plans, slabs, tokens, d);
+        scratch->reserve(&scratch->plans2, slabs, tokens, d);
+        if (scratch->bT.capacity() < static_cast<size_t>(2 * slabs * in_elems))
+            scratch->bT.reserve(static_cast<size_t>(2 * slabs * in_elems));
+    }
+    int64_t n_diff = 0;
     for (int64_t s = 0; s < slabs; ++s) {
         if (!primed || !primed[s])
             continue;
-        DITTO_ASSERT(prev_q && prev_k && prev_scores,
-                     "primed slabs need previous state");
-        DITTO_ASSERT(prev_q->shape() == q.shape() &&
-                     prev_k->shape() == k.shape() &&
-                     prev_scores->shape() ==
-                         Shape({slabs * tokens, tokens}),
-                     "batched attention previous state shape mismatch");
-        const DiffClassCounts probe_dq =
-            countTemporalDiffClasses(q, *prev_q, s * in_elems, in_elems);
-        const DiffClassCounts probe_dk =
-            countTemporalDiffClasses(k, *prev_k, s * in_elems, in_elems);
+        DITTO_ASSERT(q.prev && k.prev, "primed slabs need previous state");
+        const DiffClassCounts probe_dq = q.probe(s * in_elems, in_elems);
+        const DiffClassCounts probe_dk = k.probe(s * in_elems, in_elems);
         if (counts) {
             counts[s].merge(probeOpCounts(probe_dk, tokens));
             counts[s].merge(probeOpCounts(probe_dq, tokens));
@@ -120,140 +147,98 @@ attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
         use_diff[s] =
             policy == DiffPolicy::ForceDiff ||
             predicted < static_cast<double>(tokens * tokens * d);
-        any_diff |= use_diff[s] != 0;
+        n_diff += use_diff[s];
     }
 
-    Int32Tensor out(Shape{slabs * tokens, tokens});
-    int32_t *od = out.data().data();
     for (int64_t s = 0; s < slabs; ++s) {
         if (use_diff[s])
             continue;
         // Direct slabs: each attends within its own rows, so the K
         // operand differs per slab and runs stay per-slab GEMMs.
-        kernels::gemmInt8Into(qd + s * in_elems, tokens, d,
-                              kd + s * in_elems, tokens, /*trans_b=*/true,
-                              od + s * out_elems);
+        std::memset(out + s * out_elems, 0,
+                    static_cast<size_t>(out_elems) * sizeof(int32_t));
+        kernels::gemmInt8Into(q.codes + s * in_elems, tokens, d,
+                              k.codes + s * in_elems, tokens,
+                              /*trans_b=*/true, out + s * out_elems);
     }
-    if (!any_diff)
-        return out;
+    if (n_diff == 0)
+        return;
 
     // Diff slabs: S_t = prev + dQ K_prev^T + (dK Q_t^T)^T, every term
-    // batched into one dispatch across slabs.
-    std::vector<DiffGemmPlan> plans_dq;
-    std::vector<DiffGemmPlan> plans_dk;
-    plans_dq.reserve(static_cast<size_t>(slabs));
-    plans_dk.reserve(static_cast<size_t>(slabs));
-    std::vector<kernels::DiffGemmBatchItem> items_a, items_b;
-    std::vector<int64_t> diff_slabs;
-    int64_t n_diff = 0;
-    for (int64_t s = 0; s < slabs; ++s)
-        n_diff += use_diff[s] ? 1 : 0;
-    Int32Tensor scratch(Shape{n_diff * tokens, tokens});
-    int32_t *sd = scratch.data().data();
-    int64_t di = 0;
+    // batched into one dispatch across slabs; the slab's region of
+    // `out` already holds prev.
+    std::fill(delta, delta + n_diff * out_elems, 0);
+    // Both products multiply a [tokens, d] operand transposed: the
+    // engine de-transposes them into [d, tokens] scratch once, so the
+    // plan dispatch reads contiguous rows.
+    std::vector<int8_t> &bt = scratch->bT;
+    bt.resize(static_cast<size_t>(2 * n_diff * in_elems));
+    std::vector<kernels::DiffGemmBatchItem> &items_a = scratch->items;
+    std::vector<kernels::DiffGemmBatchItem> &items_b = scratch->items2;
+    std::vector<int64_t> &diff_slabs = scratch->slabOf;
+    items_a.clear();
+    items_b.clear();
+    diff_slabs.clear();
+    int32_t *sd = delta;
     for (int64_t s = 0; s < slabs; ++s) {
         if (!use_diff[s])
             continue;
-        std::memcpy(od + s * out_elems,
-                    prev_scores->data().data() + s * out_elems,
-                    static_cast<size_t>(out_elems) * sizeof(int32_t));
-        plans_dq.push_back(encodeTemporalDiffRegion(q, *prev_q,
-                                                    s * in_elems, tokens,
-                                                    d));
-        plans_dk.push_back(encodeTemporalDiffRegion(k, *prev_k,
-                                                    s * in_elems, tokens,
-                                                    d));
-        items_a.push_back({&plans_dq.back(),
-                           prev_k->data().data() + s * in_elems,
-                           od + s * out_elems});
-        items_b.push_back({&plans_dk.back(), qd + s * in_elems,
-                           sd + di * out_elems});
+        const auto di = static_cast<int64_t>(diff_slabs.size());
+        DiffGemmPlan &plan_dq = scratch->plans[static_cast<size_t>(di)];
+        DiffGemmPlan &plan_dk = scratch->plans2[static_cast<size_t>(di)];
+        q.encode(s * in_elems, tokens, d, &plan_dq);
+        k.encode(s * in_elems, tokens, d, &plan_dk);
+        int8_t *kt = bt.data() + 2 * di * in_elems;
+        int8_t *qt = kt + in_elems;
+        kernels::transposeInt8Into(k.prev + s * in_elems, tokens, d, kt);
+        kernels::transposeInt8Into(q.codes + s * in_elems, tokens, d, qt);
+        items_a.push_back({&plan_dq, kt, out + s * out_elems});
+        items_b.push_back({&plan_dk, qt, sd + di * out_elems});
         diff_slabs.push_back(s);
-        ++di;
     }
-    kernels::diffGemmBatch(items_a, tokens, /*transpose_b=*/true);
-    kernels::diffGemmBatch(items_b, tokens, /*transpose_b=*/true);
+    kernels::diffGemmBatch(items_a, tokens);
+    kernels::diffGemmBatch(items_b, tokens);
+    const int64_t *slab_of = diff_slabs.data();
     parallelFor(0, n_diff, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
-            kernels::addTransposedInt32InPlace(
-                od + diff_slabs[static_cast<size_t>(i)] * out_elems,
-                sd + i * out_elems, tokens, tokens);
+            kernels::addTransposedInt32InPlace(out + slab_of[i] * out_elems,
+                                               sd + i * out_elems, tokens,
+                                               tokens);
     });
-    return out;
 }
-
-namespace {
-
-/**
- * Reconstruct an operand's previous-step codes from a handed-over
- * payload: prev = codes - d. Both sides of the subtraction are valid
- * symmetric int8 codes, so the int16 difference of codes always lands
- * back in int8 range — the reconstruction is exact, which is what
- * makes delegation to the stored-codes bodies bitwise neutral.
- */
-Int8Tensor
-reconstructPrev(const Int8Tensor &codes, const Int16Tensor &d)
-{
-    DITTO_ASSERT(d.shape() == codes.shape(),
-                 "payload difference shape mismatch");
-    Int8Tensor prev(codes.shape());
-    auto sc = codes.data();
-    auto sd = d.data();
-    auto sp = prev.data();
-    for (size_t i = 0; i < sc.size(); ++i)
-        sp[i] = static_cast<int8_t>(static_cast<int16_t>(sc[i]) - sd[i]);
-    return prev;
-}
-
-/** One operand's previous codes: reconstructed or stored. */
-const Int8Tensor &
-operandPrev(const Int8Tensor &codes, const Int16Tensor *d,
-            const Int8Tensor *stored, Int8Tensor *scratch)
-{
-    DITTO_ASSERT((d != nullptr) != (stored != nullptr),
-                 "exactly one of payload difference and stored codes");
-    if (stored)
-        return *stored;
-    *scratch = reconstructPrev(codes, *d);
-    return *scratch;
-}
-
-} // namespace
 
 Int32Tensor
-attentionScoresBatchPre(const Int8Tensor &q, const Int16Tensor *dq,
-                        const Int8Tensor *prev_q, const Int8Tensor &k,
-                        const Int16Tensor *dk, const Int8Tensor *prev_k,
-                        int64_t slabs, const Int32Tensor *prev_scores,
-                        const uint8_t *primed, OpCounts *counts,
-                        DiffPolicy policy)
+attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
+                     int64_t slabs, const Int8Tensor *prev_q,
+                     const Int8Tensor *prev_k,
+                     const Int32Tensor *prev_scores, const uint8_t *primed,
+                     OpCounts *counts, DiffPolicy policy)
 {
-    Int8Tensor qs, ks;
-    const Int8Tensor &pq = operandPrev(q, dq, prev_q, &qs);
-    const Int8Tensor &pk = operandPrev(k, dk, prev_k, &ks);
-    return attentionScoresBatch(q, k, slabs, &pq, &pk, prev_scores,
-                                primed, counts, policy);
+    DITTO_ASSERT(q.shape().rank() == 2 && q.shape() == k.shape() &&
+                 slabs > 0 && q.shape()[0] % slabs == 0,
+                 "batched attention operands must stack equal slabs");
+    DITTO_ASSERT((!prev_q || prev_q->shape() == q.shape()) &&
+                 (!prev_k || prev_k->shape() == k.shape()),
+                 "batched attention previous state shape mismatch");
+    const int64_t tokens = q.shape()[0] / slabs;
+    const DiffOperand qo{q.data().data(),
+                         prev_q ? prev_q->data().data() : nullptr, nullptr};
+    const DiffOperand ko{k.data().data(),
+                         prev_k ? prev_k->data().data() : nullptr, nullptr};
+    std::vector<int32_t> delta(static_cast<size_t>(slabs * tokens * tokens));
+    return detail::batchIntoTensor(
+        Shape{slabs * tokens, tokens}, prev_scores, primed, slabs,
+        [&](int32_t *out, EngineScratch *scratch) {
+            attentionScoresBatchInto(qo, ko, tokens, q.shape()[1], slabs,
+                                     primed, out, delta.data(), counts,
+                                     policy, scratch);
+        });
 }
 
 Int32Tensor
 attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v)
 {
     return matmulInt8(p, v);
-}
-
-Int32Tensor
-attentionOutputBatchPre(const Int8Tensor &p, const Int16Tensor *dp,
-                        const Int8Tensor *prev_p, const Int8Tensor &v,
-                        const Int16Tensor *dv, const Int8Tensor *prev_v,
-                        int64_t slabs, const Int32Tensor *prev_out,
-                        const uint8_t *primed, OpCounts *counts,
-                        DiffPolicy policy)
-{
-    Int8Tensor ps, vs;
-    const Int8Tensor &pp = operandPrev(p, dp, prev_p, &ps);
-    const Int8Tensor &pv = operandPrev(v, dv, prev_v, &vs);
-    return attentionOutputBatch(p, v, slabs, &pp, &pv, prev_out, primed,
-                                counts, policy);
 }
 
 Int32Tensor
@@ -292,6 +277,108 @@ attentionOutputDiff(const Int8Tensor &p, const Int8Tensor &prev_p,
     return addTransposedInt32(partial, pdv_t);
 }
 
+void
+attentionOutputBatchInto(const DiffOperand &p_in, const DiffOperand &v_in,
+                         int64_t rows, int64_t inner, int64_t d,
+                         int64_t slabs, const uint8_t *primed, int32_t *out,
+                         int32_t *delta, OpCounts *counts,
+                         DiffPolicy policy, EngineScratch *scratch)
+{
+    const int64_t p_elems = rows * inner;
+    const int64_t v_elems = inner * d;
+    const int64_t out_elems = rows * d;
+    const bool primed_any = anyPrimed(primed, slabs);
+    const DiffOperand p =
+        primed_any ? storedForm(p_in, slabs * p_elems, &scratch->prevA)
+                   : p_in;
+    const DiffOperand v =
+        primed_any ? storedForm(v_in, slabs * v_elems, &scratch->prevB)
+                   : v_in;
+
+    // Per-slab decisions, identical to attentionOutputDiff's.
+    std::vector<uint8_t> &use_diff = scratch->useDiff;
+    use_diff.assign(static_cast<size_t>(slabs), 0);
+    if (primed_any) {
+        scratch->reserve(&scratch->plans, slabs, rows, inner);
+        scratch->reserve(&scratch->plans2, slabs, d, inner);
+        if (scratch->bT.capacity() < static_cast<size_t>(slabs * p_elems))
+            scratch->bT.reserve(static_cast<size_t>(slabs * p_elems));
+    }
+    int64_t n_diff = 0;
+    for (int64_t s = 0; s < slabs; ++s) {
+        if (!primed || !primed[s])
+            continue;
+        DITTO_ASSERT(p.prev && v.prev, "primed slabs need previous state");
+        const DiffClassCounts probe_dp = p.probe(s * p_elems, p_elems);
+        const DiffClassCounts probe_dv = v.probe(s * v_elems, v_elems);
+        if (counts) {
+            counts[s].merge(probeOpCounts(probe_dv, rows));
+            counts[s].merge(probeOpCounts(probe_dp, d));
+        }
+        const double predicted =
+            diffMacPenalty(rows) *
+                static_cast<double>(probe_dv.nonzero()) *
+                static_cast<double>(rows) +
+            diffMacPenalty(d) * static_cast<double>(probe_dp.nonzero()) *
+                static_cast<double>(d);
+        use_diff[s] = policy == DiffPolicy::ForceDiff ||
+                      predicted < static_cast<double>(rows * inner * d);
+        n_diff += use_diff[s];
+    }
+
+    for (int64_t s = 0; s < slabs; ++s) {
+        if (use_diff[s])
+            continue;
+        std::memset(out + s * out_elems, 0,
+                    static_cast<size_t>(out_elems) * sizeof(int32_t));
+        kernels::gemmInt8Into(p.codes + s * p_elems, rows, inner,
+                              v.codes + s * v_elems, d, /*trans_b=*/false,
+                              out + s * out_elems);
+    }
+    if (n_diff == 0)
+        return;
+
+    // Diff slabs: O_t = prev + dP V_prev + (dV^T P_t^T)^T, batched; the
+    // slab's region of `out` already holds prev.
+    std::fill(delta, delta + n_diff * out_elems, 0);
+    // (dV^T P_t^T) multiplies P_t transposed: de-transposed once into
+    // [inner, rows] scratch per diff slab.
+    std::vector<int8_t> &bt = scratch->bT;
+    bt.resize(static_cast<size_t>(n_diff * p_elems));
+    std::vector<kernels::DiffGemmBatchItem> &items_a = scratch->items;
+    std::vector<kernels::DiffGemmBatchItem> &items_b = scratch->items2;
+    std::vector<int64_t> &diff_slabs = scratch->slabOf;
+    items_a.clear();
+    items_b.clear();
+    diff_slabs.clear();
+    int32_t *sd = delta;
+    for (int64_t s = 0; s < slabs; ++s) {
+        if (!use_diff[s])
+            continue;
+        const auto di = static_cast<int64_t>(diff_slabs.size());
+        DiffGemmPlan &plan_dp = scratch->plans[static_cast<size_t>(di)];
+        DiffGemmPlan &plan_dvt = scratch->plans2[static_cast<size_t>(di)];
+        p.encode(s * p_elems, rows, inner, &plan_dp);
+        encodeTemporalDiffTransposedInto(v.codes + s * v_elems,
+                                         v.prev + s * v_elems, inner, d,
+                                         &plan_dvt);
+        int8_t *pt = bt.data() + di * p_elems;
+        kernels::transposeInt8Into(p.codes + s * p_elems, rows, inner, pt);
+        items_a.push_back(
+            {&plan_dp, v.prev + s * v_elems, out + s * out_elems});
+        items_b.push_back({&plan_dvt, pt, sd + di * d * rows});
+        diff_slabs.push_back(s);
+    }
+    kernels::diffGemmBatch(items_a, d);
+    kernels::diffGemmBatch(items_b, rows);
+    const int64_t *slab_of = diff_slabs.data();
+    parallelFor(0, n_diff, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            kernels::addTransposedInt32InPlace(out + slab_of[i] * out_elems,
+                                               sd + i * d * rows, rows, d);
+    });
+}
+
 Int32Tensor
 attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
                      int64_t slabs, const Int8Tensor *prev_p,
@@ -308,96 +395,21 @@ attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
     const int64_t d = v.shape()[1];
     DITTO_ASSERT(v.shape()[0] / slabs == inner,
                  "P/V inner dimension mismatch");
-    const int64_t p_elems = rows * inner;
-    const int64_t v_elems = inner * d;
-    const int64_t out_elems = rows * d;
-    const int8_t *pd = p.data().data();
-    const int8_t *vd = v.data().data();
-
-    // Per-slab decisions, identical to attentionOutputDiff's.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(slabs), 0);
-    bool any_diff = false;
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!primed || !primed[s])
-            continue;
-        DITTO_ASSERT(prev_p && prev_v && prev_out,
-                     "primed slabs need previous state");
-        DITTO_ASSERT(prev_p->shape() == p.shape() &&
-                     prev_v->shape() == v.shape() &&
-                     prev_out->shape() == Shape({slabs * rows, d}),
-                     "batched attention previous state shape mismatch");
-        const DiffClassCounts probe_dp =
-            countTemporalDiffClasses(p, *prev_p, s * p_elems, p_elems);
-        const DiffClassCounts probe_dv =
-            countTemporalDiffClasses(v, *prev_v, s * v_elems, v_elems);
-        if (counts) {
-            counts[s].merge(probeOpCounts(probe_dv, rows));
-            counts[s].merge(probeOpCounts(probe_dp, d));
-        }
-        const double predicted =
-            diffMacPenalty(rows) *
-                static_cast<double>(probe_dv.nonzero()) *
-                static_cast<double>(rows) +
-            diffMacPenalty(d) * static_cast<double>(probe_dp.nonzero()) *
-                static_cast<double>(d);
-        use_diff[s] = policy == DiffPolicy::ForceDiff ||
-                      predicted < static_cast<double>(rows * inner * d);
-        any_diff |= use_diff[s] != 0;
-    }
-
-    Int32Tensor out(Shape{slabs * rows, d});
-    int32_t *od = out.data().data();
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (use_diff[s])
-            continue;
-        kernels::gemmInt8Into(pd + s * p_elems, rows, inner,
-                              vd + s * v_elems, d, /*trans_b=*/false,
-                              od + s * out_elems);
-    }
-    if (!any_diff)
-        return out;
-
-    // Diff slabs: O_t = prev + dP V_prev + (dV^T P_t^T)^T, batched.
-    std::vector<DiffGemmPlan> plans_dp;
-    std::vector<DiffGemmPlan> plans_dvt;
-    plans_dp.reserve(static_cast<size_t>(slabs));
-    plans_dvt.reserve(static_cast<size_t>(slabs));
-    std::vector<kernels::DiffGemmBatchItem> items_a, items_b;
-    std::vector<int64_t> diff_slabs;
-    int64_t n_diff = 0;
-    for (int64_t s = 0; s < slabs; ++s)
-        n_diff += use_diff[s] ? 1 : 0;
-    Int32Tensor scratch(Shape{n_diff * d, rows});
-    int32_t *sd = scratch.data().data();
-    int64_t di = 0;
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!use_diff[s])
-            continue;
-        std::memcpy(od + s * out_elems,
-                    prev_out->data().data() + s * out_elems,
-                    static_cast<size_t>(out_elems) * sizeof(int32_t));
-        plans_dp.push_back(encodeTemporalDiffRegion(p, *prev_p,
-                                                    s * p_elems, rows,
-                                                    inner));
-        plans_dvt.push_back(encodeTemporalDiffRegionTransposed(
-            v, *prev_v, s * v_elems, inner, d));
-        items_a.push_back({&plans_dp.back(),
-                           prev_v->data().data() + s * v_elems,
-                           od + s * out_elems});
-        items_b.push_back({&plans_dvt.back(), pd + s * p_elems,
-                           sd + di * d * rows});
-        diff_slabs.push_back(s);
-        ++di;
-    }
-    kernels::diffGemmBatch(items_a, d, /*transpose_b=*/false);
-    kernels::diffGemmBatch(items_b, rows, /*transpose_b=*/true);
-    parallelFor(0, n_diff, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            kernels::addTransposedInt32InPlace(
-                od + diff_slabs[static_cast<size_t>(i)] * out_elems,
-                sd + i * d * rows, rows, d);
-    });
-    return out;
+    DITTO_ASSERT((!prev_p || prev_p->shape() == p.shape()) &&
+                 (!prev_v || prev_v->shape() == v.shape()),
+                 "batched attention previous state shape mismatch");
+    const DiffOperand po{p.data().data(),
+                         prev_p ? prev_p->data().data() : nullptr, nullptr};
+    const DiffOperand vo{v.data().data(),
+                         prev_v ? prev_v->data().data() : nullptr, nullptr};
+    std::vector<int32_t> delta(static_cast<size_t>(slabs * rows * d));
+    return detail::batchIntoTensor(
+        Shape{slabs * rows, d}, prev_out, primed, slabs,
+        [&](int32_t *out, EngineScratch *scratch) {
+            attentionOutputBatchInto(po, vo, rows, inner, d, slabs, primed,
+                                     out, delta.data(), counts, policy,
+                                     scratch);
+        });
 }
 
 CrossAttentionEngine::CrossAttentionEngine(Int8Tensor k_const)
@@ -438,21 +450,28 @@ CrossAttentionEngine::runBatch(const Int8Tensor &q, int64_t slabs,
                                const uint8_t *primed, OpCounts *counts,
                                DiffPolicy policy) const
 {
-    return detail::runBatchWeightStationary(q, slabs, prev_q, prev_scores,
-                                            primed, counts, policy,
-                                            kConst_, kConstT_);
+    DITTO_ASSERT(q.shape().rank() == 2, "batched query must be a matrix");
+    DITTO_ASSERT(!prev_q || prev_q->shape() == q.shape(),
+                 "batched cross previous state shape mismatch");
+    const DiffOperand op{q.data().data(),
+                         prev_q ? prev_q->data().data() : nullptr, nullptr};
+    return detail::batchIntoTensor(
+        Shape{q.shape()[0], kConst_.shape()[0]}, prev_scores, primed, slabs,
+        [&](int32_t *out, EngineScratch *scratch) {
+            runBatchInto(op, q.shape()[0], slabs, primed, out, counts,
+                         policy, scratch);
+        });
 }
 
-Int32Tensor
-CrossAttentionEngine::runBatchPre(const Int8Tensor &q, const Int16Tensor &d,
-                                  int64_t slabs,
-                                  const Int32Tensor *prev_scores,
-                                  const uint8_t *primed, OpCounts *counts,
-                                  DiffPolicy policy) const
+void
+CrossAttentionEngine::runBatchInto(const DiffOperand &q, int64_t rows,
+                                   int64_t slabs, const uint8_t *primed,
+                                   int32_t *out, OpCounts *counts,
+                                   DiffPolicy policy,
+                                   EngineScratch *scratch) const
 {
-    return detail::runBatchWeightStationaryPre(q, d, slabs, prev_scores,
-                                               primed, counts, policy,
-                                               kConst_, kConstT_);
+    detail::runBatchWeightStationaryInto(q, rows, slabs, primed, out, counts,
+                                         policy, kConst_, kConstT_, scratch);
 }
 
 namespace naive {

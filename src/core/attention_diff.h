@@ -78,27 +78,27 @@ Int32Tensor attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
                                  DiffPolicy policy = DiffPolicy::Auto);
 
 /**
- * attentionScoresBatch with per-operand payload hand-over (the graph
- * runtime's dynamic-attention counterpart of runBatchPre): each
- * operand arrives either with its producer's requantized code
- * difference `d*` (diff-calc bypassed — no previous codes were stored
- * for it) or with stored previous codes `prev_*` (exactly one of the
- * two per operand). The previous operand the two-term expansion
- * multiplies against is reconstructed as codes - d, which is exact in
- * the integer domain, so results, probes and Defo decisions are
- * bitwise identical to attentionScoresBatch on operands whose
- * subtraction equals the handed-over difference. Handed-over
- * differences are stacked like their codes; unprimed slabs' difference
- * regions must be zero (the payload emitters leave them
- * zero-initialized) — the reconstruction reads the whole tensor, so an
- * unprimed slab's "previous" codes come out equal to its current
- * codes, and the delegated batch body then never consumes them.
+ * The one batched scores body (attentionScoresBatch is a Tensor
+ * wrapper over it), on caller-owned buffers, with per-operand payload
+ * hand-over: q and k stack `slabs` [tokens, d] operands, each arriving
+ * either with stored previous codes or with its producer's requantized
+ * code difference (the graph runtime's dynamic-attention hand-over; no
+ * previous codes were stored for it). The previous operand the
+ * two-term expansion multiplies against is reconstructed into scratch
+ * as codes - d, which is exact in the integer domain, so results,
+ * probes and Defo decisions are bitwise identical to operands whose
+ * subtraction equals the handed-over difference. `out`
+ * [slabs * tokens, tokens] holds every primed slab's previous scores
+ * on entry — direct slabs overwrite their region, diff slabs
+ * accumulate the expansion into it in place. `delta` is caller scratch
+ * of `out`'s size for the transposed correction terms (contents
+ * unspecified on entry; the graph runtime plans it in its arena).
  */
-Int32Tensor attentionScoresBatchPre(
-    const Int8Tensor &q, const Int16Tensor *dq, const Int8Tensor *prev_q,
-    const Int8Tensor &k, const Int16Tensor *dk, const Int8Tensor *prev_k,
-    int64_t slabs, const Int32Tensor *prev_scores, const uint8_t *primed,
-    OpCounts *counts = nullptr, DiffPolicy policy = DiffPolicy::Auto);
+void attentionScoresBatchInto(const DiffOperand &q, const DiffOperand &k,
+                              int64_t tokens, int64_t d, int64_t slabs,
+                              const uint8_t *primed, int32_t *out,
+                              int32_t *delta, OpCounts *counts,
+                              DiffPolicy policy, EngineScratch *scratch);
 
 /** Direct weighted sum O = P V. P:[tokens,tokens], V:[tokens,d]. */
 Int32Tensor attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v);
@@ -128,12 +128,15 @@ Int32Tensor attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
                                  OpCounts *counts = nullptr,
                                  DiffPolicy policy = DiffPolicy::Auto);
 
-/** attentionScoresBatchPre for the weighted sum (P and V operands). */
-Int32Tensor attentionOutputBatchPre(
-    const Int8Tensor &p, const Int16Tensor *dp, const Int8Tensor *prev_p,
-    const Int8Tensor &v, const Int16Tensor *dv, const Int8Tensor *prev_v,
-    int64_t slabs, const Int32Tensor *prev_out, const uint8_t *primed,
-    OpCounts *counts = nullptr, DiffPolicy policy = DiffPolicy::Auto);
+/**
+ * attentionScoresBatchInto for the weighted sum: p stacks [rows, inner]
+ * and v [inner, d] operands, `out` [slabs * rows, d].
+ */
+void attentionOutputBatchInto(const DiffOperand &p, const DiffOperand &v,
+                              int64_t rows, int64_t inner, int64_t d,
+                              int64_t slabs, const uint8_t *primed,
+                              int32_t *out, int32_t *delta, OpCounts *counts,
+                              DiffPolicy policy, EngineScratch *scratch);
 
 /**
  * Cross-attention scores with a constant context projection:
@@ -166,15 +169,10 @@ class CrossAttentionEngine
                          const uint8_t *primed, OpCounts *counts = nullptr,
                          DiffPolicy policy = DiffPolicy::Auto) const;
 
-    /**
-     * runBatch with a caller-supplied stacked query difference
-     * (DiffFcEngine::runBatchPre semantics).
-     */
-    Int32Tensor runBatchPre(const Int8Tensor &q, const Int16Tensor &d,
-                            int64_t slabs, const Int32Tensor *prev_scores,
-                            const uint8_t *primed,
-                            OpCounts *counts = nullptr,
-                            DiffPolicy policy = DiffPolicy::Auto) const;
+    /** The one batched body behind runBatch (DiffFcEngine::runBatchInto). */
+    void runBatchInto(const DiffOperand &q, int64_t rows, int64_t slabs,
+                      const uint8_t *primed, int32_t *out, OpCounts *counts,
+                      DiffPolicy policy, EngineScratch *scratch) const;
 
   private:
     Int8Tensor kConst_;

@@ -240,51 +240,92 @@ DiffFcEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
     return matmulDiffPlan(plan, weightT_, &prev_out);
 }
 
+DiffClassCounts
+DiffOperand::probe(int64_t off, int64_t n) const
+{
+    return diff ? countDiffClasses(diff + off, n)
+                : countTemporalDiffClasses(codes + off, prev + off, n);
+}
+
+void
+DiffOperand::encode(int64_t off, int64_t rows, int64_t cols,
+                    DiffGemmPlan *plan) const
+{
+    if (diff)
+        encodeDiffInto(diff + off, rows, cols, plan);
+    else
+        encodeTemporalDiffInto(codes + off, prev + off, rows, cols, plan);
+}
+
+void
+EngineScratch::reserve(std::vector<DiffGemmPlan> *pool, int64_t slabs,
+                       int64_t rows, int64_t cols)
+{
+    const auto n = static_cast<size_t>(slabs);
+    if (pool->size() < n)
+        pool->resize(n);
+    for (size_t i = 0; i < n; ++i)
+        reserveDiffPlan(&(*pool)[i], rows, cols);
+    items.reserve(n);
+    items2.reserve(n);
+    convItems.reserve(n);
+    slabOf.reserve(n);
+}
+
+bool
+anyPrimed(const uint8_t *primed, int64_t slabs)
+{
+    for (int64_t s = 0; primed && s < slabs; ++s)
+        if (primed[s])
+            return true;
+    return false;
+}
+
+EngineScratch &
+threadEngineScratch()
+{
+    thread_local EngineScratch scratch;
+    return scratch;
+}
+
 namespace detail {
 
-Int32Tensor
-runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
-                         const Int8Tensor *prev_x,
-                         const Int32Tensor *prev_out,
-                         const uint8_t *primed, OpCounts *counts,
-                         DiffPolicy policy, const Int8Tensor &weight,
-                         const Int8Tensor &weight_t)
+void
+runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
+                             int64_t slabs, const uint8_t *primed,
+                             int32_t *out, OpCounts *counts,
+                             DiffPolicy policy, const Int8Tensor &weight,
+                             const Int8Tensor &weight_t,
+                             EngineScratch *scratch)
 {
-    DITTO_ASSERT(x.shape().rank() == 2 && slabs > 0 &&
-                 x.shape()[0] % slabs == 0,
+    DITTO_ASSERT(slabs > 0 && rows % slabs == 0,
                  "batched fc input must stack equal row slabs");
-    const int64_t slab_rows = x.shape()[0] / slabs;
-    const int64_t in = x.shape()[1];
+    const int64_t slab_rows = rows / slabs;
+    const int64_t in = weight.shape()[1];
     const int64_t out_features = weight.shape()[0];
     const int64_t slab_elems = slab_rows * in;
     const int64_t out_elems = slab_rows * out_features;
 
     // Per-slab decisions, identical to runDiff's.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(slabs), 0);
-    bool any_diff = false;
+    std::vector<uint8_t> &use_diff = scratch->useDiff;
+    use_diff.assign(static_cast<size_t>(slabs), 0);
+    if (anyPrimed(primed, slabs))
+        scratch->reserve(&scratch->plans, slabs, slab_rows, in);
+    int64_t n_diff = 0;
     for (int64_t s = 0; s < slabs; ++s) {
         if (!primed || !primed[s])
             continue;
-        DITTO_ASSERT(prev_x && prev_out,
-                     "primed slabs need previous state");
-        DITTO_ASSERT(prev_x->shape() == x.shape() &&
-                     prev_out->shape() ==
-                         Shape({x.shape()[0], out_features}),
-                     "batched fc previous state shape mismatch");
-        const DiffClassCounts probe = countTemporalDiffClasses(
-            x, *prev_x, s * slab_elems, slab_elems);
+        DITTO_ASSERT(x.prev || x.diff, "primed slabs need previous state");
+        const DiffClassCounts probe = x.probe(s * slab_elems, slab_elems);
         if (counts)
             counts[s].merge(probeOpCounts(probe, out_features));
         use_diff[s] = policy == DiffPolicy::ForceDiff ||
                       diffWorthIt(probe, out_features);
-        any_diff |= use_diff[s] != 0;
+        n_diff += use_diff[s];
     }
 
-    Int32Tensor out(Shape{x.shape()[0], out_features});
-    const int8_t *xd = x.data().data();
-    int32_t *od = out.data().data();
-
-    // Contiguous direct runs fold into one GEMM each (batch rows into M).
+    // Contiguous direct runs fold into one GEMM each (batch rows into
+    // M); the GEMM accumulates, so each run's region is zeroed first.
     for (int64_t s = 0; s < slabs;) {
         if (use_diff[s]) {
             ++s;
@@ -293,112 +334,30 @@ runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
         int64_t e = s;
         while (e < slabs && !use_diff[e])
             ++e;
-        kernels::gemmInt8Into(xd + s * slab_elems, (e - s) * slab_rows, in,
-                              weight.data().data(), out_features,
-                              /*trans_b=*/true, od + s * out_elems);
+        std::memset(out + s * out_elems, 0,
+                    static_cast<size_t>((e - s) * out_elems) *
+                        sizeof(int32_t));
+        kernels::gemmInt8Into(x.codes + s * slab_elems, (e - s) * slab_rows,
+                              in, weight.data().data(), out_features,
+                              /*trans_b=*/true, out + s * out_elems);
         s = e;
     }
-    if (!any_diff)
-        return out;
+    if (n_diff == 0)
+        return;
 
     // Diff slabs: per-slab plans, one batched dispatch against the
-    // cached transposed weight.
-    std::vector<DiffGemmPlan> plans;
-    plans.reserve(static_cast<size_t>(slabs));
-    std::vector<kernels::DiffGemmBatchItem> items;
-    items.reserve(static_cast<size_t>(slabs));
+    // cached transposed weight, accumulating into the previous output
+    // the slab's region already holds.
+    std::vector<kernels::DiffGemmBatchItem> &items = scratch->items;
+    items.clear();
     for (int64_t s = 0; s < slabs; ++s) {
         if (!use_diff[s])
             continue;
-        std::memcpy(od + s * out_elems,
-                    prev_out->data().data() + s * out_elems,
-                    static_cast<size_t>(out_elems) * sizeof(int32_t));
-        plans.push_back(encodeTemporalDiffRegion(x, *prev_x,
-                                                 s * slab_elems, slab_rows,
-                                                 in));
-        items.push_back({&plans.back(), weight_t.data().data(),
-                         od + s * out_elems});
+        DiffGemmPlan &plan = scratch->plans[items.size()];
+        x.encode(s * slab_elems, slab_rows, in, &plan);
+        items.push_back({&plan, weight_t.data().data(), out + s * out_elems});
     }
-    kernels::diffGemmBatch(items, out_features, /*transpose_b=*/false);
-    return out;
-}
-
-Int32Tensor
-runBatchWeightStationaryPre(const Int8Tensor &x, const Int16Tensor &d,
-                            int64_t slabs, const Int32Tensor *prev_out,
-                            const uint8_t *primed, OpCounts *counts,
-                            DiffPolicy policy, const Int8Tensor &weight,
-                            const Int8Tensor &weight_t)
-{
-    DITTO_ASSERT(x.shape().rank() == 2 && slabs > 0 &&
-                 x.shape()[0] % slabs == 0,
-                 "batched fc input must stack equal row slabs");
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "batched fc pre-diff operand shape mismatch");
-    const int64_t slab_rows = x.shape()[0] / slabs;
-    const int64_t in = x.shape()[1];
-    const int64_t out_features = weight.shape()[0];
-    const int64_t slab_elems = slab_rows * in;
-    const int64_t out_elems = slab_rows * out_features;
-
-    // Per-slab decisions, identical to runBatchWeightStationary's.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(slabs), 0);
-    bool any_diff = false;
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!primed || !primed[s])
-            continue;
-        DITTO_ASSERT(prev_out &&
-                     prev_out->shape() ==
-                         Shape({x.shape()[0], out_features}),
-                     "batched fc previous output shape mismatch");
-        const DiffClassCounts probe =
-            countDiffClasses(d, s * slab_elems, slab_elems);
-        if (counts)
-            counts[s].merge(probeOpCounts(probe, out_features));
-        use_diff[s] = policy == DiffPolicy::ForceDiff ||
-                      diffWorthIt(probe, out_features);
-        any_diff |= use_diff[s] != 0;
-    }
-
-    Int32Tensor out(Shape{x.shape()[0], out_features});
-    const int8_t *xd = x.data().data();
-    int32_t *od = out.data().data();
-
-    // Contiguous direct runs fold into one GEMM each.
-    for (int64_t s = 0; s < slabs;) {
-        if (use_diff[s]) {
-            ++s;
-            continue;
-        }
-        int64_t e = s;
-        while (e < slabs && !use_diff[e])
-            ++e;
-        kernels::gemmInt8Into(xd + s * slab_elems, (e - s) * slab_rows, in,
-                              weight.data().data(), out_features,
-                              /*trans_b=*/true, od + s * out_elems);
-        s = e;
-    }
-    if (!any_diff)
-        return out;
-
-    // Diff slabs: per-slab plans over `d` regions, one batched dispatch.
-    std::vector<DiffGemmPlan> plans;
-    plans.reserve(static_cast<size_t>(slabs));
-    std::vector<kernels::DiffGemmBatchItem> items;
-    items.reserve(static_cast<size_t>(slabs));
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!use_diff[s])
-            continue;
-        std::memcpy(od + s * out_elems,
-                    prev_out->data().data() + s * out_elems,
-                    static_cast<size_t>(out_elems) * sizeof(int32_t));
-        plans.push_back(
-            encodeDiffRegion(d, s * slab_elems, slab_rows, in));
-        items.push_back({&plans.back(), weight_t.data().data(),
-                         od + s * out_elems});
-    }
-    kernels::diffGemmBatch(items, out_features, /*transpose_b=*/false);
-    return out;
+    kernels::diffGemmBatch(items, out_features);
 }
 
 } // namespace detail
@@ -409,20 +368,27 @@ DiffFcEngine::runBatch(const Int8Tensor &x, int64_t slabs,
                        const uint8_t *primed, OpCounts *counts,
                        DiffPolicy policy) const
 {
-    return detail::runBatchWeightStationary(x, slabs, prev_x, prev_out,
-                                            primed, counts, policy,
-                                            weight_, weightT_);
+    DITTO_ASSERT(x.shape().rank() == 2, "batched fc input must be a matrix");
+    DITTO_ASSERT(!prev_x || prev_x->shape() == x.shape(),
+                 "batched fc previous state shape mismatch");
+    const DiffOperand op{x.data().data(),
+                         prev_x ? prev_x->data().data() : nullptr, nullptr};
+    return detail::batchIntoTensor(
+        Shape{x.shape()[0], weight_.shape()[0]}, prev_out, primed, slabs,
+        [&](int32_t *out, EngineScratch *scratch) {
+            runBatchInto(op, x.shape()[0], slabs, primed, out, counts,
+                         policy, scratch);
+        });
 }
 
-Int32Tensor
-DiffFcEngine::runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                          int64_t slabs, const Int32Tensor *prev_out,
-                          const uint8_t *primed, OpCounts *counts,
-                          DiffPolicy policy) const
+void
+DiffFcEngine::runBatchInto(const DiffOperand &x, int64_t rows, int64_t slabs,
+                           const uint8_t *primed, int32_t *out,
+                           OpCounts *counts, DiffPolicy policy,
+                           EngineScratch *scratch) const
 {
-    return detail::runBatchWeightStationaryPre(x, d, slabs, prev_out,
-                                               primed, counts, policy,
-                                               weight_, weightT_);
+    detail::runBatchWeightStationaryInto(x, rows, slabs, primed, out, counts,
+                                         policy, weight_, weightT_, scratch);
 }
 
 DiffConvEngine::DiffConvEngine(Int8Tensor weight, Conv2dParams params)
@@ -512,39 +478,57 @@ DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
                          OpCounts *counts, DiffPolicy policy) const
 {
     DITTO_ASSERT(x.shape().rank() == 4, "conv batch input must be NCHW");
-    const int64_t batches = x.shape()[0];
-    const int64_t cin = x.shape()[1];
+    DITTO_ASSERT(!prev_x || prev_x->shape() == x.shape(),
+                 "batched conv previous state shape mismatch");
+    const DiffOperand op{x.data().data(),
+                         prev_x ? prev_x->data().data() : nullptr, nullptr};
     const int64_t h = x.shape()[2];
     const int64_t w = x.shape()[3];
+    const Shape out_shape{x.shape()[0], weight_.shape()[0],
+                          params_.outExtent(h), params_.outExtent(w)};
+    std::vector<int32_t> delta(static_cast<size_t>(out_shape.numel()));
+    return detail::batchIntoTensor(
+        out_shape, prev_out, primed, x.shape()[0],
+        [&](int32_t *out, EngineScratch *scratch) {
+            runBatchInto(op, x.shape()[0], h, w, primed, out, delta.data(),
+                         counts, policy, scratch);
+        });
+}
+
+void
+DiffConvEngine::runBatchInto(const DiffOperand &x, int64_t batches,
+                             int64_t h, int64_t w, const uint8_t *primed,
+                             int32_t *out, int32_t *delta, OpCounts *counts,
+                             DiffPolicy policy, EngineScratch *scratch) const
+{
+    const int64_t cin = params_.inChannels;
     const int64_t oh = params_.outExtent(h);
     const int64_t ow = params_.outExtent(w);
     const int64_t cout = weight_.shape()[0];
     const int64_t slab_elems = cin * h * w;
+    const int64_t out_elems = cout * oh * ow;
     const int64_t per_elem = std::max<int64_t>(
         1, cout * params_.kernel * params_.kernel /
                (params_.stride * params_.stride));
 
     // Per-slab decisions, identical to a single-batch runDiff.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(batches), 0);
-    bool any_diff = false;
+    std::vector<uint8_t> &use_diff = scratch->useDiff;
+    use_diff.assign(static_cast<size_t>(batches), 0);
+    if (anyPrimed(primed, batches))
+        scratch->reserve(&scratch->plans, batches, cin, h * w);
+    int64_t n_diff = 0;
     for (int64_t b = 0; b < batches; ++b) {
         if (!primed || !primed[b])
             continue;
-        DITTO_ASSERT(prev_x && prev_out,
-                     "primed slabs need previous state");
-        DITTO_ASSERT(prev_x->shape() == x.shape() &&
-                     prev_out->shape() == Shape({batches, cout, oh, ow}),
-                     "batched conv previous state shape mismatch");
-        const DiffClassCounts probe = countTemporalDiffClasses(
-            x, *prev_x, b * slab_elems, slab_elems);
+        DITTO_ASSERT(x.prev || x.diff, "primed slabs need previous state");
+        const DiffClassCounts probe = x.probe(b * slab_elems, slab_elems);
         if (counts)
             counts[b].merge(probeOpCounts(probe, per_elem));
         use_diff[b] = policy == DiffPolicy::ForceDiff ||
                       diffWorthIt(probe, params_.kernel * cout);
-        any_diff |= use_diff[b] != 0;
+        n_diff += use_diff[b];
     }
 
-    Int32Tensor out(Shape{batches, cout, oh, ow});
     // Contiguous direct runs become one batched convolution each.
     for (int64_t b = 0; b < batches;) {
         if (use_diff[b]) {
@@ -554,34 +538,31 @@ DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
         int64_t e = b;
         while (e < batches && !use_diff[e])
             ++e;
-        kernels::conv2dInt8Into(x, weight_, params_, b, e - b, &out);
+        kernels::conv2dInt8Into(x.codes + b * slab_elems, e - b, h, w,
+                                weight_, params_, out + b * out_elems);
         b = e;
     }
-    if (!any_diff)
-        return out;
+    if (n_diff == 0)
+        return;
 
     // Diff slabs: per-slab plans, one batched scatter dispatch into a
     // delta compacted to just the diff slabs (mostly-direct batches
     // would otherwise zero-fill scratch they never touch), then fold
-    // the deltas into the previous outputs run by run.
-    std::vector<DiffGemmPlan> plans(static_cast<size_t>(batches));
-    std::vector<kernels::ConvScatterBatchItem> items;
-    items.reserve(static_cast<size_t>(batches));
-    std::vector<int64_t> delta_slab(static_cast<size_t>(batches), -1);
-    int64_t n_diff = 0;
-    for (int64_t b = 0; b < batches; ++b)
-        if (use_diff[b])
-            delta_slab[static_cast<size_t>(b)] = n_diff++;
-    Int32Tensor delta(Shape{n_diff * oh * ow, cout});
+    // the deltas into the previous outputs run by run, in place.
+    const int64_t delta_elems = oh * ow * cout;
+    std::fill(delta, delta + n_diff * delta_elems, 0);
+    std::vector<int64_t> &delta_slab = scratch->slabOf;
+    delta_slab.assign(static_cast<size_t>(batches), -1);
+    std::vector<kernels::ConvScatterBatchItem> &items = scratch->convItems;
+    items.clear();
     for (int64_t b = 0; b < batches; ++b) {
         if (!use_diff[b])
             continue;
-        plans[static_cast<size_t>(b)] = encodeTemporalDiffRegion(
-            x, *prev_x, b * slab_elems, cin, h * w);
-        items.push_back({&plans[static_cast<size_t>(b)],
-                         delta.data().data() +
-                             delta_slab[static_cast<size_t>(b)] * oh *
-                                 ow * cout});
+        const auto di = static_cast<int64_t>(items.size());
+        delta_slab[static_cast<size_t>(b)] = di;
+        DiffGemmPlan &plan = scratch->plans[static_cast<size_t>(di)];
+        x.encode(b * slab_elems, cin, h * w, &plan);
+        items.push_back({&plan, delta + di * delta_elems});
     }
     kernels::convDiffScatterBatch(items, wmatT_.data().data(),
                                   wrevT_.data().data(), params_, h, w);
@@ -593,103 +574,12 @@ DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
         int64_t e = b;
         while (e < batches && use_diff[e])
             ++e;
-        kernels::addConvDeltaInto(*prev_out, delta, b, e - b,
-                                  delta_slab[static_cast<size_t>(b)],
-                                  &out);
+        kernels::addConvDeltaInPlace(
+            out + b * out_elems,
+            delta + delta_slab[static_cast<size_t>(b)] * delta_elems,
+            e - b, cout, oh * ow);
         b = e;
     }
-    return out;
-}
-
-Int32Tensor
-DiffConvEngine::runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                            const Int32Tensor *prev_out,
-                            const uint8_t *primed, OpCounts *counts,
-                            DiffPolicy policy) const
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "conv batch input must be NCHW");
-    DITTO_ASSERT(d.shape() == x.shape(),
-                 "batched conv pre-diff operand shape mismatch");
-    const int64_t batches = x.shape()[0];
-    const int64_t cin = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    const int64_t oh = params_.outExtent(h);
-    const int64_t ow = params_.outExtent(w);
-    const int64_t cout = weight_.shape()[0];
-    const int64_t slab_elems = cin * h * w;
-    const int64_t per_elem = std::max<int64_t>(
-        1, cout * params_.kernel * params_.kernel /
-               (params_.stride * params_.stride));
-
-    // Per-slab decisions, identical to runBatch's.
-    std::vector<uint8_t> use_diff(static_cast<size_t>(batches), 0);
-    bool any_diff = false;
-    for (int64_t b = 0; b < batches; ++b) {
-        if (!primed || !primed[b])
-            continue;
-        DITTO_ASSERT(prev_out &&
-                     prev_out->shape() == Shape({batches, cout, oh, ow}),
-                     "batched conv previous output shape mismatch");
-        const DiffClassCounts probe =
-            countDiffClasses(d, b * slab_elems, slab_elems);
-        if (counts)
-            counts[b].merge(probeOpCounts(probe, per_elem));
-        use_diff[b] = policy == DiffPolicy::ForceDiff ||
-                      diffWorthIt(probe, params_.kernel * cout);
-        any_diff |= use_diff[b] != 0;
-    }
-
-    Int32Tensor out(Shape{batches, cout, oh, ow});
-    for (int64_t b = 0; b < batches;) {
-        if (use_diff[b]) {
-            ++b;
-            continue;
-        }
-        int64_t e = b;
-        while (e < batches && !use_diff[e])
-            ++e;
-        kernels::conv2dInt8Into(x, weight_, params_, b, e - b, &out);
-        b = e;
-    }
-    if (!any_diff)
-        return out;
-
-    std::vector<DiffGemmPlan> plans(static_cast<size_t>(batches));
-    std::vector<kernels::ConvScatterBatchItem> items;
-    items.reserve(static_cast<size_t>(batches));
-    std::vector<int64_t> delta_slab(static_cast<size_t>(batches), -1);
-    int64_t n_diff = 0;
-    for (int64_t b = 0; b < batches; ++b)
-        if (use_diff[b])
-            delta_slab[static_cast<size_t>(b)] = n_diff++;
-    Int32Tensor delta(Shape{n_diff * oh * ow, cout});
-    for (int64_t b = 0; b < batches; ++b) {
-        if (!use_diff[b])
-            continue;
-        plans[static_cast<size_t>(b)] =
-            encodeDiffRegion(d, b * slab_elems, cin, h * w);
-        items.push_back({&plans[static_cast<size_t>(b)],
-                         delta.data().data() +
-                             delta_slab[static_cast<size_t>(b)] * oh *
-                                 ow * cout});
-    }
-    kernels::convDiffScatterBatch(items, wmatT_.data().data(),
-                                  wrevT_.data().data(), params_, h, w);
-    for (int64_t b = 0; b < batches;) {
-        if (!use_diff[b]) {
-            ++b;
-            continue;
-        }
-        int64_t e = b;
-        while (e < batches && use_diff[e])
-            ++e;
-        kernels::addConvDeltaInto(*prev_out, delta, b, e - b,
-                                  delta_slab[static_cast<size_t>(b)],
-                                  &out);
-        b = e;
-    }
-    return out;
 }
 
 namespace naive {

@@ -33,6 +33,7 @@
 #define DITTO_CORE_DIFF_LINEAR_H
 
 #include <cstdint>
+#include <vector>
 
 #include "quant/bitwidth.h"
 #include "quant/encoder.h"
@@ -144,6 +145,69 @@ OpCounts probeOpCounts(const DiffClassCounts &probe,
 bool diffWorthIt(const DiffClassCounts &probe, int64_t n);
 
 /**
+ * One dynamic operand of a batched engine call: the stacked current
+ * codes plus how its temporal difference is known — stored previous
+ * codes (`prev`, subtracted here) or a difference the producer handed
+ * over (`diff`, already subtracted; the dependency-analysis bypass).
+ * At most one of the two is set; both may be null when no slab is
+ * primed. Probes and plans are bitwise identical either way, because
+ * a handed-over difference equals the subtraction it replaces.
+ */
+struct DiffOperand
+{
+    const int8_t *codes = nullptr;
+    const int8_t *prev = nullptr;
+    const int16_t *diff = nullptr;
+
+    /** Class counts of elements [off, off + n) of the difference. */
+    DiffClassCounts probe(int64_t off, int64_t n) const;
+
+    /** Encode the [rows, cols] region at `off` into `plan`. */
+    void encode(int64_t off, int64_t rows, int64_t cols,
+                DiffGemmPlan *plan) const;
+};
+
+/**
+ * Reusable per-call scratch of the batched engine bodies: per-slab
+ * decisions, Encoding-Unit plans, kernel batch items, de-transposed
+ * and reconstructed previous operands. Every buffer keeps its capacity
+ * across calls and plans reserve their worst case once
+ * (encodeTemporalDiffInto), so after the first call of a given shape
+ * an engine call allocates nothing. A forward pass takes it from its
+ * workspace (runtime/workspace.h) and hands it from node to node; the
+ * Tensor-returning entry points use the calling thread's own.
+ */
+struct EngineScratch
+{
+    std::vector<uint8_t> useDiff;
+    std::vector<DiffGemmPlan> plans;  //!< operand plans, one per slab
+    std::vector<DiffGemmPlan> plans2; //!< attention's second operand
+    std::vector<kernels::DiffGemmBatchItem> items;
+    std::vector<kernels::DiffGemmBatchItem> items2;
+    std::vector<kernels::ConvScatterBatchItem> convItems;
+    std::vector<int64_t> slabOf; //!< compacted delta slab per batch slab
+    std::vector<int8_t> prevA;   //!< reconstructed previous operands
+    std::vector<int8_t> prevB;
+    std::vector<int8_t> bT;      //!< de-transposed attention B operands
+
+    /**
+     * Size everything one batched call over `slabs` slabs can touch,
+     * on its first primed call and before taking pointers: a pool of
+     * plans reserved for [rows, cols] operands and the batch items.
+     * Every slab might take the diff path, so which ones do —
+     * data-dependent — never changes what is allocated.
+     */
+    void reserve(std::vector<DiffGemmPlan> *pool, int64_t slabs,
+                 int64_t rows, int64_t cols);
+};
+
+/** True when any of the `slabs` flags is set (null: none). */
+bool anyPrimed(const uint8_t *primed, int64_t slabs);
+
+/** The calling thread's engine scratch (Tensor-returning wrappers). */
+EngineScratch &threadEngineScratch();
+
+/**
  * Fully-connected layer with temporal difference processing.
  *
  * Holds the quantized weight; callers drive it step by step.
@@ -197,20 +261,22 @@ class DiffFcEngine
                          DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * runBatch with a caller-supplied stacked difference `d` (int16,
-     * x's shape): `d` is x - prev_x already subtracted — the graph
-     * runtime hands it over when the dependency analysis says the
-     * producer's output is already a difference, so this layer stores
-     * no previous input codes. Per-slab probes and plans read slab
-     * regions of `d`; results, tallies and Defo decisions are bitwise
-     * identical to runBatch on operands whose subtraction equals `d`.
-     * Unprimed slabs run direct and never read their `d` region.
+     * The one batched body (runBatch is a Tensor wrapper over it), on
+     * caller-owned buffers: `x` stacks `rows` code rows of `slabs`
+     * equal slabs with either stored previous codes or a difference
+     * the producer handed over (DiffOperand) — the graph runtime hands
+     * it over when the dependency analysis says the producer's output
+     * is already a difference, so this layer stores no previous input
+     * codes. Probes, plans, tallies and Defo decisions are bitwise
+     * identical either way. `out` [rows, out_features] holds every
+     * primed slab's previous output on entry — the flipped Ditto state
+     * accumulates in place. Direct slabs (unprimed or reverted)
+     * overwrite their region; diff slabs add W * dx to it. Unprimed
+     * slabs never read their difference region.
      */
-    Int32Tensor runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                            int64_t slabs, const Int32Tensor *prev_out,
-                            const uint8_t *primed,
-                            OpCounts *counts = nullptr,
-                            DiffPolicy policy = DiffPolicy::Auto) const;
+    void runBatchInto(const DiffOperand &x, int64_t rows, int64_t slabs,
+                      const uint8_t *primed, int32_t *out, OpCounts *counts,
+                      DiffPolicy policy, EngineScratch *scratch) const;
 
     const Int8Tensor &weight() const { return weight_; }
 
@@ -257,14 +323,18 @@ class DiffConvEngine
                          DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * runBatch with a caller-supplied stacked NCHW difference
-     * (DiffFcEngine::runBatchPre semantics).
+     * The one batched body behind runBatch (DiffFcEngine::runBatchInto
+     * semantics): `batches` stacked [Cin, h, w] slabs of codes, `out`
+     * the stacked [batches, Cout, OH, OW] accumulator holding each
+     * primed slab's previous output on entry. `delta` is caller
+     * scratch of at least `batches` x Cout*OH*OW elements for the diff
+     * slabs' scattered deltas (contents unspecified on entry; the
+     * graph runtime plans it in its arena).
      */
-    Int32Tensor runBatchPre(const Int8Tensor &x, const Int16Tensor &d,
-                            const Int32Tensor *prev_out,
-                            const uint8_t *primed,
-                            OpCounts *counts = nullptr,
-                            DiffPolicy policy = DiffPolicy::Auto) const;
+    void runBatchInto(const DiffOperand &x, int64_t batches, int64_t h,
+                      int64_t w, const uint8_t *primed, int32_t *out,
+                      int32_t *delta, OpCounts *counts, DiffPolicy policy,
+                      EngineScratch *scratch) const;
 
     const Conv2dParams &params() const { return params_; }
 
@@ -279,32 +349,39 @@ namespace detail {
 
 /**
  * Shared batched weight-stationary execution (DiffFcEngine and
- * CrossAttentionEngine): per-slab probe/decide exactly like the
- * single-request runDiff, then contiguous direct runs as one
- * row-folded GEMM and all diff slabs as one batched plan dispatch.
- * Bitwise identical to per-slab runDirect/runDiff calls.
+ * CrossAttentionEngine, stored codes or handed-over difference alike):
+ * per-slab probe/decide exactly like the single-request runDiff, then
+ * contiguous direct runs as one row-folded GEMM and all diff slabs as
+ * one batched plan dispatch accumulating into `out` in place. Bitwise
+ * identical to per-slab runDirect/runDiff calls.
  */
-Int32Tensor runBatchWeightStationary(const Int8Tensor &x, int64_t slabs,
-                                     const Int8Tensor *prev_x,
-                                     const Int32Tensor *prev_out,
-                                     const uint8_t *primed,
-                                     OpCounts *counts, DiffPolicy policy,
-                                     const Int8Tensor &weight,
-                                     const Int8Tensor &weight_t);
+void runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
+                                  int64_t slabs, const uint8_t *primed,
+                                  int32_t *out, OpCounts *counts,
+                                  DiffPolicy policy,
+                                  const Int8Tensor &weight,
+                                  const Int8Tensor &weight_t,
+                                  EngineScratch *scratch);
 
 /**
- * runBatchWeightStationary with a caller-supplied stacked difference
- * (the diff-calc-bypass counterpart): probes and plans read slab
- * regions of `d`; everything else — per-slab decisions, folded direct
- * runs, one batched plan dispatch — is identical.
+ * Run a Tensor-level batched call through an Into body: the result
+ * starts as a copy of `prev_out` (zeros when absent) and `body` fills
+ * it in place with the calling thread's scratch.
  */
-Int32Tensor runBatchWeightStationaryPre(const Int8Tensor &x,
-                                        const Int16Tensor &d, int64_t slabs,
-                                        const Int32Tensor *prev_out,
-                                        const uint8_t *primed,
-                                        OpCounts *counts, DiffPolicy policy,
-                                        const Int8Tensor &weight,
-                                        const Int8Tensor &weight_t);
+template <typename Body>
+Int32Tensor
+batchIntoTensor(const Shape &out_shape, const Int32Tensor *prev_out,
+                const uint8_t *primed, int64_t slabs, Body &&body)
+{
+    bool any_primed = false;
+    for (int64_t s = 0; primed && s < slabs; ++s)
+        any_primed |= primed[s] != 0;
+    DITTO_ASSERT(!any_primed || (prev_out && prev_out->shape() == out_shape),
+                 "primed slabs need a previous output of the result shape");
+    Int32Tensor out = any_primed ? *prev_out : Int32Tensor(out_shape);
+    body(out.data().data(), &threadEngineScratch());
+    return out;
+}
 
 } // namespace detail
 

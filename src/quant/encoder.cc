@@ -27,22 +27,43 @@ namespace {
 constexpr int16_t kLow4Min = -8;
 constexpr int16_t kLow4Max = 7;
 
-/** Build a plan for a logical [rows, cols] operand read through at(). */
+/**
+ * Build a plan for a logical [rows, cols] operand read through at(),
+ * reusing `out`'s storage. With `reuse`, the entry streams are
+ * reserved at their worst case (every element nonzero, plus the
+ * per-row padding) the first time a plan object sees an operand this
+ * large, so re-encoding into it — whatever the data — never allocates
+ * again. Reserved but unwritten capacity is never touched, so it costs
+ * address space, not resident memory. One-shot plans (reuse off) size
+ * their streams exactly.
+ */
 template <typename At>
-DiffGemmPlan
-encodeImpl(int64_t rows, int64_t cols, const At &at)
+void
+encodeImpl(int64_t rows, int64_t cols, const At &at, DiffGemmPlan *out,
+           bool reuse = true)
 {
     DITTO_ASSERT(rows > 0 && cols > 0, "encoder needs a non-empty operand");
-    DiffGemmPlan plan;
+    DiffGemmPlan &plan = *out;
     plan.rows = rows;
     plan.cols = cols;
     plan.panelsPerRow = (cols + kDiffPanelK - 1) / kDiffPanelK;
     plan.panels.assign(static_cast<size_t>(rows * plan.panelsPerRow),
                        PanelRef{});
+    plan.zeroElems = plan.low4Elems = plan.full8Elems = 0;
+    if (reuse)
+        reserveDiffPlan(&plan, rows, cols);
 
-    std::vector<int64_t> rowLow4(static_cast<size_t>(rows), 0);
-    std::vector<int64_t> rowFull8(static_cast<size_t>(rows), 0);
-    std::vector<int64_t> rowZeroE(static_cast<size_t>(rows), 0);
+    // Per-row tallies and stream origins: per-thread scratch (the
+    // caller's), grown to the largest row count seen. Workers reach it
+    // through the plain pointers below.
+    thread_local std::vector<int64_t> rowScratch;
+    if (rowScratch.size() < static_cast<size_t>(5 * rows))
+        rowScratch.resize(static_cast<size_t>(5 * rows));
+    int64_t *rowLow4 = rowScratch.data();
+    int64_t *rowFull8 = rowLow4 + rows;
+    int64_t *rowZeroE = rowFull8 + rows;
+    int64_t *low4Begin = rowZeroE + rows;
+    int64_t *full8Begin = low4Begin + rows;
 
     parallelFor(0, rows, [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r) {
@@ -69,9 +90,9 @@ encodeImpl(int64_t rows, int64_t cols, const At &at)
                 p.low4Count = static_cast<uint16_t>(nnz - wide);
                 p.full8Count = static_cast<uint16_t>(wide);
             }
-            rowLow4[static_cast<size_t>(r)] = l4;
-            rowFull8[static_cast<size_t>(r)] = f8;
-            rowZeroE[static_cast<size_t>(r)] = ze;
+            rowLow4[r] = l4;
+            rowFull8[r] = f8;
+            rowZeroE[r] = ze;
         }
     });
 
@@ -81,18 +102,16 @@ encodeImpl(int64_t rows, int64_t cols, const At &at)
     // store must not touch the next row's first entry) and Low4
     // regions start at an even index so two rows never pack nibbles
     // into the same byte. Rows can then be filled concurrently.
-    std::vector<int64_t> low4Begin(static_cast<size_t>(rows), 0);
-    std::vector<int64_t> full8Begin(static_cast<size_t>(rows), 0);
     int64_t l4pos = 0, f8pos = 0;
     for (int64_t r = 0; r < rows; ++r) {
-        low4Begin[static_cast<size_t>(r)] = l4pos;
-        l4pos += rowLow4[static_cast<size_t>(r)] + 1;
+        low4Begin[r] = l4pos;
+        l4pos += rowLow4[r] + 1;
         l4pos += l4pos & 1;
-        full8Begin[static_cast<size_t>(r)] = f8pos;
-        f8pos += rowFull8[static_cast<size_t>(r)] + 1;
-        plan.zeroElems += rowZeroE[static_cast<size_t>(r)];
-        plan.low4Elems += rowLow4[static_cast<size_t>(r)];
-        plan.full8Elems += rowFull8[static_cast<size_t>(r)];
+        full8Begin[r] = f8pos;
+        f8pos += rowFull8[r] + 1;
+        plan.zeroElems += rowZeroE[r];
+        plan.low4Elems += rowLow4[r];
+        plan.full8Elems += rowFull8[r];
     }
     DITTO_ASSERT(l4pos <= std::numeric_limits<int32_t>::max() &&
                  f8pos <= std::numeric_limits<int32_t>::max(),
@@ -110,8 +129,8 @@ encodeImpl(int64_t rows, int64_t cols, const At &at)
         uint8_t toff[kDiffPanelK];
         int16_t tval[kDiffPanelK];
         for (int64_t r = lo; r < hi; ++r) {
-            int64_t l4 = low4Begin[static_cast<size_t>(r)];
-            int64_t f8 = full8Begin[static_cast<size_t>(r)];
+            int64_t l4 = low4Begin[r];
+            int64_t f8 = full8Begin[r];
             for (int64_t pi = 0; pi < plan.panelsPerRow; ++pi) {
                 PanelRef &p =
                     plan.panels[static_cast<size_t>(r * plan.panelsPerRow +
@@ -149,22 +168,105 @@ encodeImpl(int64_t rows, int64_t cols, const At &at)
             }
         }
     });
+}
+
+/** Temporal difference reader over a [rows, cols] region. */
+struct TemporalAt
+{
+    const int8_t *cur;
+    const int8_t *prev;
+    int64_t cols;
+
+    int16_t
+    operator()(int64_t r, int64_t c) const
+    {
+        const int64_t i = r * cols + c;
+        return static_cast<int16_t>(static_cast<int16_t>(cur[i]) -
+                                    static_cast<int16_t>(prev[i]));
+    }
+};
+
+/** Transposed temporal difference reader: (r, c) reads region (c, r). */
+struct TemporalAtT
+{
+    const int8_t *cur;
+    const int8_t *prev;
+    int64_t cols; //!< column count of the *source* region
+
+    int16_t
+    operator()(int64_t r, int64_t c) const
+    {
+        const int64_t i = c * cols + r;
+        return static_cast<int16_t>(static_cast<int16_t>(cur[i]) -
+                                    static_cast<int16_t>(prev[i]));
+    }
+};
+
+/** Already-subtracted int16 difference reader. */
+struct DiffAt
+{
+    const int16_t *d;
+    int64_t cols;
+
+    int16_t operator()(int64_t r, int64_t c) const { return d[r * cols + c]; }
+};
+
+template <typename At>
+DiffGemmPlan
+encodeNew(int64_t rows, int64_t cols, const At &at)
+{
+    DiffGemmPlan plan;
+    encodeImpl(rows, cols, at, &plan, /*reuse=*/false);
     return plan;
 }
 
 } // namespace
 
+void
+reserveDiffPlan(DiffGemmPlan *plan, int64_t rows, int64_t cols)
+{
+    // Worst case: every element nonzero, plus one dead slot and one
+    // even-alignment pad per row (see the prefix scan in encodeImpl).
+    const auto worst = static_cast<size_t>(rows * (cols + 2));
+    const auto panels = static_cast<size_t>(
+        rows * ((cols + kDiffPanelK - 1) / kDiffPanelK));
+    if (plan->panels.capacity() < panels)
+        plan->panels.reserve(panels);
+    if (plan->low4Offsets.capacity() < worst) {
+        plan->low4Offsets.reserve(worst);
+        plan->low4Nibbles.reserve((worst + 1) / 2);
+        plan->full8Offsets.reserve(worst);
+        plan->full8Values.reserve(worst);
+    }
+}
+
+void
+encodeDiffInto(const int16_t *diff, int64_t rows, int64_t cols,
+               DiffGemmPlan *plan)
+{
+    encodeImpl(rows, cols, DiffAt{diff, cols}, plan);
+}
+
+void
+encodeTemporalDiffInto(const int8_t *current, const int8_t *previous,
+                       int64_t rows, int64_t cols, DiffGemmPlan *plan)
+{
+    encodeImpl(rows, cols, TemporalAt{current, previous, cols}, plan);
+}
+
+void
+encodeTemporalDiffTransposedInto(const int8_t *current,
+                                 const int8_t *previous, int64_t rows,
+                                 int64_t cols, DiffGemmPlan *plan)
+{
+    // Plan rows index the *columns* of the region.
+    encodeImpl(cols, rows, TemporalAtT{current, previous, cols}, plan);
+}
+
 DiffClassCounts
-countTemporalDiffClasses(const Int8Tensor &current,
-                         const Int8Tensor &previous, int64_t offset,
+countTemporalDiffClasses(const int8_t *cur, const int8_t *prev,
                          int64_t count)
 {
-    DITTO_ASSERT(current.shape() == previous.shape(),
-                 "temporal diff operand shape mismatch");
-    DITTO_ASSERT(offset >= 0 && offset + count <= current.numel(),
-                 "countTemporalDiffClasses region out of range");
-    const int8_t *cur = current.data().data() + offset;
-    const int8_t *prev = previous.data().data() + offset;
     // Chunked branchless counting; int accumulators per chunk so the
     // sweep vectorizes like the encoder's first pass.
     DiffClassCounts c;
@@ -188,18 +290,8 @@ countTemporalDiffClasses(const Int8Tensor &current,
 }
 
 DiffClassCounts
-countTemporalDiffClasses(const Int8Tensor &current,
-                         const Int8Tensor &previous)
+countDiffClasses(const int16_t *d, int64_t count)
 {
-    return countTemporalDiffClasses(current, previous, 0, current.numel());
-}
-
-DiffClassCounts
-countDiffClasses(const Int16Tensor &diff, int64_t offset, int64_t count)
-{
-    DITTO_ASSERT(offset >= 0 && offset + count <= diff.numel(),
-                 "countDiffClasses region out of range");
-    const int16_t *d = diff.data().data() + offset;
     DiffClassCounts c;
     constexpr int64_t kChunk = 1 << 14;
     for (int64_t base = 0; base < count; base += kChunk) {
@@ -219,9 +311,23 @@ countDiffClasses(const Int16Tensor &diff, int64_t offset, int64_t count)
 }
 
 DiffClassCounts
-countDiffClasses(const Int16Tensor &diff)
+countTemporalDiffClasses(const Int8Tensor &current,
+                         const Int8Tensor &previous, int64_t offset,
+                         int64_t count)
 {
-    return countDiffClasses(diff, 0, diff.numel());
+    DITTO_ASSERT(current.shape() == previous.shape(),
+                 "temporal diff operand shape mismatch");
+    DITTO_ASSERT(offset >= 0 && offset + count <= current.numel(),
+                 "countTemporalDiffClasses region out of range");
+    return countTemporalDiffClasses(current.data().data() + offset,
+                                    previous.data().data() + offset, count);
+}
+
+DiffClassCounts
+countTemporalDiffClasses(const Int8Tensor &current,
+                         const Int8Tensor &previous)
+{
+    return countTemporalDiffClasses(current, previous, 0, current.numel());
 }
 
 DiffGemmPlan
@@ -230,23 +336,7 @@ encodeDiff(const Int16Tensor &diff)
     DITTO_ASSERT(diff.shape().rank() == 2,
                  "encodeDiff expects a difference matrix");
     const int64_t cols = diff.shape()[1];
-    const int16_t *d = diff.data().data();
-    return encodeImpl(diff.shape()[0], cols,
-                      [d, cols](int64_t r, int64_t c) {
-                          return d[r * cols + c];
-                      });
-}
-
-DiffGemmPlan
-encodeDiffRegion(const Int16Tensor &diff, int64_t offset, int64_t rows,
-                 int64_t cols)
-{
-    DITTO_ASSERT(offset >= 0 && offset + rows * cols <= diff.numel(),
-                 "encodeDiffRegion region out of range");
-    const int16_t *d = diff.data().data() + offset;
-    return encodeImpl(rows, cols, [d, cols](int64_t r, int64_t c) {
-        return d[r * cols + c];
-    });
+    return encodeNew(diff.shape()[0], cols, DiffAt{diff.data().data(), cols});
 }
 
 DiffGemmPlan
@@ -257,15 +347,9 @@ encodeTemporalDiff(const Int8Tensor &current, const Int8Tensor &previous)
     DITTO_ASSERT(current.shape().rank() == 2,
                  "encodeTemporalDiff expects code matrices");
     const int64_t cols = current.shape()[1];
-    const int8_t *cur = current.data().data();
-    const int8_t *prev = previous.data().data();
-    return encodeImpl(current.shape()[0], cols,
-                      [cur, prev, cols](int64_t r, int64_t c) {
-                          const int64_t i = r * cols + c;
-                          return static_cast<int16_t>(
-                              static_cast<int16_t>(cur[i]) -
-                              static_cast<int16_t>(prev[i]));
-                      });
+    return encodeNew(current.shape()[0], cols,
+                     TemporalAt{current.data().data(),
+                                previous.data().data(), cols});
 }
 
 DiffGemmPlan
@@ -277,33 +361,9 @@ encodeTemporalDiffRegion(const Int8Tensor &current,
                  "temporal diff operand shape mismatch");
     DITTO_ASSERT(offset >= 0 && offset + rows * cols <= current.numel(),
                  "encodeTemporalDiffRegion region out of range");
-    const int8_t *cur = current.data().data() + offset;
-    const int8_t *prev = previous.data().data() + offset;
-    return encodeImpl(rows, cols, [cur, prev, cols](int64_t r, int64_t c) {
-        const int64_t i = r * cols + c;
-        return static_cast<int16_t>(static_cast<int16_t>(cur[i]) -
-                                    static_cast<int16_t>(prev[i]));
-    });
-}
-
-DiffGemmPlan
-encodeTemporalDiffRegionTransposed(const Int8Tensor &current,
-                                   const Int8Tensor &previous,
-                                   int64_t offset, int64_t rows,
-                                   int64_t cols)
-{
-    DITTO_ASSERT(current.shape() == previous.shape(),
-                 "temporal diff operand shape mismatch");
-    DITTO_ASSERT(offset >= 0 && offset + rows * cols <= current.numel(),
-                 "encodeTemporalDiffRegionTransposed region out of range");
-    const int8_t *cur = current.data().data() + offset;
-    const int8_t *prev = previous.data().data() + offset;
-    // Plan rows index the *columns* of the region.
-    return encodeImpl(cols, rows, [cur, prev, cols](int64_t r, int64_t c) {
-        const int64_t i = c * cols + r;
-        return static_cast<int16_t>(static_cast<int16_t>(cur[i]) -
-                                    static_cast<int16_t>(prev[i]));
-    });
+    return encodeNew(rows, cols,
+                     TemporalAt{current.data().data() + offset,
+                                previous.data().data() + offset, cols});
 }
 
 DiffGemmPlan
@@ -315,16 +375,10 @@ encodeTemporalDiffTransposed(const Int8Tensor &current,
     DITTO_ASSERT(current.shape().rank() == 2,
                  "encodeTemporalDiffTransposed expects code matrices");
     const int64_t src_cols = current.shape()[1];
-    const int8_t *cur = current.data().data();
-    const int8_t *prev = previous.data().data();
     // Plan rows index the *columns* of the operands.
-    return encodeImpl(src_cols, current.shape()[0],
-                      [cur, prev, src_cols](int64_t r, int64_t c) {
-                          const int64_t i = c * src_cols + r;
-                          return static_cast<int16_t>(
-                              static_cast<int16_t>(cur[i]) -
-                              static_cast<int16_t>(prev[i]));
-                      });
+    return encodeNew(src_cols, current.shape()[0],
+                     TemporalAtT{current.data().data(),
+                                 previous.data().data(), src_cols});
 }
 
 namespace {

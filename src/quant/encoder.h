@@ -58,32 +58,10 @@ DiffClassCounts countTemporalDiffClasses(const Int8Tensor &current,
                                          int64_t offset, int64_t count);
 
 /**
- * Count classes of an explicit int16 difference (whole tensor): the
- * probe for callers whose difference was handed over by a producer
- * layer instead of being subtracted here (dependency-analysis bypass).
- * Equals countTemporalDiffClasses of operands whose subtraction is
- * `diff`.
- */
-DiffClassCounts countDiffClasses(const Int16Tensor &diff);
-
-/** countDiffClasses over a flat region (batch slab). */
-DiffClassCounts countDiffClasses(const Int16Tensor &diff, int64_t offset,
-                                 int64_t count);
-
-/**
  * Encode an already-subtracted int16 difference matrix [rows, cols].
  * Values must lie in the int8-code difference domain [-254, 254].
  */
 DiffGemmPlan encodeDiff(const Int16Tensor &diff);
-
-/**
- * encodeDiff over a rectangular region of flat int16 storage: the
- * logical operand is rows x cols elements starting at `offset`.
- * Produces exactly the plan encodeTemporalDiffRegion would for
- * operands whose subtraction equals the region.
- */
-DiffGemmPlan encodeDiffRegion(const Int16Tensor &diff, int64_t offset,
-                              int64_t rows, int64_t cols);
 
 /**
  * Fused subtract + encode of a temporal difference current - previous
@@ -114,17 +92,60 @@ DiffGemmPlan encodeTemporalDiffTransposed(const Int8Tensor &current,
                                           const Int8Tensor &previous);
 
 /**
- * encodeTemporalDiffTransposed over a rectangular region of flat
- * storage: the logical operand is rows x cols elements starting at
- * `offset` in both tensors' flat data, and the plan describes its
- * transpose (plan rows = cols, plan cols = rows). Used by the batched
- * attention path, where each request's P/V operand is one row slab of
- * a stacked code matrix.
+ * @name Raw-buffer forms (the engines' allocation-free path)
+ *
+ * The same probes and encodings over caller-owned flat storage. The
+ * Into encoders reuse the plan's storage (see encodeImpl in
+ * encoder.cc: streams are reserved at their worst case once per plan
+ * object), so an engine that keeps its plans across calls encodes
+ * without allocating.
+ * @{
  */
-DiffGemmPlan encodeTemporalDiffRegionTransposed(const Int8Tensor &current,
-                                                const Int8Tensor &previous,
-                                                int64_t offset,
-                                                int64_t rows, int64_t cols);
+
+/** countTemporalDiffClasses over `count` elements of raw codes. */
+DiffClassCounts countTemporalDiffClasses(const int8_t *current,
+                                         const int8_t *previous,
+                                         int64_t count);
+
+/**
+ * Count classes of `count` elements of an explicit int16 difference:
+ * the probe for callers whose difference was handed over by a
+ * producer layer instead of being subtracted here (dependency-analysis
+ * bypass). Equals countTemporalDiffClasses of operands whose
+ * subtraction is `diff`.
+ */
+DiffClassCounts countDiffClasses(const int16_t *diff, int64_t count);
+
+/**
+ * Reserve `plan`'s storage for any [rows, cols] operand (the worst
+ * case: every element nonzero), so encoding such an operand into it
+ * never allocates. The Into encoders do this themselves.
+ */
+void reserveDiffPlan(DiffGemmPlan *plan, int64_t rows, int64_t cols);
+
+/**
+ * Encode a raw [rows, cols] difference (values in [-254, 254]) into
+ * `plan`: exactly the plan encodeTemporalDiffInto would produce for
+ * operands whose subtraction is `diff`.
+ */
+void encodeDiffInto(const int16_t *diff, int64_t rows, int64_t cols,
+                    DiffGemmPlan *plan);
+
+/** encodeTemporalDiffRegion of raw [rows, cols] codes into `plan`. */
+void encodeTemporalDiffInto(const int8_t *current, const int8_t *previous,
+                            int64_t rows, int64_t cols, DiffGemmPlan *plan);
+
+/**
+ * encodeTemporalDiffTransposed of raw [rows, cols] codes into `plan`
+ * (plan rows = cols, plan cols = rows). Used by the batched attention
+ * path, where each request's P/V operand is one row slab of a stacked
+ * code matrix.
+ */
+void encodeTemporalDiffTransposedInto(const int8_t *current,
+                                      const int8_t *previous, int64_t rows,
+                                      int64_t cols, DiffGemmPlan *plan);
+
+/** @} */
 
 /**
  * One producer feeding a multi-producer requant-delta fold: its

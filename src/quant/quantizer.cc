@@ -12,22 +12,27 @@
 
 namespace ditto {
 
-Int8Tensor
-quantize(const FloatTensor &x, const QuantParams &params)
+void
+quantizeInto(const float *x, int64_t n, const QuantParams &params,
+             int8_t *out)
 {
     DITTO_ASSERT(params.scale > 0.0f, "quantization scale must be positive");
     DITTO_ASSERT(params.bits >= 2 && params.bits <= 8,
                  "int8 storage supports 2..8 bit codes");
-    Int8Tensor out(x.shape());
-    auto sx = x.data();
-    auto so = out.data();
     const float inv = 1.0f / params.scale;
     const auto lo = static_cast<float>(params.minCode());
     const auto hi = static_cast<float>(params.maxCode());
-    for (size_t i = 0; i < sx.size(); ++i) {
-        const float code = std::nearbyint(sx[i] * inv);
-        so[i] = static_cast<int8_t>(std::clamp(code, lo, hi));
+    for (int64_t i = 0; i < n; ++i) {
+        const float code = std::nearbyint(x[i] * inv);
+        out[i] = static_cast<int8_t>(std::clamp(code, lo, hi));
     }
+}
+
+Int8Tensor
+quantize(const FloatTensor &x, const QuantParams &params)
+{
+    Int8Tensor out(x.shape());
+    quantizeInto(x.data().data(), x.numel(), params, out.data().data());
     return out;
 }
 
@@ -42,14 +47,20 @@ dequantize(const Int8Tensor &q, const QuantParams &params)
     return out;
 }
 
+void
+dequantizeAccumInto(const int32_t *acc, int64_t n, float combined_scale,
+                    float *out)
+{
+    for (int64_t i = 0; i < n; ++i)
+        out[i] = static_cast<float>(acc[i]) * combined_scale;
+}
+
 FloatTensor
 dequantizeAccum(const Int32Tensor &acc, float combined_scale)
 {
     FloatTensor out(acc.shape());
-    auto sa = acc.data();
-    auto so = out.data();
-    for (size_t i = 0; i < sa.size(); ++i)
-        so[i] = static_cast<float>(sa[i]) * combined_scale;
+    dequantizeAccumInto(acc.data().data(), acc.numel(), combined_scale,
+                        out.data().data());
     return out;
 }
 

@@ -51,6 +51,14 @@ FloatTensor dequantize(const Int8Tensor &q, const QuantParams &params);
 /** Dequantize int32 accumulator values with a combined scale. */
 FloatTensor dequantizeAccum(const Int32Tensor &acc, float combined_scale);
 
+/** quantize() of `n` floats into caller-owned codes. */
+void quantizeInto(const float *x, int64_t n, const QuantParams &params,
+                  int8_t *out);
+
+/** dequantizeAccum() of `n` accumulators into caller-owned floats. */
+void dequantizeAccumInto(const int32_t *acc, int64_t n,
+                         float combined_scale, float *out);
+
 /**
  * Choose a symmetric dynamic scale from the max-abs of the tensor.
  *

@@ -24,6 +24,8 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "quant/encoder.h"
+#include "runtime/workspace.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/slab.h"
 #include "trace/calibrate.h"
@@ -64,100 +66,75 @@ quantW(const FloatTensor &w)
  * int16 deltas alike — it is a pure element bijection.
  */
 template <typename T>
-Tensor<T>
-toTokens(const Tensor<T> &x)
+void
+toTokensInto(const T *x, int64_t bsz, int64_t c, int64_t h, int64_t w,
+             T *out)
 {
-    DITTO_ASSERT(x.shape().rank() == 4, "expected NCHW feature maps");
-    const int64_t bsz = x.shape()[0];
-    const int64_t c = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    Tensor<T> out(Shape{bsz * h * w, c});
     for (int64_t b = 0; b < bsz; ++b)
         for (int64_t ci = 0; ci < c; ++ci)
             for (int64_t y = 0; y < h; ++y)
                 for (int64_t xw = 0; xw < w; ++xw)
-                    out.at((b * h + y) * w + xw, ci) = x.at(b, ci, y, xw);
-    return out;
+                    out[((b * h + y) * w + xw) * c + ci] =
+                        x[((b * c + ci) * h + y) * w + xw];
 }
 
 /** Stacked token matrix [B*H*W, C] -> stacked NCHW [B,C,H,W]. */
 template <typename T>
-Tensor<T>
-toNchw(const Tensor<T> &t, int64_t h, int64_t w)
+void
+toNchwInto(const T *t, int64_t bsz, int64_t c, int64_t h, int64_t w,
+           T *out)
 {
-    DITTO_ASSERT(t.shape().rank() == 2 && t.shape()[0] % (h * w) == 0,
-                 "token count mismatch");
-    const int64_t bsz = t.shape()[0] / (h * w);
-    const int64_t c = t.shape()[1];
-    Tensor<T> out(Shape{bsz, c, h, w});
     for (int64_t b = 0; b < bsz; ++b)
         for (int64_t ci = 0; ci < c; ++ci)
             for (int64_t y = 0; y < h; ++y)
                 for (int64_t xw = 0; xw < w; ++xw)
-                    out.at(b, ci, y, xw) = t.at((b * h + y) * w + xw, ci);
-    return out;
+                    out[((b * c + ci) * h + y) * w + xw] =
+                        t[((b * h + y) * w + xw) * c + ci];
 }
 
-/** Nearest-neighbour 2x spatial upsampling of stacked NCHW maps. */
-FloatTensor
-upsample2xF(const FloatTensor &x)
+/** Nearest-neighbour 2x spatial upsampling of stacked [B,C,h,w] maps. */
+void
+upsample2xInto(const float *x, int64_t bsz, int64_t c, int64_t h, int64_t w,
+               float *out)
 {
-    const int64_t bsz = x.shape()[0];
-    const int64_t c = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    FloatTensor out(Shape{bsz, c, h * 2, w * 2});
-    for (int64_t b = 0; b < bsz; ++b)
-        for (int64_t ci = 0; ci < c; ++ci)
-            for (int64_t y = 0; y < h * 2; ++y)
-                for (int64_t xw = 0; xw < w * 2; ++xw)
-                    out.at(b, ci, y, xw) = x.at(b, ci, y / 2, xw / 2);
-    return out;
+    for (int64_t p = 0; p < bsz * c; ++p)
+        for (int64_t y = 0; y < h * 2; ++y)
+            for (int64_t xw = 0; xw < w * 2; ++xw)
+                out[(p * h * 2 + y) * w * 2 + xw] =
+                    x[(p * h + y / 2) * w + xw / 2];
 }
 
-/** 2x2 average pooling of stacked NCHW maps. */
-FloatTensor
-avgPool2xF(const FloatTensor &x)
+/** 2x2 average pooling of stacked [B,C,h,w] maps (h, w even). */
+void
+avgPool2xInto(const float *x, int64_t bsz, int64_t c, int64_t h, int64_t w,
+              float *out)
 {
-    const int64_t bsz = x.shape()[0];
-    const int64_t c = x.shape()[1];
-    const int64_t h = x.shape()[2] / 2;
-    const int64_t w = x.shape()[3] / 2;
-    FloatTensor out(Shape{bsz, c, h, w});
-    for (int64_t b = 0; b < bsz; ++b)
-        for (int64_t ci = 0; ci < c; ++ci)
-            for (int64_t y = 0; y < h; ++y)
-                for (int64_t xw = 0; xw < w; ++xw)
-                    out.at(b, ci, y, xw) =
-                        (x.at(b, ci, 2 * y, 2 * xw) +
-                         x.at(b, ci, 2 * y, 2 * xw + 1) +
-                         x.at(b, ci, 2 * y + 1, 2 * xw) +
-                         x.at(b, ci, 2 * y + 1, 2 * xw + 1)) *
-                        0.25f;
-    return out;
+    const int64_t oh = h / 2;
+    const int64_t ow = w / 2;
+    for (int64_t p = 0; p < bsz * c; ++p) {
+        const float *plane = x + p * h * w;
+        for (int64_t y = 0; y < oh; ++y)
+            for (int64_t xw = 0; xw < ow; ++xw)
+                out[(p * oh + y) * ow + xw] =
+                    (plane[2 * y * w + 2 * xw] +
+                     plane[2 * y * w + 2 * xw + 1] +
+                     plane[(2 * y + 1) * w + 2 * xw] +
+                     plane[(2 * y + 1) * w + 2 * xw + 1]) *
+                    0.25f;
+    }
 }
 
 /** Channel concatenation of stacked NCHW maps (per-slab). */
-FloatTensor
-concatChannelsF(const FloatTensor &a, const FloatTensor &b)
+void
+concatChannelsInto(const float *a, const float *b, int64_t bsz, int64_t ca,
+                   int64_t cb, int64_t plane, float *out)
 {
-    const int64_t bsz = a.shape()[0];
-    const int64_t ca = a.shape()[1];
-    const int64_t cb = b.shape()[1];
-    const int64_t h = a.shape()[2];
-    const int64_t w = a.shape()[3];
-    FloatTensor out(Shape{bsz, ca + cb, h, w});
-    const int64_t plane = h * w;
     for (int64_t bb = 0; bb < bsz; ++bb) {
-        std::copy(a.data().begin() + bb * ca * plane,
-                  a.data().begin() + (bb + 1) * ca * plane,
-                  out.data().begin() + bb * (ca + cb) * plane);
-        std::copy(b.data().begin() + bb * cb * plane,
-                  b.data().begin() + (bb + 1) * cb * plane,
-                  out.data().begin() + (bb * (ca + cb) + ca) * plane);
+        std::copy(a + bb * ca * plane, a + (bb + 1) * ca * plane,
+                  out + bb * (ca + cb) * plane);
+        std::copy(b + bb * cb * plane, b + (bb + 1) * cb * plane,
+                  out + (bb * (ca + cb) + ca) * plane);
     }
-    return out;
 }
 
 /**
@@ -174,64 +151,40 @@ requantOne(int32_t acc, float combined, float inv, float lo, float hi)
     return static_cast<int8_t>(std::clamp(std::nearbyint(v * inv), lo, hi));
 }
 
-Int8Tensor
-requantCodes(const Int32Tensor &acc, float combined, const QuantParams &qp)
-{
-    Int8Tensor out(acc.shape());
-    const float inv = 1.0f / qp.scale;
-    const float lo = static_cast<float>(qp.minCode());
-    const float hi = static_cast<float>(qp.maxCode());
-    auto sa = acc.data();
-    auto so = out.data();
-    for (size_t i = 0; i < sa.size(); ++i)
-        so[i] = requantOne(sa[i], combined, inv, lo, hi);
-    return out;
-}
-
 /**
- * Requantize the current accumulator and emit both the codes and, for
+ * Requantize the current accumulator into caller-owned codes and, for
  * primed slabs, their difference against the previous step's emission
  * (the producer-resident code cache `prev`) — the diff-calc-bypass
  * payload. `prev` is the same requantization of the previous
  * accumulator, so `d16` equals subtractInt8(codes_t, codes_prev)
  * element for element and a consumer running on it is bitwise
  * identical to one that stored the previous codes itself. Unprimed
- * slabs get codes only (their `d16` region stays zero and is never
- * read, exactly like an unprimed slab's engine state).
+ * slabs get codes only; their `d16` region is left unwritten and is
+ * never read, exactly like an unprimed slab's engine state.
  */
 void
-requantCodesDeltaBatch(const Int32Tensor &acc, const Int8Tensor *prev,
-                       float combined, const QuantParams &qp,
-                       const uint8_t *primed, int64_t slabs,
-                       Int8Tensor *codes, Int16Tensor *d16)
+requantCodesDeltaInto(const int32_t *acc, const int8_t *prev,
+                      float combined, const QuantParams &qp,
+                      const uint8_t *primed, int64_t slabs,
+                      int64_t slab_elems, int8_t *codes, int16_t *d16)
 {
-    *codes = Int8Tensor(acc.shape());
-    *d16 = Int16Tensor(acc.shape());
     const float inv = 1.0f / qp.scale;
     const float lo = static_cast<float>(qp.minCode());
     const float hi = static_cast<float>(qp.maxCode());
-    const int64_t slab_elems = acc.numel() / slabs;
-    auto sa = acc.data();
-    auto sc = codes->data();
-    auto sd = d16->data();
     for (int64_t s = 0; s < slabs; ++s) {
         const int64_t base = s * slab_elems;
         if (primed && primed[s]) {
-            DITTO_ASSERT(prev && prev->numel() == acc.numel(),
+            DITTO_ASSERT(prev && d16,
                          "primed payload slab needs its code cache");
-            auto sp = prev->data();
             for (int64_t i = base; i < base + slab_elems; ++i) {
-                const int8_t ct = requantOne(sa[static_cast<size_t>(i)],
-                                             combined, inv, lo, hi);
-                sc[static_cast<size_t>(i)] = ct;
-                sd[static_cast<size_t>(i)] = static_cast<int16_t>(
-                    static_cast<int16_t>(ct) -
-                    static_cast<int16_t>(sp[static_cast<size_t>(i)]));
+                const int8_t ct = requantOne(acc[i], combined, inv, lo, hi);
+                codes[i] = ct;
+                d16[i] = static_cast<int16_t>(static_cast<int16_t>(ct) -
+                                              static_cast<int16_t>(prev[i]));
             }
         } else {
             for (int64_t i = base; i < base + slab_elems; ++i)
-                sc[static_cast<size_t>(i)] = requantOne(
-                    sa[static_cast<size_t>(i)], combined, inv, lo, hi);
+                codes[i] = requantOne(acc[i], combined, inv, lo, hi);
         }
     }
 }
@@ -259,21 +212,18 @@ approxActivity(const DiffClassCounts &c)
 /** Copy slab `s` of `src` into the same region of `dst`. */
 template <typename T>
 void
-copySlabRegion(const Tensor<T> &src, Tensor<T> *dst, int64_t s,
-               int64_t slab_elems)
+copySlabRegion(const T *src, T *dst, int64_t s, int64_t slab_elems)
 {
-    std::copy(src.data().begin() + s * slab_elems,
-              src.data().begin() + (s + 1) * slab_elems,
-              dst->data().begin() + s * slab_elems);
+    std::copy(src + s * slab_elems, src + (s + 1) * slab_elems,
+              dst + s * slab_elems);
 }
 
 /** Zero slab `s` of `t`. */
 template <typename T>
 void
-zeroSlabRegion(Tensor<T> *t, int64_t s, int64_t slab_elems)
+zeroSlabRegion(T *t, int64_t s, int64_t slab_elems)
 {
-    std::fill(t->data().begin() + s * slab_elems,
-              t->data().begin() + (s + 1) * slab_elems, T{});
+    std::fill(t + s * slab_elems, t + (s + 1) * slab_elems, T{});
 }
 
 /** Standalone (batch-of-one) shape of one slab of a stacked tensor. */
@@ -297,11 +247,37 @@ stackedShape(const Shape &one, int64_t b)
     return Shape{one[0] * b, one[1]};
 }
 
-/** The reverse-diffusion update rule: x += -0.15 * eps. */
+/**
+ * The reverse-diffusion update rule, in place: x += -0.15 * eps, with
+ * the exact arithmetic of add(x, affine(eps, -0.15f, 0.0f)) (eps is
+ * scratch and is overwritten by the scaled step).
+ */
 void
-applyUpdate(FloatTensor *x, const FloatTensor &eps)
+applyUpdate(float *x, float *eps, int64_t n)
 {
-    *x = add(*x, affine(eps, -0.15f, 0.0f));
+    kernels::affineInto(eps, n, -0.15f, 0.0f, eps);
+    kernels::addInto(x, eps, n, x);
+}
+
+/** View of a planned buffer: `off` per-slab bytes, `bsz` slabs wide. */
+template <typename T>
+T *
+planned(std::byte *arena, int64_t off, int64_t bsz)
+{
+    return off < 0 ? nullptr : reinterpret_cast<T *>(arena + off * bsz);
+}
+
+/**
+ * Give slot tensor `t` the stacked shape `s`, keeping its storage (a
+ * reused state or a slot from the double buffer's other half).
+ */
+template <typename T>
+T *
+shaped(Tensor<T> *t, const Shape &s)
+{
+    if (t->shape() != s)
+        t->resize(s);
+    return t->data().data();
 }
 
 } // namespace
@@ -339,6 +315,7 @@ CompiledModel::BatchDittoState::removeSlab(int64_t i)
     DITTO_ASSERT(i >= 0 && i < b, "removeSlab index out of range");
     if (b == 1) {
         prevIn.clear();
+        nextIn.clear();
         prevOut.clear();
         primed.clear();
         approx.clear();
@@ -526,64 +503,50 @@ CompiledModel::combinedScale(const Node &nd) const
 }
 
 void
-CompiledModel::runJunction(const Node &nd, const std::vector<Value> &vals,
-                           const std::vector<Int32Tensor> *prevOut,
+CompiledModel::runJunction(const Node &nd, Workspace &ws,
                            const int8_t *prevCodes, const uint8_t *primed,
-                           int64_t bsz, Int8Tensor *codes,
-                           Int16Tensor *d16) const
+                           int64_t bsz, int8_t *codes, int16_t *d16) const
 {
     const JunctionPlan &plan = *nd.junction;
-    const Shape &one =
-        spec_.nodes[static_cast<size_t>(nd.spec.inputs[0])].outShape;
-    const Shape stacked = one.rank() == 4
-                              ? slab::withDim0(one, bsz)
-                              : Shape{one[0] * bsz, one[1]};
-    *codes = Int8Tensor(stacked);
-    bool any_primed = false;
-    for (int64_t s = 0; primed && s < bsz; ++s)
-        any_primed |= primed[s] != 0;
-    if (any_primed)
-        *d16 = Int16Tensor(stacked); // unprimed regions stay zero
     const QuantParams qp{
         actScale_[static_cast<size_t>(nd.spec.scaleIn)], 8};
-
-    std::vector<RequantSource> srcs;
+    // The source list lives in the workspace, whose capacity outlives
+    // the pass: the fold allocates nothing once warm.
+    std::vector<RequantSource> &srcs = ws.tables().sources;
     for (const JunctionRegion &r : plan.regions) {
         srcs.resize(r.sources.size());
+        const std::span<const RequantSource> span(srcs);
         for (int64_t s = 0; s < bsz; ++s) {
             const bool sp = primed && primed[s];
             DITTO_ASSERT(!sp || prevCodes,
                          "primed junction fold needs its code cache");
             for (size_t i = 0; i < r.sources.size(); ++i) {
                 const int src = r.sources[i];
-                // prevOut slots hold the *current* accumulator here:
-                // the producer ran earlier in this pass.
-                const Int32Tensor *acc =
-                    prevOut ? &(*prevOut)[static_cast<size_t>(
-                                  nodes_[static_cast<size_t>(src)]
-                                      .outSlot)]
-                            : &vals[static_cast<size_t>(src)].acc;
-                DITTO_ASSERT(acc->numel() == r.srcElems * bsz,
-                             "junction source accumulator missing");
-                srcs[i].acc = acc->data().data() + s * r.srcElems;
+                // The producer ran earlier in this pass and published
+                // its current accumulator (a prevOut slot in Ditto
+                // mode, an arena buffer in QuantDirect).
+                const int32_t *acc =
+                    ws.tables().values[static_cast<size_t>(src)].acc;
+                DITTO_ASSERT(acc, "junction source accumulator missing");
+                srcs[i].acc = acc + s * r.srcElems;
                 srcs[i].scale =
                     combinedScale(nodes_[static_cast<size_t>(src)]);
             }
             const int64_t off = s * plan.slabElems + r.outOffset;
-            int8_t *oc = codes->data().data() + off;
+            int8_t *oc = codes + off;
             const int8_t *pc = sp ? prevCodes + off : nullptr;
-            int16_t *od = sp ? d16->data().data() + off : nullptr;
+            int16_t *od = sp ? d16 + off : nullptr;
             switch (r.transform) {
               case JunctionRegion::Transform::Identity:
-                requantSumDelta(srcs, r.outElems, qp, pc, oc, od);
+                requantSumDelta(span, r.outElems, qp, pc, oc, od);
                 break;
               case JunctionRegion::Transform::Upsample2x:
-                requantUpsample2xSumDelta(srcs, r.c, r.h, r.w, qp, pc,
-                                          oc, od);
+                requantUpsample2xSumDelta(span, r.c, r.h, r.w, qp, pc, oc,
+                                          od);
                 break;
               case JunctionRegion::Transform::AvgPool2x:
-                requantAvgPool2xSumDelta(srcs, r.c, r.h, r.w, qp, pc,
-                                         oc, od);
+                requantAvgPool2xSumDelta(span, r.c, r.h, r.w, qp, pc, oc,
+                                         od);
                 break;
             }
         }
@@ -623,222 +586,253 @@ CompiledModel::validateSingle(const FloatTensor &x, const char *what) const
                          << spec_.name << "'");
 }
 
-FloatTensor
-CompiledModel::forwardFp32(
-    const FloatTensor &x,
-    const std::function<void(int, const FloatTensor &)> *obs) const
+const float *
+CompiledModel::forwardFp32(const float *x, Workspace &ws,
+                           const Fp32Observer *obs) const
 {
-    auto observe = [&](int idx, const FloatTensor &t) {
-        if (obs && *obs)
-            (*obs)(idx, t);
+    std::byte *arena = ws.arena(arenaSlabBytes_);
+    auto &vals = ws.tables().values;
+    vals.assign(nodes_.size(), Workspace::Tables::Value{});
+    auto in = [&](const NodeSpec &ns, int j) -> const float * {
+        return vals[static_cast<size_t>(ns.inputs[static_cast<size_t>(j)])]
+            .f;
     };
-    std::vector<Value> vals(nodes_.size());
+    auto observe = [&](int idx, const float *t, int64_t n) {
+        if (obs && *obs)
+            (*obs)(idx, t, n);
+    };
+    auto inElems = [&](const NodeSpec &ns, int j) {
+        return spec_.nodes[static_cast<size_t>(
+                               ns.inputs[static_cast<size_t>(j)])]
+            .outShape.numel();
+    };
     for (const Node &nd : nodes_) {
         const NodeSpec &ns = nd.spec;
-        Value &out = vals[static_cast<size_t>(ns.id)];
-        auto in = [&](int j) -> const FloatTensor & {
-            return vals[static_cast<size_t>(ns.inputs[static_cast<size_t>(
-                            j)])]
-                .f;
+        if (ns.op == RtOp::Input) {
+            vals[static_cast<size_t>(ns.id)].f = const_cast<float *>(x);
+            continue;
+        }
+        float *out = planned<float>(arena, nd.bufs[kPlanFp32].f, 1);
+        vals[static_cast<size_t>(ns.id)].f = out;
+        const int64_t n = ns.outShape.numel();
+        const Shape &s0 =
+            spec_.nodes[static_cast<size_t>(ns.inputs[0])].outShape;
+        // The GEMM forms accumulate: their outputs start at zero.
+        auto gemm = [&](const float *a, int64_t m, int64_t k,
+                        const float *b, int64_t cols, bool trans_b) {
+            std::fill(out, out + n, 0.0f);
+            kernels::gemmInto(a, m, k, b, cols, trans_b, out);
         };
         switch (ns.op) {
           case RtOp::Input:
-            out.f = x;
             break;
           case RtOp::Conv2d:
-            observe(ns.scaleIn, in(0));
-            out.f = conv2d(in(0), nd.wF, nullptr, ns.conv);
+            observe(ns.scaleIn, in(ns, 0), inElems(ns, 0));
+            kernels::conv2dInto(in(ns, 0), 1, s0[2], s0[3], nd.wF, ns.conv,
+                                out);
             break;
           case RtOp::Fc:
-            observe(ns.scaleIn, in(0));
-            out.f = fullyConnected(in(0), nd.wF, nullptr);
+            observe(ns.scaleIn, in(ns, 0), inElems(ns, 0));
+            gemm(in(ns, 0), s0[0], s0[1], nd.wF.data().data(),
+                 nd.wF.shape()[0], /*trans_b=*/true);
             break;
-          case RtOp::AttnScores:
-            observe(ns.scaleIn, in(0));
-            observe(ns.scaleIn2, in(1));
-            out.f = matmulTransposed(in(0), in(1));
+          case RtOp::AttnScores: {
+            const Shape &s1 =
+                spec_.nodes[static_cast<size_t>(ns.inputs[1])].outShape;
+            observe(ns.scaleIn, in(ns, 0), inElems(ns, 0));
+            observe(ns.scaleIn2, in(ns, 1), inElems(ns, 1));
+            gemm(in(ns, 0), s0[0], s0[1], in(ns, 1), s1[0],
+                 /*trans_b=*/true);
             break;
-          case RtOp::AttnOutput:
-            observe(ns.scaleIn, in(0));
-            observe(ns.scaleIn2, in(1));
-            out.f = matmul(in(0), in(1));
+          }
+          case RtOp::AttnOutput: {
+            const Shape &s1 =
+                spec_.nodes[static_cast<size_t>(ns.inputs[1])].outShape;
+            observe(ns.scaleIn, in(ns, 0), inElems(ns, 0));
+            observe(ns.scaleIn2, in(ns, 1), inElems(ns, 1));
+            gemm(in(ns, 0), s0[0], s0[1], in(ns, 1), s1[1],
+                 /*trans_b=*/false);
             break;
+          }
           case RtOp::CrossScores:
-            observe(ns.scaleIn, in(0));
-            out.f = matmulTransposed(in(0), nd.constF);
+            observe(ns.scaleIn, in(ns, 0), inElems(ns, 0));
+            gemm(in(ns, 0), s0[0], s0[1], nd.constF.data().data(),
+                 nd.constF.shape()[0], /*trans_b=*/true);
             break;
           case RtOp::CrossOutput:
-            observe(ns.scaleIn, in(0));
-            out.f = matmul(in(0), nd.constF);
+            observe(ns.scaleIn, in(ns, 0), inElems(ns, 0));
+            gemm(in(ns, 0), s0[0], s0[1], nd.constF.data().data(),
+                 nd.constF.shape()[1], /*trans_b=*/false);
             break;
-          case RtOp::GroupNorm:
-            out.f = groupNorm(in(0), ns.groups);
-            break;
-          case RtOp::LayerNorm:
-            out.f = layerNorm(in(0));
-            break;
-          case RtOp::SiLU:
-            out.f = silu(in(0));
-            break;
-          case RtOp::GeLU:
-            out.f = gelu(in(0));
-            break;
-          case RtOp::Softmax:
-            out.f = softmaxRows(in(0));
-            break;
-          case RtOp::Add:
-            out.f = add(in(0), in(1));
-            break;
-          case RtOp::Affine:
-            out.f = affine(in(0), ns.affineScale, ns.affineShift);
-            break;
-          case RtOp::Concat:
-            out.f = concatChannelsF(in(0), in(1));
-            break;
-          case RtOp::Upsample2x:
-            out.f = upsample2xF(in(0));
-            break;
-          case RtOp::AvgPool2x:
-            out.f = avgPool2xF(in(0));
-            break;
-          case RtOp::NchwToTokens:
-            out.f = toTokens(in(0));
-            break;
-          case RtOp::TokensToNchw:
-            out.f = toNchw(in(0), ns.outShape[2], ns.outShape[3]);
+          default:
+            runStructural(nd, ws, arena, 1, kPlanFp32);
             break;
         }
     }
-    return std::move(vals.back().f);
+    return vals.back().f;
 }
 
 void
-CompiledModel::runStructural(const Node &nd, std::vector<Value> &vals,
-                             const FloatTensor &x) const
+CompiledModel::runStructural(const Node &nd, Workspace &ws,
+                             std::byte *arena, int64_t bsz, Plan plan) const
 {
     const NodeSpec &ns = nd.spec;
-    Value &out = vals[static_cast<size_t>(ns.id)];
-    auto inVal = [&](int j) -> Value & {
+    auto &vals = ws.tables().values;
+    Workspace::Tables::Value &out = vals[static_cast<size_t>(ns.id)];
+    auto inVal = [&](int j) -> Workspace::Tables::Value & {
         return vals[static_cast<size_t>(
             ns.inputs[static_cast<size_t>(j)])];
     };
+    const Shape &s0 =
+        spec_.nodes[static_cast<size_t>(ns.inputs[0])].outShape;
+    const NodeBufs &b = nd.bufs[plan];
+    float *f = planned<float>(arena, b.f, bsz);
+    const int64_t n = ns.outShape.numel() * bsz;
     switch (ns.op) {
-      case RtOp::Input:
-        out.f = x;
-        break;
       case RtOp::GroupNorm:
-        out.f = groupNorm(inVal(0).f, ns.groups);
+        kernels::groupNormInto(inVal(0).f, bsz, s0[1], s0[2] * s0[3],
+                               ns.groups, 1e-5f, f);
         break;
       case RtOp::LayerNorm:
-        out.f = layerNorm(inVal(0).f);
+        kernels::layerNormInto(inVal(0).f, s0[0] * bsz, s0[1], 1e-5f, f);
         break;
       case RtOp::SiLU:
-        out.f = silu(inVal(0).f);
+        kernels::siluInto(inVal(0).f, n, f);
         break;
       case RtOp::GeLU:
-        out.f = gelu(inVal(0).f);
+        kernels::geluInto(inVal(0).f, n, f);
         break;
       case RtOp::Softmax:
-        out.f = softmaxRows(inVal(0).f);
+        kernels::softmaxRowsInto(inVal(0).f, s0[0] * bsz, s0[1], f);
         break;
       case RtOp::Add:
-        out.f = add(inVal(0).f, inVal(1).f);
+        kernels::addInto(inVal(0).f, inVal(1).f, n, f);
         break;
       case RtOp::Affine:
-        out.f = affine(inVal(0).f, ns.affineScale, ns.affineShift);
+        kernels::affineInto(inVal(0).f, n, ns.affineScale, ns.affineShift,
+                            f);
         break;
-      case RtOp::Concat:
-        out.f = concatChannelsF(inVal(0).f, inVal(1).f);
-        break;
-      case RtOp::Upsample2x:
-        out.f = upsample2xF(inVal(0).f);
-        break;
-      case RtOp::AvgPool2x:
-        out.f = avgPool2xF(inVal(0).f);
-        break;
-      case RtOp::NchwToTokens: {
-        Value &in = inVal(0);
-        if (in.f.numel() > 0 && nd.fLive)
-            out.f = toTokens(in.f);
-        if (in.codes.numel() > 0)
-            out.codes = toTokens(in.codes);
-        if (in.d16.numel() > 0)
-            out.d16 = toTokens(in.d16);
+      case RtOp::Concat: {
+        const Shape &s1 =
+            spec_.nodes[static_cast<size_t>(ns.inputs[1])].outShape;
+        concatChannelsInto(inVal(0).f, inVal(1).f, bsz, s0[1], s1[1],
+                           s0[2] * s0[3], f);
         break;
       }
-      case RtOp::TokensToNchw: {
-        Value &in = inVal(0);
-        const int64_t h = ns.outShape[2];
-        const int64_t w = ns.outShape[3];
-        if (in.f.numel() > 0 && nd.fLive)
-            out.f = toNchw(in.f, h, w);
-        if (in.codes.numel() > 0)
-            out.codes = toNchw(in.codes, h, w);
-        if (in.d16.numel() > 0)
-            out.d16 = toNchw(in.d16, h, w);
+      case RtOp::Upsample2x:
+        upsample2xInto(inVal(0).f, bsz, s0[1], s0[2], s0[3], f);
         break;
+      case RtOp::AvgPool2x:
+        avgPool2xInto(inVal(0).f, bsz, s0[1], s0[2], s0[3], f);
+        break;
+      case RtOp::NchwToTokens:
+      case RtOp::TokensToNchw: {
+        // Reshapes carry whichever of f / payload codes / payload
+        // difference their input carries (element bijections).
+        const Workspace::Tables::Value in = inVal(0);
+        const bool to_tokens = ns.op == RtOp::NchwToTokens;
+        const Shape &nchw = to_tokens ? s0 : ns.outShape;
+        const int64_t c = nchw[1], h = nchw[2], w = nchw[3];
+        auto reshape = [&](const auto *src, auto *dst) {
+            if (to_tokens)
+                toTokensInto(src, bsz, c, h, w, dst);
+            else
+                toNchwInto(src, bsz, c, h, w, dst);
+        };
+        out.f = nullptr;
+        if (in.f && f) {
+            reshape(in.f, f);
+            out.f = f;
+        }
+        if (plan == kPlanFp32)
+            break;
+        if (in.codes) {
+            out.codes = planned<int8_t>(arena, b.codes, bsz);
+            reshape(in.codes, out.codes);
+        }
+        if (in.d16) {
+            out.d16 = planned<int16_t>(arena, b.d16, bsz);
+            reshape(in.d16, out.d16);
+        }
+        return;
       }
       default:
         DITTO_PANIC("compute op in the structural interpreter");
     }
+    out.f = f;
 }
 
 void
-CompiledModel::nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc,
-                            BatchDittoState *state, const uint8_t *primed,
-                            bool any_primed, int64_t bsz,
-                            Int8Tensor *emit_stash, OpCounts *counts) const
+CompiledModel::nodeEpilogue(const Node &nd, Workspace &ws, std::byte *arena,
+                            const int32_t *acc, BatchDittoState *state,
+                            const uint8_t *primed, bool any_primed,
+                            int64_t bsz, OpCounts *counts) const
 {
+    Workspace::Tables::Value &out =
+        ws.tables().values[static_cast<size_t>(nd.spec.id)];
+    const NodeBufs &b = nd.bufs[state ? kPlanDitto : kPlanDirect];
     const float combined = combinedScale(nd);
+    const int64_t slab_elems = nd.spec.outShape.numel();
     if (nd.emitPayload) {
         const QuantParams eqp{
             actScale_[static_cast<size_t>(nd.emitScale)], 8};
-        if (any_primed)
-            requantCodesDeltaBatch(
-                acc, &state->prevIn[static_cast<size_t>(nd.emitSlot)],
-                combined, eqp, primed, bsz, &out.codes, &out.d16);
-        else
-            out.codes = requantCodes(acc, combined, eqp);
-        // The emission becomes the next step's subtrahend.
-        if (state) {
-            Int8Tensor &cache =
-                state->prevIn[static_cast<size_t>(nd.emitSlot)];
-            if (emit_stash)
-                emit_stash[static_cast<size_t>(nd.emitSlot)] =
-                    std::move(cache);
-            cache = out.codes;
-        }
+        const auto slot = static_cast<size_t>(nd.emitSlot);
+        // Ditto mode writes the emission into the cache's other half
+        // and flips: the new emission becomes the next step's
+        // subtrahend, and the old one stays readable in nextIn for an
+        // ApproxDitto consumer that rolls a skipped slab back.
+        int8_t *codes =
+            state ? shaped(&state->nextIn[slot],
+                           stackedShape(nd.spec.outShape, bsz))
+                  : planned<int8_t>(arena, b.codes, bsz);
+        int16_t *d16 =
+            any_primed ? planned<int16_t>(arena, b.d16, bsz) : nullptr;
+        requantCodesDeltaInto(acc,
+                              any_primed ? state->prevIn[slot].data().data()
+                                         : nullptr,
+                              combined, eqp, primed, bsz, slab_elems, codes,
+                              d16);
+        if (state)
+            std::swap(state->prevIn[slot], state->nextIn[slot]);
+        out.codes = codes;
+        out.d16 = d16;
     }
     if (nd.fLive) {
-        out.f = dequantizeAccum(acc, combined);
+        out.f = planned<float>(arena, b.f, bsz);
+        dequantizeAccumInto(acc, slab_elems * bsz, combined, out.f);
         for (int64_t s = 0; counts && primed && s < bsz; ++s)
             if (primed[s])
-                counts[s].summationElems += acc.numel() / bsz;
+                counts[s].summationElems += slab_elems;
     }
-    if (nd.keepAcc && !state)
-        out.acc = std::move(acc);
-    else if (state)
-        state->prevOut[static_cast<size_t>(nd.outSlot)] = std::move(acc);
+    out.acc = acc;
 }
 
-FloatTensor
-CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                 bool approx, BatchDittoState *state,
-                                 OpCounts *counts) const
+const float *
+CompiledModel::forwardQuant(const float *x, int64_t bsz, bool approx,
+                            BatchDittoState *state, OpCounts *counts,
+                            Workspace &ws) const
 {
-    DITTO_ASSERT(x.shape().rank() == 4, "batched input must be NCHW");
-    const int64_t bsz = x.shape()[0];
-    DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent batch state");
-    DITTO_ASSERT(!use_ditto || state->batch() == bsz,
+    DITTO_ASSERT(!state || state->batch() == bsz,
                  "batch state size mismatch");
-    DITTO_ASSERT(!approx || use_ditto,
+    DITTO_ASSERT(!approx || state,
                  "ApproxDitto runs on the Ditto state machinery");
-    if (use_ditto && state->prevIn.empty()) {
+    if (state && state->prevIn.size() != static_cast<size_t>(numInSlots_)) {
+        DITTO_ASSERT(state->prevIn.empty() && state->prevOut.empty(),
+                     "state slot geometry does not match the model");
         state->prevIn.resize(static_cast<size_t>(numInSlots_));
         state->prevOut.resize(static_cast<size_t>(numOutSlots_));
     }
-    const uint8_t *primed = use_ditto ? state->primed.data() : nullptr;
+    if (state && state->nextIn.size() != state->prevIn.size())
+        state->nextIn.resize(state->prevIn.size());
+    std::byte *arena = ws.arena(arenaSlabBytes_ * bsz);
+    const Plan plan = state ? kPlanDitto : kPlanDirect;
+    EngineScratch &scratch = ws.engine();
+    Workspace::Tables &tab = ws.tables();
+    auto &vals = tab.values;
+    const size_t nnodes = nodes_.size();
+    vals.assign(nnodes, Workspace::Tables::Value{});
+
+    const uint8_t *primed = state ? state->primed.data() : nullptr;
     bool have_primed = false;
     for (int64_t s = 0; primed && s < bsz; ++s)
         have_primed |= primed[s] != 0;
@@ -846,7 +840,6 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
     // ApproxDitto bookkeeping: per-slab enables (the serving layer
     // mixes exact and approx requests in one batch; exact slabs are
     // never skipped) and [slab][node] skip counters.
-    const size_t nnodes = nodes_.size();
     if (approx) {
         DITTO_ASSERT(state->approx.size() == static_cast<size_t>(bsz),
                      "approx batch needs per-slab approx flags");
@@ -862,27 +855,22 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
     bool any_approx = false;
     for (int64_t s = 0; s < bsz; ++s)
         any_approx |= slabApprox(s);
-    // Skips are only legal on primed steps (there is a cached output
-    // to replay). The stash holds every emitting producer's pre-update
-    // code cache so a skipping consumer can roll it back.
-    std::vector<Int8Tensor> emit_stash(
-        any_approx ? static_cast<size_t>(numInSlots_) : 0);
-    Int8Tensor *stash = any_approx ? emit_stash.data() : nullptr;
 
-    // Previous-state slot pointer, or null while not materialized (the
-    // engines only dereference state for primed slabs).
-    auto prevIn = [&](int slot) -> const Int8Tensor * {
-        return use_ditto &&
-                       state->prevIn[static_cast<size_t>(slot)].numel() > 0
-                   ? &state->prevIn[static_cast<size_t>(slot)]
-                   : nullptr;
+    // Stored previous codes of a slot (read only for primed slabs),
+    // and the slot's other half shaped to receive this step's codes.
+    auto prevCodes = [&](int slot) -> const int8_t * {
+        return have_primed ? state->prevIn[static_cast<size_t>(slot)]
+                                 .data()
+                                 .data()
+                           : nullptr;
     };
-    auto prevOut = [&](int slot) -> const Int32Tensor * {
-        return use_ditto &&
-                       state->prevOut[static_cast<size_t>(slot)].numel() >
-                           0
-                   ? &state->prevOut[static_cast<size_t>(slot)]
-                   : nullptr;
+    auto nextCodes = [&](int slot, const Shape &one) -> int8_t * {
+        return shaped(&state->nextIn[static_cast<size_t>(slot)],
+                      stackedShape(one, bsz));
+    };
+    auto flip = [&](int slot) {
+        std::swap(state->prevIn[static_cast<size_t>(slot)],
+                  state->nextIn[static_cast<size_t>(slot)]);
     };
 
     // ApproxDitto per-slab skip decisions for one node: `stable(s)`
@@ -890,7 +878,7 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
     // while the slab's consecutive-skip run is under the cap.
     struct Skips
     {
-        std::vector<uint8_t> slab;
+        const uint8_t *slab = nullptr;
         bool any = false;
         bool all = false;
     };
@@ -898,13 +886,13 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
         Skips sk;
         if (!any_approx)
             return sk;
-        sk.slab.assign(static_cast<size_t>(bsz), 0);
+        tab.skip.assign(static_cast<size_t>(bsz), 0);
         sk.all = true;
         for (int64_t s = 0; s < bsz; ++s) {
             bool skip = false;
             if (slabApprox(s)) {
-                const size_t at =
-                    static_cast<size_t>(s) * nnodes + static_cast<size_t>(node);
+                const size_t at = static_cast<size_t>(s) * nnodes +
+                                  static_cast<size_t>(node);
                 int32_t &consec = state->consec[at];
                 skip = consec < approxCap_ && stable(s);
                 if (skip) {
@@ -914,26 +902,26 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                     consec = 0;
                 }
             }
-            sk.slab[static_cast<size_t>(s)] = skip;
+            tab.skip[static_cast<size_t>(s)] = skip;
             sk.any |= skip;
             sk.all &= skip;
         }
+        sk.slab = tab.skip.data();
         return sk;
     };
     auto isSkipped = [](const Skips &sk, int64_t s) {
-        return sk.any && sk.slab[static_cast<size_t>(s)];
+        return sk.any && sk.slab[s];
     };
 
     // A partly skipped batch still runs its skipped slabs through the
     // engine, over a zeroed difference region. Those slabs' tallies
     // are dropped, so a request reports exactly what a sequential skip
     // reports (no probe, no diff-calc) whatever its batch-mates do.
-    std::vector<OpCounts> tally;
     auto engineCounts = [&](const Skips &sk) -> OpCounts * {
         if (!counts || !sk.any)
             return counts;
-        tally.assign(static_cast<size_t>(bsz), OpCounts{});
-        return tally.data();
+        tab.tally.assign(static_cast<size_t>(bsz), OpCounts{});
+        return tab.tally.data();
     };
     auto settleCounts = [&](const Skips &sk, OpCounts *eng,
                             int64_t diff_calc_per_slab) {
@@ -941,71 +929,82 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
             if (!primed[s] || isSkipped(sk, s))
                 continue;
             if (eng != counts)
-                counts[s].merge(tally[static_cast<size_t>(s)]);
+                counts[s].merge(tab.tally[static_cast<size_t>(s)]);
             counts[s].diffCalcElems += diff_calc_per_slab;
         }
     };
 
-    std::vector<Value> vals(nnodes);
+    // The node's accumulator: its previous-output slot in Ditto mode
+    // (engines accumulate into it in place), a planned buffer in
+    // QuantDirect.
+    auto accumulator = [&](const Node &nd) -> int32_t * {
+        if (!state)
+            return planned<int32_t>(arena, nd.bufs[plan].acc, bsz);
+        return shaped(&state->prevOut[static_cast<size_t>(nd.outSlot)],
+                      stackedShape(nd.spec.outShape, bsz));
+    };
+
     for (const Node &nd : nodes_) {
         const NodeSpec &ns = nd.spec;
-        Value &out = vals[static_cast<size_t>(ns.id)];
-        auto inVal = [&](int j) -> Value & {
+        auto inVal = [&](int j) -> Workspace::Tables::Value & {
             return vals[static_cast<size_t>(
                 ns.inputs[static_cast<size_t>(j)])];
         };
+        auto inShape = [&](int j) -> const Shape & {
+            return spec_.nodes[static_cast<size_t>(
+                                   ns.inputs[static_cast<size_t>(j)])]
+                .outShape;
+        };
+
+        if (ns.op == RtOp::Input) {
+            vals[static_cast<size_t>(ns.id)].f = const_cast<float *>(x);
+            continue;
+        }
 
         // Weight-stationary compute: one engine, one dynamic operand.
         if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
             ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
-            Value &in = inVal(0);
+            Workspace::Tables::Value &in = inVal(0);
+            const Shape &one = inShape(0);
+            const int64_t in_elems = one.numel();
             const QuantParams qp{
                 actScale_[static_cast<size_t>(ns.scaleIn)], 8};
             // The operand arrives pre-quantized in this node's code
             // domain from a junction fold or a single-producer
-            // payload; everyone else quantizes the float input.
-            Int8Tensor codes;
-            Int16Tensor jd16;
-            const Int16Tensor *dptr = nullptr;
+            // payload; everyone else quantizes the float input — into
+            // the stored slot's other half in Ditto mode.
+            int8_t *codes = nullptr;
+            int16_t *dptr = nullptr;
             if (nd.junction) {
-                runJunction(nd, vals,
-                            use_ditto ? &state->prevOut : nullptr,
-                            have_primed
-                                ? state
-                                      ->prevIn[static_cast<size_t>(
-                                          nd.jSlot)]
-                                      .data()
-                                      .data()
-                                : nullptr,
-                            primed, bsz, &codes, &jd16);
+                codes = state ? nextCodes(nd.jSlot, one)
+                              : planned<int8_t>(arena, nd.bufs[plan].op, bsz);
                 if (have_primed)
-                    dptr = &jd16;
+                    dptr = planned<int16_t>(arena, nd.bufs[plan].opD16, bsz);
+                runJunction(nd, ws, prevCodes(nd.jSlot), primed, bsz, codes,
+                            dptr);
             } else if (nd.diffBypass) {
-                DITTO_ASSERT(in.codes.numel() > 0,
-                             "bypass payload missing codes");
-                codes = std::move(in.codes);
+                DITTO_ASSERT(in.codes, "bypass payload missing codes");
+                codes = in.codes;
                 if (have_primed) {
-                    DITTO_ASSERT(in.d16.numel() > 0,
-                                 "bypass payload missing difference");
-                    jd16 = std::move(in.d16);
-                    dptr = &jd16;
+                    DITTO_ASSERT(in.d16, "bypass payload missing difference");
+                    dptr = in.d16;
                 }
             } else {
-                codes = quantize(in.f, qp);
+                codes = state ? nextCodes(nd.inSlot, one)
+                              : planned<int8_t>(arena, nd.bufs[plan].op, bsz);
+                quantizeInto(in.f, in_elems * bsz, qp, codes);
             }
 
             // ApproxDitto: probe each approx slab's temporal difference
             // — a handed-over delta, a junction fold's delta, or the
             // stored previous codes — and skip it when stable enough.
-            const int64_t in_elems = codes.numel() / bsz;
             const Skips sk = decideSkips(ns.id, [&](int64_t s) {
                 const DiffClassCounts pc =
-                    dptr ? countDiffClasses(*dptr, s * in_elems, in_elems)
+                    dptr ? countDiffClasses(dptr + s * in_elems, in_elems)
                          : countTemporalDiffClasses(
-                               codes,
-                               state->prevIn[static_cast<size_t>(
-                                   nd.inSlot)],
-                               s * in_elems, in_elems);
+                               codes + s * in_elems,
+                               prevCodes(nd.inSlot) + s * in_elems,
+                               in_elems);
                 return approxActivity(pc) <= approxThresh_;
             });
             // A skipped slab replays its cached output and freezes its
@@ -1020,116 +1019,104 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
                 if (!isSkipped(sk, s))
                     continue;
                 if (nd.junction) {
-                    copySlabRegion(
-                        state->prevIn[static_cast<size_t>(nd.jSlot)],
-                        &codes, s, in_elems);
-                    zeroSlabRegion(&jd16, s, in_elems);
+                    copySlabRegion(prevCodes(nd.jSlot), codes, s, in_elems);
+                    zeroSlabRegion(dptr, s, in_elems);
                 } else if (nd.diffBypass) {
-                    zeroSlabRegion(&jd16, s, in_elems);
+                    zeroSlabRegion(dptr, s, in_elems);
+                    // The producer already flipped: its pre-update
+                    // emission is the cache's other half.
                     const Node &prod =
                         nodes_[static_cast<size_t>(nd.srcProducer)];
-                    copySlabRegion(
-                        emit_stash[static_cast<size_t>(prod.emitSlot)],
-                        &state->prevIn[static_cast<size_t>(prod.emitSlot)],
-                        s, in_elems);
+                    const auto es = static_cast<size_t>(prod.emitSlot);
+                    copySlabRegion(state->nextIn[es].data().data(),
+                                   state->prevIn[es].data().data(), s,
+                                   in_elems);
                 } else {
-                    copySlabRegion(
-                        state->prevIn[static_cast<size_t>(nd.inSlot)],
-                        &codes, s, in_elems);
+                    copySlabRegion(prevCodes(nd.inSlot), codes, s, in_elems);
                 }
                 if (counts)
                     counts[s].reusedElems += ns.outShape.numel();
             }
 
             // When every slab skips, the engine call is bypassed
-            // entirely. A hand-over or fold with no slab primed yet has
-            // no difference and needs none: every slab runs direct.
-            Int32Tensor acc;
+            // entirely: the slot already holds the replayed output. A
+            // hand-over or fold with no slab primed yet has no
+            // difference and needs none: every slab runs direct.
+            int32_t *acc = accumulator(nd);
             OpCounts *eng = engineCounts(sk);
             const bool stored = !nd.diffBypass && !nd.junction;
-            const Int8Tensor *pin = stored ? prevIn(nd.inSlot) : nullptr;
-            const Int32Tensor *pout = prevOut(nd.outSlot);
-            if (sk.all) {
-                acc = *prevOut(nd.outSlot);
-            } else if (dptr) {
+            if (!sk.all) {
+                const DiffOperand op{codes,
+                                     stored ? prevCodes(nd.inSlot) : nullptr,
+                                     dptr};
                 if (nd.conv)
-                    acc = nd.conv->runBatchPre(codes, *dptr, pout, primed,
-                                               eng, opts_.policy);
+                    nd.conv->runBatchInto(
+                        op, bsz, one[2], one[3], primed, acc,
+                        planned<int32_t>(arena, nd.bufs[plan].delta, bsz), eng,
+                        opts_.policy, &scratch);
                 else if (nd.cross)
-                    acc = nd.cross->runBatchPre(codes, *dptr, bsz, pout,
-                                                primed, eng, opts_.policy);
+                    nd.cross->runBatchInto(op, one[0] * bsz, bsz, primed, acc,
+                                           eng, opts_.policy, &scratch);
                 else
-                    acc = nd.fc->runBatchPre(codes, *dptr, bsz, pout,
-                                             primed, eng, opts_.policy);
-            } else {
-                if (nd.conv)
-                    acc = nd.conv->runBatch(codes, pin, pout, primed, eng,
-                                            opts_.policy);
-                else if (nd.cross)
-                    acc = nd.cross->runBatch(codes, bsz, pin, pout, primed,
-                                             eng, opts_.policy);
-                else
-                    acc = nd.fc->runBatch(codes, bsz, pin, pout, primed,
-                                          eng, opts_.policy);
-            }
-            if (!sk.all)
+                    nd.fc->runBatchInto(op, one[0] * bsz, bsz, primed, acc,
+                                        eng, opts_.policy, &scratch);
                 settleCounts(sk, eng, stored ? in_elems : 0);
+            }
 
-            nodeEpilogue(nd, out, acc, state, primed, have_primed, bsz,
-                         stash, counts);
-            if (use_ditto && nd.inSlot >= 0)
-                state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                    std::move(codes);
-            else if (use_ditto && nd.junction)
-                state->prevIn[static_cast<size_t>(nd.jSlot)] =
-                    std::move(codes);
+            nodeEpilogue(nd, ws, arena, acc, state, primed, have_primed,
+                         bsz, counts);
+            if (state && nd.inSlot >= 0)
+                flip(nd.inSlot);
+            else if (state && nd.junction)
+                flip(nd.jSlot);
             continue;
         }
 
         // Dynamic-dynamic attention: two operands, two-term expansion,
         // either operand possibly handed over by its producer.
         if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
-            Value &av = inVal(0);
-            Value &bv = inVal(1);
+            Workspace::Tables::Value &av = inVal(0);
+            Workspace::Tables::Value &bv = inVal(1);
+            const Shape &sa = inShape(0);
+            const Shape &sb = inShape(1);
             const QuantParams qpa{
                 actScale_[static_cast<size_t>(ns.scaleIn)], 8};
             const QuantParams qpb{
                 actScale_[static_cast<size_t>(ns.scaleIn2)], 8};
-            Int8Tensor a_codes, b_codes;
-            if (nd.diffBypass) {
-                DITTO_ASSERT(av.codes.numel() > 0,
-                             "operand payload missing codes");
-                a_codes = std::move(av.codes);
-            } else {
-                a_codes = quantize(av.f, qpa);
-            }
-            if (nd.diffBypass2) {
-                DITTO_ASSERT(bv.codes.numel() > 0,
-                             "operand payload missing codes");
-                b_codes = std::move(bv.codes);
-            } else {
-                b_codes = quantize(bv.f, qpb);
-            }
+            auto operandCodes = [&](bool bypass, Workspace::Tables::Value &v,
+                                    int slot, int64_t buf, const Shape &one,
+                                    const QuantParams &qp) -> int8_t * {
+                if (bypass) {
+                    DITTO_ASSERT(v.codes, "operand payload missing codes");
+                    return v.codes;
+                }
+                int8_t *c = state ? nextCodes(slot, one)
+                                  : planned<int8_t>(arena, buf, bsz);
+                quantizeInto(v.f, one.numel() * bsz, qp, c);
+                return c;
+            };
+            int8_t *a_codes = operandCodes(nd.diffBypass, av, nd.inSlot,
+                                           nd.bufs[plan].op, sa, qpa);
+            int8_t *b_codes = operandCodes(nd.diffBypass2, bv, nd.inSlot2,
+                                           nd.bufs[plan].op2, sb, qpb);
 
             // ApproxDitto is all-or-nothing per slab across both
             // operands (every expansion term carries a difference
             // factor of one operand or the other), so zeroing a skipped
             // slab's difference regions makes the batched engine
             // reproduce the replay bitwise for it.
-            const int64_t a_elems = a_codes.numel() / bsz;
-            const int64_t b_elems = b_codes.numel() / bsz;
+            const int64_t a_elems = sa.numel();
+            const int64_t b_elems = sb.numel();
             const Skips sk = decideSkips(ns.id, [&](int64_t s) {
-                auto stableOperand = [&](bool bypass, const Int16Tensor &d,
-                                         const Int8Tensor &codes, int slot,
+                auto stableOperand = [&](bool bypass, const int16_t *d,
+                                         const int8_t *c, int slot,
                                          int64_t elems) {
-                    const DiffClassCounts c =
-                        bypass ? countDiffClasses(d, s * elems, elems)
+                    const DiffClassCounts cc =
+                        bypass ? countDiffClasses(d + s * elems, elems)
                                : countTemporalDiffClasses(
-                                     codes,
-                                     state->prevIn[static_cast<size_t>(
-                                         slot)],
-                                     s * elems, elems);
-                    return approxActivity(c) <= approxThresh_;
+                                     c + s * elems,
+                                     prevCodes(slot) + s * elems, elems);
+                    return approxActivity(cc) <= approxThresh_;
                 };
                 return stableOperand(nd.diffBypass, av.d16, a_codes,
                                      nd.inSlot, a_elems) &&
@@ -1139,78 +1126,65 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
             for (int64_t s = 0; sk.any && s < bsz; ++s) {
                 if (!isSkipped(sk, s))
                     continue;
-                auto freeze = [&](bool bypass, Int16Tensor *d,
-                                  Int8Tensor *codes, int src, int slot,
-                                  int64_t elems) {
+                auto freeze = [&](bool bypass, int16_t *d, int8_t *c,
+                                  int src, int slot, int64_t elems) {
                     if (bypass) {
                         zeroSlabRegion(d, s, elems);
-                        const Node &prod =
-                            nodes_[static_cast<size_t>(src)];
-                        copySlabRegion(
-                            emit_stash[static_cast<size_t>(prod.emitSlot)],
-                            &state->prevIn[static_cast<size_t>(
-                                prod.emitSlot)],
-                            s, elems);
+                        const Node &prod = nodes_[static_cast<size_t>(src)];
+                        const auto es = static_cast<size_t>(prod.emitSlot);
+                        copySlabRegion(state->nextIn[es].data().data(),
+                                       state->prevIn[es].data().data(), s,
+                                       elems);
                     } else {
-                        copySlabRegion(
-                            state->prevIn[static_cast<size_t>(slot)],
-                            codes, s, elems);
+                        copySlabRegion(prevCodes(slot), c, s, elems);
                     }
                 };
-                freeze(nd.diffBypass, &av.d16, &a_codes, nd.srcProducer,
+                freeze(nd.diffBypass, av.d16, a_codes, nd.srcProducer,
                        nd.inSlot, a_elems);
-                freeze(nd.diffBypass2, &bv.d16, &b_codes, nd.srcProducer2,
+                freeze(nd.diffBypass2, bv.d16, b_codes, nd.srcProducer2,
                        nd.inSlot2, b_elems);
                 if (counts)
                     counts[s].reusedElems += ns.outShape.numel();
             }
 
-            Int32Tensor acc;
+            int32_t *acc = accumulator(nd);
             OpCounts *eng = engineCounts(sk);
             const bool scores = ns.op == RtOp::AttnScores;
-            if (sk.all) {
-                acc = *prevOut(nd.outSlot);
-            } else if (have_primed) {
-                DITTO_ASSERT(!nd.diffBypass || av.d16.numel() > 0,
-                             "operand payload missing difference");
-                DITTO_ASSERT(!nd.diffBypass2 || bv.d16.numel() > 0,
-                             "operand payload missing difference");
-                const Int16Tensor *da = nd.diffBypass ? &av.d16 : nullptr;
-                const Int8Tensor *pa =
-                    nd.diffBypass ? nullptr : prevIn(nd.inSlot);
-                const Int16Tensor *db =
-                    nd.diffBypass2 ? &bv.d16 : nullptr;
-                const Int8Tensor *pb =
-                    nd.diffBypass2 ? nullptr : prevIn(nd.inSlot2);
-                acc = scores ? attentionScoresBatchPre(
-                                   a_codes, da, pa, b_codes, db, pb, bsz,
-                                   prevOut(nd.outSlot), primed, eng,
-                                   opts_.policy)
-                             : attentionOutputBatchPre(
-                                   a_codes, da, pa, b_codes, db, pb, bsz,
-                                   prevOut(nd.outSlot), primed, eng,
-                                   opts_.policy);
-                settleCounts(sk, eng,
-                             (pa ? a_elems : 0) + (pb ? b_elems : 0));
-            } else {
-                acc = scores ? attentionScoresBatch(a_codes, b_codes, bsz,
-                                                    nullptr, nullptr,
-                                                    nullptr, primed, eng,
-                                                    opts_.policy)
-                             : attentionOutputBatch(a_codes, b_codes, bsz,
-                                                    nullptr, nullptr,
-                                                    nullptr, primed, eng,
-                                                    opts_.policy);
+            if (!sk.all) {
+                DiffOperand a{a_codes, nullptr, nullptr};
+                DiffOperand b{b_codes, nullptr, nullptr};
+                if (have_primed) {
+                    DITTO_ASSERT(!nd.diffBypass || av.d16,
+                                 "operand payload missing difference");
+                    DITTO_ASSERT(!nd.diffBypass2 || bv.d16,
+                                 "operand payload missing difference");
+                    a.diff = nd.diffBypass ? av.d16 : nullptr;
+                    a.prev = nd.diffBypass ? nullptr : prevCodes(nd.inSlot);
+                    b.diff = nd.diffBypass2 ? bv.d16 : nullptr;
+                    b.prev = nd.diffBypass2 ? nullptr : prevCodes(nd.inSlot2);
+                }
+                int32_t *delta =
+                    planned<int32_t>(arena, nd.bufs[plan].delta, bsz);
+                if (scores)
+                    attentionScoresBatchInto(a, b, sa[0], sa[1], bsz, primed,
+                                             acc, delta, eng, opts_.policy,
+                                             &scratch);
+                else
+                    attentionOutputBatchInto(a, b, sa[0], sa[1], sb[1], bsz,
+                                             primed, acc, delta, eng,
+                                             opts_.policy, &scratch);
+                if (have_primed)
+                    settleCounts(sk, eng,
+                                 (a.prev ? a_elems : 0) +
+                                     (b.prev ? b_elems : 0));
             }
 
-            nodeEpilogue(nd, out, acc, state, primed, have_primed, bsz,
-                         stash, counts);
-            if (use_ditto && nd.inSlot >= 0)
-                state->prevIn[static_cast<size_t>(nd.inSlot)] =
-                    std::move(a_codes);
-            if (use_ditto && nd.inSlot2 >= 0)
-                state->prevIn[static_cast<size_t>(nd.inSlot2)] =
-                    std::move(b_codes);
+            nodeEpilogue(nd, ws, arena, acc, state, primed, have_primed,
+                         bsz, counts);
+            if (state && nd.inSlot >= 0)
+                flip(nd.inSlot);
+            if (state && nd.inSlot2 >= 0)
+                flip(nd.inSlot2);
             continue;
         }
 
@@ -1218,13 +1192,43 @@ CompiledModel::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
         // the bypass payload through unchanged (element bijections).
         // Plan-covered junction subtrees never execute.
         if (!nd.skipExec)
-            runStructural(nd, vals, x);
+            runStructural(nd, ws, arena, bsz, plan);
     }
-    if (use_ditto)
+    if (state)
         std::fill(state->primed.begin(), state->primed.end(), 1);
-    DITTO_ASSERT(vals.back().f.numel() > 0,
-                 "output node must materialize full values");
-    return std::move(vals.back().f);
+    DITTO_ASSERT(vals.back().f, "output node must materialize full values");
+    return vals.back().f;
+}
+
+const float *
+CompiledModel::evaluate(const float *x, int64_t bsz, RunMode mode,
+                        BatchDittoState *state, OpCounts *counts,
+                        Workspace &ws) const
+{
+    switch (mode) {
+      case RunMode::Fp32: {
+        // FP32 has no quantized state to batch; run per slab, stacking
+        // the outputs past the FP32 plan's region of the arena.
+        const int64_t slab = spec_.inputShape.numel();
+        std::byte *arena = ws.arena(
+            arenaSlabBytes_ +
+            static_cast<int64_t>(sizeof(float)) * slab * bsz);
+        float *eps = reinterpret_cast<float *>(arena + arenaSlabBytes_);
+        for (int64_t b = 0; b < bsz; ++b) {
+            const float *e = forwardFp32(x + b * slab, ws, nullptr);
+            std::copy(e, e + slab, eps + b * slab);
+        }
+        return eps;
+      }
+      case RunMode::QuantDirect:
+        return forwardQuant(x, bsz, /*approx=*/false, nullptr, nullptr, ws);
+      case RunMode::QuantDitto:
+      case RunMode::ApproxDitto:
+        DITTO_ASSERT(state, "Ditto mode needs persistent batch state");
+        return forwardQuant(x, bsz, mode == RunMode::ApproxDitto, state,
+                            counts, ws);
+    }
+    DITTO_PANIC("unknown RunMode");
 }
 
 FloatTensor
@@ -1245,46 +1249,29 @@ CompiledModel::forward(const FloatTensor &x, RunMode mode,
     return forwardBatch(x, mode, state, counts);
 }
 
-FloatTensor
-CompiledModel::forwardBatch(const FloatTensor &x, RunMode mode,
-                            BatchDittoState *state, OpCounts *counts) const
+void
+CompiledModel::validateStack(const FloatTensor &x, const char *what) const
 {
     const Shape &want = spec_.inputShape;
     if (x.shape().rank() != 4 || x.shape()[1] != want[1] ||
         x.shape()[2] != want[2] || x.shape()[3] != want[3])
-        DITTO_FATAL("forwardBatch: tensor shape "
-                    << x.shape().toString()
-                    << " does not stack model inputs "
-                    << want.toString() << " of spec '" << spec_.name
-                    << "'");
-    switch (mode) {
-      case RunMode::Fp32: {
-        // FP32 has no quantized state to batch; run per slab.
-        const int64_t bsz = x.shape()[0];
-        const int64_t slab = want.numel();
-        FloatTensor out(x.shape());
-        for (int64_t b = 0; b < bsz; ++b) {
-            FloatTensor one(want);
-            std::copy(x.data().begin() + b * slab,
-                      x.data().begin() + (b + 1) * slab,
-                      one.data().begin());
-            const FloatTensor eps = forwardFp32(one, nullptr);
-            std::copy(eps.data().begin(), eps.data().end(),
-                      out.data().begin() + b * slab);
-        }
-        return out;
-      }
-      case RunMode::QuantDirect:
-        return forwardQuantBatch(x, /*use_ditto=*/false,
-                                 /*approx=*/false, nullptr, nullptr);
-      case RunMode::QuantDitto:
-        return forwardQuantBatch(x, /*use_ditto=*/true,
-                                 /*approx=*/false, state, counts);
-      case RunMode::ApproxDitto:
-        return forwardQuantBatch(x, /*use_ditto=*/true,
-                                 /*approx=*/true, state, counts);
-    }
-    DITTO_PANIC("unknown RunMode");
+        DITTO_FATAL(what << ": tensor shape " << x.shape().toString()
+                         << " does not stack model inputs "
+                         << want.toString() << " of spec '" << spec_.name
+                         << "'");
+}
+
+FloatTensor
+CompiledModel::forwardBatch(const FloatTensor &x, RunMode mode,
+                            BatchDittoState *state, OpCounts *counts) const
+{
+    validateStack(x, "forwardBatch");
+    WorkspaceLease ws;
+    const float *eps = evaluate(x.data().data(), x.shape()[0], mode, state,
+                                counts, *ws);
+    FloatTensor out(x.shape());
+    std::copy(eps, eps + x.numel(), out.data().begin());
+    return out;
 }
 
 RolloutResult
@@ -1308,17 +1295,32 @@ CompiledModel::rollout(RunMode mode, const FloatTensor &noise, int steps,
     if (steps < 0)
         DITTO_FATAL("rollout: negative step count " << steps);
     RolloutResult result;
-    DittoState state;
-    state.appendSlab();
+    // The state comes from the workspace and is reused across
+    // rollouts: reset to one unprimed slab of this model's geometry
+    // (no slots at all for the stateless modes, as observers expect).
+    WorkspaceLease ws;
+    DittoState &state = ws->rolloutState();
+    if (state.batch() != 1) {
+        state = DittoState();
+        state.appendSlab();
+    }
+    state.resetSlab(0);
+    const bool ditto =
+        mode == RunMode::QuantDitto || mode == RunMode::ApproxDitto;
+    static const std::vector<Shape> kNoSlots;
+    ws->fitRolloutState(ditto ? inSlotShape_ : kNoSlots,
+                        ditto ? outSlotShape_ : kNoSlots);
     state.approx[0] = mode == RunMode::ApproxDitto;
     result.finalImage = noise;
     runSteps(&result.finalImage, mode, &state, &result.dittoOps,
-             steps == 0 ? spec_.steps : steps, obs);
+             steps == 0 ? spec_.steps : steps, obs, *ws);
     result.totalMacsPerStep = macsPerStep_;
-    if (mode == RunMode::ApproxDitto)
-        result.nodeSkips = state.skips.empty()
-                               ? std::vector<int64_t>(nodes_.size(), 0)
-                               : state.skips;
+    if (mode == RunMode::ApproxDitto) {
+        result.nodeSkips.assign(nodes_.size(), 0);
+        if (state.skips.size() == nodes_.size())
+            std::copy(state.skips.begin(), state.skips.end(),
+                      result.nodeSkips.begin());
+    }
     return result;
 }
 
@@ -1327,9 +1329,22 @@ CompiledModel::runSteps(FloatTensor *x, RunMode mode,
                         BatchDittoState *state, OpCounts *counts, int steps,
                         const StepObserver &obs) const
 {
+    WorkspaceLease ws;
+    runSteps(x, mode, state, counts, steps, obs, *ws);
+}
+
+void
+CompiledModel::runSteps(FloatTensor *x, RunMode mode,
+                        BatchDittoState *state, OpCounts *counts, int steps,
+                        const StepObserver &obs, Workspace &ws) const
+{
     DITTO_ASSERT(!obs || state, "a step observer needs the step state");
+    validateStack(*x, "runSteps");
+    const int64_t bsz = x->shape()[0];
     for (int t = 0; t < steps; ++t) {
-        applyUpdate(x, forwardBatch(*x, mode, state, counts));
+        float *eps = const_cast<float *>(
+            evaluate(x->data().data(), bsz, mode, state, counts, ws));
+        applyUpdate(x->data().data(), eps, x->numel());
         if (obs)
             obs(t + 1, *x, *state);
     }
@@ -1433,6 +1448,189 @@ CompiledModel::requestNoise(uint64_t seed) const
 
 namespace {
 
+/** One transient of a buffer plan: per-slab bytes and its lifetime. */
+struct BufRequest
+{
+    int64_t bytes = 0;
+    int def = 0;          //!< node that writes it
+    int end = 0;          //!< last node that reads it
+    int64_t *offset = nullptr;
+};
+
+/**
+ * Lay `reqs` (in definition order) into one arena: each buffer takes
+ * the lowest offset not held by a buffer that is still live at its
+ * definition (first fit). A buffer read by node i stays live through
+ * i, so no node's outputs alias its own inputs. Returns the arena size.
+ */
+int64_t
+layOut(std::vector<BufRequest> &reqs)
+{
+    struct Live
+    {
+        int64_t offset, bytes;
+        int end;
+    };
+    std::vector<Live> live;
+    int64_t top = 0;
+    for (BufRequest &r : reqs) {
+        live.erase(std::remove_if(live.begin(), live.end(),
+                                  [&](const Live &l) { return l.end < r.def; }),
+                   live.end());
+        std::sort(live.begin(), live.end(),
+                  [](const Live &a, const Live &b) {
+                      return a.offset < b.offset;
+                  });
+        int64_t off = 0;
+        for (const Live &l : live) {
+            if (l.offset - off >= r.bytes)
+                break;
+            off = std::max(off, l.offset + l.bytes);
+        }
+        *r.offset = off;
+        live.push_back({off, r.bytes, r.end});
+        top = std::max(top, off + r.bytes);
+    }
+    return top;
+}
+
+/** Bytes of `elems` elements of T, rounded up to a cache line. */
+template <typename T>
+int64_t
+lineBytes(int64_t elems)
+{
+    const int64_t b = elems * static_cast<int64_t>(sizeof(T));
+    return (b + 63) / 64 * 64;
+}
+
+} // namespace
+
+void
+CompiledModel::planBuffers()
+{
+    const int n = static_cast<int>(nodes_.size());
+    const auto &sn = spec_.nodes;
+    // Last reader of every node's outputs; the output node's value
+    // outlives the pass (it is the predicted noise the caller reads).
+    std::vector<int> last(static_cast<size_t>(n), 0);
+    for (int i = 0; i < n; ++i)
+        last[static_cast<size_t>(i)] = i;
+    for (int i = 0; i < n; ++i)
+        for (int in : sn[static_cast<size_t>(i)].inputs)
+            last[static_cast<size_t>(in)] =
+                std::max(last[static_cast<size_t>(in)], i);
+    last[static_cast<size_t>(n - 1)] = n;
+    // QuantDirect junction sources keep their accumulator until the
+    // folding consumer has read it.
+    std::vector<int> acc_end(last.size());
+    for (int i = 0; i < n; ++i)
+        acc_end[static_cast<size_t>(i)] = i;
+    for (const Node &nd : nodes_)
+        if (nd.junction)
+            for (const JunctionRegion &r : nd.junction->regions)
+                for (int src : r.sources)
+                    acc_end[static_cast<size_t>(src)] = std::max(
+                        acc_end[static_cast<size_t>(src)], nd.spec.id);
+
+    // What flows out of each node in the quantized executors.
+    std::vector<uint8_t> has_f(last.size(), 0), has_payload(last.size(), 0);
+    std::vector<BufRequest> plans[kNumPlans];
+    inSlotShape_.assign(static_cast<size_t>(numInSlots_), Shape{});
+    outSlotShape_.assign(static_cast<size_t>(numOutSlots_), Shape{});
+    for (Node &nd : nodes_) {
+        const NodeSpec &ns = nd.spec;
+        const int i = ns.id;
+        const auto ui = static_cast<size_t>(i);
+        const int64_t out_elems = ns.outShape.numel();
+        auto inShape = [&](int j) -> const Shape & {
+            return sn[static_cast<size_t>(ns.inputs[static_cast<size_t>(j)])]
+                .outShape;
+        };
+        // One buffer of this node in plan p, read through node `end`.
+        auto ask = [&](Plan p, int64_t bytes, int end,
+                       int64_t NodeBufs::*field) {
+            plans[p].push_back(
+                {bytes, i, end, &(nd.bufs[p].*field)});
+        };
+        // The same buffer in both quantized plans.
+        auto askQuant = [&](int64_t bytes, int end,
+                            int64_t NodeBufs::*field) {
+            ask(kPlanDirect, bytes, end, field);
+            ask(kPlanDitto, bytes, end, field);
+        };
+        if (ns.op == RtOp::Input) {
+            has_f[ui] = 1; // a view of the caller's images
+            continue;
+        }
+        ask(kPlanFp32, lineBytes<float>(out_elems), last[ui], &NodeBufs::f);
+        if (rtIsCompute(ns.op)) {
+            const bool attn = ns.op == RtOp::AttnScores ||
+                              ns.op == RtOp::AttnOutput;
+            outSlotShape_[static_cast<size_t>(nd.outSlot)] = ns.outShape;
+            if (nd.inSlot >= 0)
+                inSlotShape_[static_cast<size_t>(nd.inSlot)] = inShape(0);
+            if (nd.inSlot2 >= 0)
+                inSlotShape_[static_cast<size_t>(nd.inSlot2)] = inShape(1);
+            if (nd.emitSlot >= 0)
+                inSlotShape_[static_cast<size_t>(nd.emitSlot)] = ns.outShape;
+            if (nd.jSlot >= 0)
+                inSlotShape_[static_cast<size_t>(nd.jSlot)] = inShape(0);
+            // QuantDirect has no state: operand codes and accumulators
+            // are transients there (an accumulator lives until its
+            // junction consumer has folded it).
+            if (!nd.diffBypass || nd.junction)
+                ask(kPlanDirect, lineBytes<int8_t>(inShape(0).numel()), i,
+                    &NodeBufs::op);
+            if (attn && !nd.diffBypass2)
+                ask(kPlanDirect, lineBytes<int8_t>(inShape(1).numel()), i,
+                    &NodeBufs::op2);
+            ask(kPlanDirect, lineBytes<int32_t>(out_elems), acc_end[ui],
+                &NodeBufs::acc);
+            // The Ditto passes keep those in the state, and add the
+            // difference-only transients.
+            if (nd.junction)
+                ask(kPlanDitto, lineBytes<int16_t>(inShape(0).numel()), i,
+                    &NodeBufs::opD16);
+            if (ns.op == RtOp::Conv2d || attn)
+                ask(kPlanDitto, lineBytes<int32_t>(out_elems), i,
+                    &NodeBufs::delta);
+            if (nd.fLive) {
+                has_f[ui] = 1;
+                askQuant(lineBytes<float>(out_elems), last[ui], &NodeBufs::f);
+            }
+            if (nd.emitPayload) {
+                has_payload[ui] = 1;
+                ask(kPlanDirect, lineBytes<int8_t>(out_elems), last[ui],
+                    &NodeBufs::codes);
+                ask(kPlanDitto, lineBytes<int16_t>(out_elems), last[ui],
+                    &NodeBufs::d16);
+            }
+        } else if (rtIsReshape(ns.op)) {
+            const auto src = static_cast<size_t>(ns.inputs[0]);
+            if (nd.fLive && has_f[src]) {
+                has_f[ui] = 1;
+                askQuant(lineBytes<float>(out_elems), last[ui], &NodeBufs::f);
+            }
+            if (has_payload[src]) {
+                has_payload[ui] = 1;
+                askQuant(lineBytes<int8_t>(out_elems), last[ui],
+                         &NodeBufs::codes);
+                ask(kPlanDitto, lineBytes<int16_t>(out_elems), last[ui],
+                    &NodeBufs::d16);
+            }
+        } else if (!nd.skipExec) {
+            has_f[ui] = 1;
+            askQuant(lineBytes<float>(out_elems), last[ui], &NodeBufs::f);
+        }
+    }
+    DITTO_ASSERT(has_f[static_cast<size_t>(n - 1)],
+                 "output node must materialize full values");
+    for (std::vector<BufRequest> &plan : plans)
+        arenaSlabBytes_ = std::max(arenaSlabBytes_, layOut(plan));
+}
+
+namespace {
+
 /** Digest of a scale vector's exact float bit patterns. */
 uint64_t
 scalesDigest(const std::vector<float> &scales)
@@ -1466,16 +1664,22 @@ CompiledModel::calibrate()
     // Offline calibration: FP32 rollout, max-abs at every quantization
     // point across all steps, 10% safety margin (Q-Diffusion style).
     std::vector<float> maxabs(static_cast<size_t>(spec_.numScales), 0.0f);
-    const std::function<void(int, const FloatTensor &)> obs =
-        [&maxabs](int idx, const FloatTensor &t) {
-            float m = maxabs[static_cast<size_t>(idx)];
-            for (float v : t.data())
-                m = std::max(m, std::fabs(v));
-            maxabs[static_cast<size_t>(idx)] = m;
-        };
+    const Fp32Observer obs = [&maxabs](int idx, const float *t, int64_t n) {
+        float m = maxabs[static_cast<size_t>(idx)];
+        for (int64_t i = 0; i < n; ++i)
+            m = std::max(m, std::fabs(t[i]));
+        maxabs[static_cast<size_t>(idx)] = m;
+    };
     FloatTensor x = noiseInit_;
-    for (int t = 0; t < spec_.steps; ++t)
-        applyUpdate(&x, forwardFp32(x, &obs));
+    {
+        WorkspaceLease ws;
+        for (int t = 0; t < spec_.steps; ++t) {
+            float *eps = const_cast<float *>(
+                forwardFp32(x.data().data(), *ws, &obs));
+            applyUpdate(x.data().data(), eps, x.numel());
+        }
+    }
+    kernels::releaseFloatScratch();
     actScale_.resize(static_cast<size_t>(spec_.numScales));
     for (int i = 0; i < spec_.numScales; ++i)
         actScale_[static_cast<size_t>(i)] =
@@ -1846,6 +2050,7 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
             nd.jSlot = m.numInSlots_++;
     }
 
+    m.planBuffers();
     m.calibrate();
     return m;
 }

@@ -14,8 +14,8 @@
  *    compute producer through reshape-only wire: the node stores *no*
  *    previous-input codes. Its producer requantizes its own resident
  *    accumulator pair into the consumer's code domain and hands the
- *    code difference over (runBatchPre) — the software realization of
- *    "the producer's output is already a difference".
+ *    code difference over (DiffOperand::diff) — the software
+ *    realization of "the producer's output is already a difference".
  *  - diffCalcNeeded == false and the operand arrives through a
  *    junction subtree (Add / Concat, optionally one Upsample2x /
  *    AvgPool2x hop) of compute producers: the node owns a
@@ -54,6 +54,15 @@
  * and the serving engine alike. Activation scales are calibrated by an
  * FP32 rollout and disk-cached keyed on the spec's content hash
  * (src/trace/calibrate.h).
+ *
+ * Both executors run allocation-free in steady state: compile() also
+ * derives a buffer plan from the nodes' output shapes — every transient
+ * of a pass gets a lifetime and a byte range of a per-slab arena, and
+ * buffers whose lifetimes do not overlap share bytes — and every pass
+ * lays that plan into a Workspace (runtime/workspace.h). The Ditto
+ * state flips instead of moving: engines accumulate into the
+ * previous-output slots in place, and stored codes and emission caches
+ * are double-buffered (prevIn / nextIn, swapped after each node).
  */
 #ifndef DITTO_RUNTIME_COMPILED_H
 #define DITTO_RUNTIME_COMPILED_H
@@ -73,6 +82,8 @@
 #include "tensor/tensor.h"
 
 namespace ditto {
+
+class Workspace;
 
 /** Compilation options. */
 struct CompileOptions
@@ -121,6 +132,18 @@ class CompiledModel
         std::vector<Int8Tensor> prevIn;
         std::vector<Int32Tensor> prevOut;
         std::vector<uint8_t> primed;
+
+        /**
+         * The second half of the double-buffered code slots: a pass
+         * writes each node's new codes (stored operands, junction
+         * folds, payload emissions) into nextIn and then swaps the
+         * slot with prevIn, so the previous step's codes are never
+         * copied. Between passes nextIn holds the step before last —
+         * scratch that is never extracted, serialized or counted in
+         * payloadBytes(); slab edits leave it to be re-sized by the
+         * next pass.
+         */
+        std::vector<Int8Tensor> nextIn;
 
         /**
          * Per-slab ApproxDitto enable: slab b may only be skipped when
@@ -351,14 +374,25 @@ class CompiledModel
 
     /**
      * The denoising loop shared by the rollouts and the serving engine
-     * (src/serve/batch_rollout.cc): `steps` times, evaluate
-     * forwardBatch on the stacked images `x` and apply the update rule
+     * (src/serve/batch_rollout.cc): `steps` times, evaluate the model
+     * on the stacked images `x` (forwardBatch's arithmetic, with the
+     * predicted noise left in the workspace) and apply the update rule
      * x += -0.15 * eps in place. For the Ditto modes `state` holds one
      * slab per image; `obs`, when set, sees every step boundary.
      */
     void runSteps(FloatTensor *x, RunMode mode, BatchDittoState *state,
                   OpCounts *counts, int steps,
                   const StepObserver &obs = StepObserver()) const;
+
+    /**
+     * runSteps on a caller-held workspace (BatchEngine keeps one for
+     * its whole life); the overload above checks one out per call.
+     * Once the workspace and state have seen the batch's shape, a step
+     * allocates nothing.
+     */
+    void runSteps(FloatTensor *x, RunMode mode, BatchDittoState *state,
+                  OpCounts *counts, int steps, const StepObserver &obs,
+                  Workspace &ws) const;
 
     /**
      * Run N full reverse diffusions as one batch; results are bitwise
@@ -440,6 +474,36 @@ class CompiledModel
         int64_t slabElems = 0; //!< per-slab operand elements
     };
 
+    /**
+     * The three executors a buffer plan serves: the FP32 pass, the
+     * stateless QuantDirect pass and the Ditto passes (QuantDitto and
+     * ApproxDitto, whose accumulators and stored codes live in the
+     * state instead). Each gets its own plan over the same arena.
+     */
+    enum Plan
+    {
+        kPlanFp32 = 0,
+        kPlanDirect = 1,
+        kPlanDitto = 2,
+        kNumPlans = 3,
+    };
+
+    /**
+     * Per-slab arena offsets of one node's transients in one plan (-1:
+     * not planned there); a batch of B slabs scales every offset by B.
+     */
+    struct NodeBufs
+    {
+        int64_t f = -1;     //!< float output
+        int64_t codes = -1; //!< int8 payload codes
+        int64_t d16 = -1;   //!< int16 payload difference
+        int64_t acc = -1;   //!< int32 accumulator (QuantDirect)
+        int64_t op = -1;    //!< operand codes (QuantDirect quantize/fold)
+        int64_t op2 = -1;   //!< second attention operand codes
+        int64_t opD16 = -1; //!< junction fold difference
+        int64_t delta = -1; //!< conv / attention diff deltas
+    };
+
     /** One compiled node: spec + engines + state/dependency wiring. */
     struct Node
     {
@@ -475,40 +539,35 @@ class CompiledModel
                                //!< -1 for junction folds
         int srcProducer2 = -1; //!< same for attention operand 1
         int layer = -1;    //!< graph layer id (dependency verdict)
+        NodeBufs bufs[kNumPlans]; //!< arena offsets per plan
     };
 
-    /** Activation values flowing through one forward pass. */
-    struct Value
-    {
-        FloatTensor f;     //!< full values (absent on skipped edges)
-        Int8Tensor codes;  //!< consumer-scale codes (bypass payload)
-        Int16Tensor d16;   //!< consumer-scale code delta (primed steps)
-        Int32Tensor acc;   //!< junction sources' resident accumulator
-    };
+    /** FP32 observer: quantization point, values, element count. */
+    using Fp32Observer = std::function<void(int, const float *, int64_t)>;
 
     CompiledModel() = default;
 
     void validateSingle(const FloatTensor &x, const char *what) const;
+    /** Loud check that x stacks model inputs ([B, C, H, W]). */
+    void validateStack(const FloatTensor &x, const char *what) const;
     void calibrate();
     float combinedScale(const Node &nd) const;
 
+    /** Build the buffer plan (arena offsets) once the wiring is final. */
+    void planBuffers();
+
     /**
      * Evaluate a junction plan: fold the source nodes' current
-     * accumulators into consumer-scale codes (+ per-slab code deltas
-     * against `prevCodes`, the fold's previous emission, for primed
-     * slabs) through the encoder's multi-producer requant-delta
-     * primitives. A source's current accumulator is read from
-     * `prevOut` (the Ditto state's slot vector — the producer already
-     * stored this step's accumulator there) or, when null
-     * (QuantDirect has no state), from the value table's `acc` field.
-     * `primed` is per-slab (bsz entries, or null for an all-unprimed
-     * pass, in which case `d16` stays empty).
+     * accumulators (`vals[src].acc`) into consumer-scale codes (+
+     * per-slab code deltas against `prevCodes`, the fold's previous
+     * emission, for primed slabs) through the encoder's multi-producer
+     * requant-delta primitives. `primed` is per-slab (bsz entries, or
+     * null for an all-unprimed pass, in which case `d16` is not
+     * written).
      */
-    void runJunction(const Node &nd, const std::vector<Value> &vals,
-                     const std::vector<Int32Tensor> *prevOut,
+    void runJunction(const Node &nd, Workspace &ws,
                      const int8_t *prevCodes, const uint8_t *primed,
-                     int64_t bsz, Int8Tensor *codes,
-                     Int16Tensor *d16) const;
+                     int64_t bsz, int8_t *codes, int16_t *d16) const;
 
     /**
      * Execute one vector / structural / reshape node (everything the
@@ -517,33 +576,45 @@ class CompiledModel
      * handled identically, a single request being a batch of one), and
      * reshapes carry the bypass payload.
      */
-    void runStructural(const Node &nd, std::vector<Value> &vals,
-                       const FloatTensor &x) const;
+    void runStructural(const Node &nd, Workspace &ws, std::byte *arena,
+                       int64_t bsz, Plan plan) const;
 
-    FloatTensor
-    forwardFp32(const FloatTensor &x,
-                const std::function<void(int, const FloatTensor &)> *obs)
-        const;
-    FloatTensor forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                  bool approx, BatchDittoState *state,
-                                  OpCounts *counts) const;
+    /**
+     * The FP32 program on one slab at `x`, laid into `ws`'s arena;
+     * returns the output view. `obs` sees every quantization point's
+     * operand (calibration).
+     */
+    const float *forwardFp32(const float *x, Workspace &ws,
+                             const Fp32Observer *obs) const;
+
+    /**
+     * The quantized executor on `bsz` stacked images at `x`; returns
+     * the output (predicted noise) view in `ws`'s arena. A null
+     * `state` is QuantDirect; with a state it runs the Ditto passes,
+     * `approx` enabling ApproxDitto skips.
+     */
+    const float *forwardQuant(const float *x, int64_t bsz, bool approx,
+                              BatchDittoState *state, OpCounts *counts,
+                              Workspace &ws) const;
+
+    /**
+     * One evaluation of any mode for the `bsz` stacked images at `x`:
+     * the predicted noise, valid until the workspace's next pass.
+     */
+    const float *evaluate(const float *x, int64_t bsz, RunMode mode,
+                          BatchDittoState *state, OpCounts *counts,
+                          Workspace &ws) const;
 
     /**
      * Shared epilogue of the executor's compute nodes: payload emission
-     * plus code-cache refresh, f-liveness-gated float materialization
-     * (with its per-slab summation tally), and the accumulator's
-     * disposition (value table for QuantDirect junction sources, prevOut
-     * slot in Ditto mode; `state` is null in QuantDirect).
-     *
-     * `emit_stash` (ApproxDitto passes only) parks the pre-update
-     * emission cache, indexed by slot: a hand-over consumer that
-     * decides to skip this step must roll its producer's cache back to
-     * the emission its replayed output corresponds to, so the next
-     * executed step's delta telescopes across the skipped one exactly.
+     * (written into the emission slot's other half and flipped in Ditto
+     * mode), f-liveness-gated float materialization (with its per-slab
+     * summation tally) and the accumulator's publication for junction
+     * consumers. `state` is null in QuantDirect.
      */
-    void nodeEpilogue(const Node &nd, Value &out, Int32Tensor &acc,
-                      BatchDittoState *state, const uint8_t *primed,
-                      bool any_primed, int64_t bsz, Int8Tensor *emit_stash,
+    void nodeEpilogue(const Node &nd, Workspace &ws, std::byte *arena,
+                      const int32_t *acc, BatchDittoState *state,
+                      const uint8_t *primed, bool any_primed, int64_t bsz,
                       OpCounts *counts) const;
 
     ModelSpec spec_;
@@ -561,6 +632,9 @@ class CompiledModel
     double approxThresh_ = 0.0;
     int approxCap_ = 1;
     uint64_t calibDigest_ = 0;
+    int64_t arenaSlabBytes_ = 0;
+    std::vector<Shape> inSlotShape_;  //!< single-slab code slot shapes
+    std::vector<Shape> outSlotShape_; //!< single-slab output slot shapes
 };
 
 /**

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "runtime/workspace.h"
 #include "tensor/slab.h"
 
 namespace ditto {
@@ -39,6 +40,9 @@ BatchEngine::BatchEngine(const CompiledModel &model, int64_t max_batch)
 {
     DITTO_ASSERT(max_batch >= 1, "batch engine needs capacity >= 1");
 }
+
+BatchEngine::~BatchEngine() = default;
+BatchEngine::BatchEngine(BatchEngine &&) noexcept = default;
 
 void
 BatchEngine::admit(uint64_t id, const DenoiseRequest &req)
@@ -101,9 +105,12 @@ BatchEngine::step()
     bool any_approx = false;
     for (const Slot &s : slots_)
         any_approx = any_approx || s.approx;
+    if (!ws_)
+        ws_ = std::make_unique<Workspace>();
     model_.runSteps(&x_,
                     any_approx ? RunMode::ApproxDitto : RunMode::QuantDitto,
-                    &state_, stepCounts_.data(), 1);
+                    &state_, stepCounts_.data(), 1,
+                    CompiledModel::StepObserver(), *ws_);
     for (size_t i = 0; i < slots_.size(); ++i) {
         slots_[i].ops.merge(stepCounts_[i]);
         ++slots_[i].stepsDone;

@@ -17,6 +17,7 @@
 #define DITTO_SERVE_BATCH_ROLLOUT_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,6 +40,8 @@ class BatchEngine
     };
 
     BatchEngine(const CompiledModel &model, int64_t max_batch);
+    ~BatchEngine();
+    BatchEngine(BatchEngine &&) noexcept;
 
     int64_t capacity() const { return maxBatch_; }
     int64_t active() const
@@ -65,7 +68,12 @@ class BatchEngine
     void admitBatch(std::span<const uint64_t> ids,
                     std::span<const DenoiseRequest> reqs);
 
-    /** Advance every active request by one denoising step. */
+    /**
+     * Advance every active request by one denoising step. Runs on the
+     * engine's own workspace (created by the first step, kept for the
+     * engine's life), so a step over an unchanged batch allocates
+     * nothing.
+     */
     void step();
 
     /**
@@ -199,6 +207,7 @@ class BatchEngine
     CompiledModel::BatchDittoState state_;
     std::vector<Slot> slots_;
     std::vector<OpCounts> stepCounts_; //!< per-step scratch
+    std::unique_ptr<Workspace> ws_;    //!< created by the first step
 };
 
 } // namespace ditto

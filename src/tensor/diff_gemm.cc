@@ -29,7 +29,8 @@ namespace {
 /** Tile edge for the blocked de-transpose of B. */
 constexpr int64_t kTransposeTile = 32;
 
-/** dst[c, r] = src[r, c] for src:[rows, cols], tiled for locality. */
+} // namespace
+
 void
 transposeInt8Into(const int8_t *DITTO_RESTRICT src, int64_t rows,
                   int64_t cols, int8_t *DITTO_RESTRICT dst)
@@ -48,6 +49,8 @@ transposeInt8Into(const int8_t *DITTO_RESTRICT src, int64_t rows,
         }
     });
 }
+
+namespace {
 
 /**
  * Two entries fused: crow[j] += v0*b0[j] + v1*b1[j]. Halves the
@@ -169,49 +172,34 @@ accumulateRow(const DiffGemmPlan &plan, int64_t row,
 } // namespace
 
 void
-diffGemmBatch(std::span<const DiffGemmBatchItem> items, int64_t n,
-              bool transpose_b)
+diffGemmBatch(std::span<const DiffGemmBatchItem> items, int64_t n)
 {
     DITTO_ASSERT(n > 0, "diffGemmBatch needs a positive column count");
     const int64_t count = static_cast<int64_t>(items.size());
     if (count == 0)
         return;
 
-    // De-transpose every item's B once up front (attention batches
-    // carry per-request operands; weight-stationary engines pass
-    // transpose_b = false and cached transposed weights instead).
-    std::vector<std::vector<int8_t>> bts;
-    std::vector<const int8_t *> bmats(static_cast<size_t>(count));
-    if (transpose_b) {
-        bts.resize(static_cast<size_t>(count));
-        for (int64_t i = 0; i < count; ++i) {
-            const int64_t k = items[i].plan->cols;
-            bts[i].resize(static_cast<size_t>(k * n));
-            transposeInt8Into(items[i].b, n, k, bts[i].data());
-            bmats[i] = bts[i].data();
-        }
-    } else {
-        for (int64_t i = 0; i < count; ++i)
-            bmats[i] = items[i].b;
-    }
-
     // One dispatch over the union of all items' rows. A global row is
     // owned by exactly one task and its item-local execution is
     // identical to diffGemm's, so the batch is bitwise equal to
-    // per-item calls at any thread count.
-    std::vector<int64_t> rowBase(static_cast<size_t>(count + 1), 0);
+    // per-item calls at any thread count. Row bases are the caller's
+    // thread-local scratch (workers see the pointer), sized once per
+    // batch size.
+    thread_local std::vector<int64_t> rb_scratch;
+    rb_scratch.resize(static_cast<size_t>(count + 1));
+    int64_t *rb = rb_scratch.data();
+    rb[0] = 0;
     for (int64_t i = 0; i < count; ++i)
-        rowBase[i + 1] = rowBase[i] + items[i].plan->rows;
-    const int64_t total = rowBase[count];
+        rb[i + 1] = rb[i] + items[i].plan->rows;
+    const int64_t total = rb[count];
     parallelFor(0, total, [&](int64_t lo, int64_t hi) {
         int64_t it = static_cast<int64_t>(
-            std::upper_bound(rowBase.begin(), rowBase.end(), lo) -
-            rowBase.begin() - 1);
+            std::upper_bound(rb, rb + count + 1, lo) - rb - 1);
         for (int64_t g = lo; g < hi; ++g) {
-            while (g >= rowBase[it + 1])
+            while (g >= rb[it + 1])
                 ++it;
-            const int64_t row = g - rowBase[it];
-            accumulateRow(*items[it].plan, row, bmats[it], n,
+            const int64_t row = g - rb[it];
+            accumulateRow(*items[it].plan, row, items[it].b, n,
                           items[it].out + row * n);
         }
     });
@@ -230,7 +218,7 @@ diffGemm(const DiffGemmPlan &plan, const int8_t *b, int64_t n,
     // O(nonzero*n) accumulation; weight-stationary engines avoid even
     // this by caching the transposed weight across steps.
     const int8_t *bmat = b;
-    std::vector<int8_t> bt;
+    thread_local std::vector<int8_t> bt; // k x n, sized once per shape
     if (transpose_b) {
         bt.resize(static_cast<size_t>(k * n));
         transposeInt8Into(b, n, k, bt.data());
@@ -559,38 +547,17 @@ addConvDelta(const Int32Tensor &prev_out, const Int32Tensor &delta)
 }
 
 void
-addConvDeltaInto(const Int32Tensor &prev_out, const Int32Tensor &delta,
-                 int64_t batch0, int64_t batches, int64_t delta_batch0,
-                 Int32Tensor *out)
+addConvDeltaInPlace(int32_t *acc, const int32_t *delta, int64_t batches,
+                    int64_t ch, int64_t pix)
 {
-    DITTO_ASSERT(prev_out.shape().rank() == 4,
-                 "addConvDeltaInto expects an NCHW previous output");
-    const int64_t total = prev_out.shape()[0];
-    const int64_t ch = prev_out.shape()[1];
-    const int64_t pix = prev_out.shape()[2] * prev_out.shape()[3];
-    DITTO_ASSERT(batch0 >= 0 && batches >= 0 && batch0 + batches <= total,
-                 "addConvDeltaInto batch range out of bounds");
-    DITTO_ASSERT(delta.shape().rank() == 2 && delta.shape()[1] == ch &&
-                 delta.shape()[0] % pix == 0 &&
-                 delta_batch0 >= 0 &&
-                 (delta_batch0 + batches) * pix <= delta.shape()[0],
-                 "addConvDeltaInto delta shape mismatch");
-    DITTO_ASSERT(out->shape() == prev_out.shape(),
-                 "addConvDeltaInto output shape mismatch");
-    const int32_t *DITTO_RESTRICT sp = prev_out.data().data();
-    const int32_t *DITTO_RESTRICT sd = delta.data().data();
-    int32_t *DITTO_RESTRICT so = out->data().data();
-    parallelFor(batch0 * ch, (batch0 + batches) * ch,
-                [&](int64_t lo, int64_t hi) {
+    parallelFor(0, batches * ch, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const int64_t b = i / ch;
             const int64_t c = i % ch;
-            const int32_t *src = sp + i * pix;
-            int32_t *dst = so + i * pix;
-            const int32_t *dcol =
-                sd + (delta_batch0 + b - batch0) * pix * ch + c;
+            int32_t *DITTO_RESTRICT dst = acc + i * pix;
+            const int32_t *DITTO_RESTRICT dcol = delta + b * pix * ch + c;
             for (int64_t p = 0; p < pix; ++p)
-                dst[p] = src[p] + dcol[p * ch];
+                dst[p] += dcol[p * ch];
         }
     });
 }

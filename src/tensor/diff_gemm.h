@@ -185,7 +185,10 @@ Int32Tensor convDiffScatter(const DiffGemmPlan &plan,
 struct DiffGemmBatchItem
 {
     const DiffGemmPlan *plan = nullptr;
-    /** B operand element data (row-major, orientation per call). */
+    /**
+     * B operand [k, n], row-major: callers whose product needs B^T
+     * de-transpose it first (transposeInt8Into), once per operand.
+     */
     const int8_t *b = nullptr;
     /**
      * Output rows [plan->rows, n], row-major. Must be pre-filled with
@@ -197,11 +200,10 @@ struct DiffGemmBatchItem
 
 /**
  * Execute a batch of sparse diff GEMMs: for each item,
- * item.out += D_item * op(B_item) with op as in diffGemm. All items
- * share the output column count `n`.
+ * item.out += D_item * B_item. All items share the output column
+ * count `n`. Allocates nothing for batches of up to 64 items.
  */
-void diffGemmBatch(std::span<const DiffGemmBatchItem> items, int64_t n,
-                   bool transpose_b);
+void diffGemmBatch(std::span<const DiffGemmBatchItem> items, int64_t n);
 
 /** One request's slice of a batched scatter convolution. */
 struct ConvScatterBatchItem
@@ -230,6 +232,10 @@ void addTransposedInt32InPlace(int32_t *acc, const int32_t *delta,
 /** Transposed copy of an int8 matrix (tiled, parallel). */
 Int8Tensor transposeInt8(const Int8Tensor &m);
 
+/** dst[c, r] = src[r, c] for src:[rows, cols] (tiled, parallel). */
+void transposeInt8Into(const int8_t *src, int64_t rows, int64_t cols,
+                       int8_t *dst);
+
 /** out = prev + delta^T for prev:[m, n], delta:[n, m]. */
 Int32Tensor addTransposedInt32(const Int32Tensor &prev,
                                const Int32Tensor &delta);
@@ -243,17 +249,13 @@ Int32Tensor addConvDelta(const Int32Tensor &prev_out,
                          const Int32Tensor &delta);
 
 /**
- * addConvDelta restricted to the batch slabs [batch0, batch0 + batches)
- * of prev_out, written into the same slabs of `out` (other slabs
- * untouched). The delta may be *compacted*: slab batch0 + i of the
- * output reads delta slab delta_batch0 + i, so callers that only
- * scattered a subset of slabs pass a delta holding just those.
- * prev_out:[N, C, OH, OW], delta:[M*OH*OW, C] with
- * delta_batch0 + batches <= M.
+ * In-place conv delta fold for the flipped Ditto state: the
+ * accumulator already holds the previous output, so
+ * acc[b, c, p] += delta[b * pix * ch + p * ch + c] over `batches`
+ * stacked [ch, pix] slabs and a pixel-major delta [batches * pix, ch].
  */
-void addConvDeltaInto(const Int32Tensor &prev_out, const Int32Tensor &delta,
-                      int64_t batch0, int64_t batches,
-                      int64_t delta_batch0, Int32Tensor *out);
+void addConvDeltaInPlace(int32_t *acc, const int32_t *delta,
+                         int64_t batches, int64_t ch, int64_t pix);
 
 } // namespace kernels
 } // namespace ditto

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -76,6 +77,27 @@ applyActivation(float v, Activation act)
         return geluScalar(v);
     }
     DITTO_PANIC("unknown Activation");
+}
+
+/**
+ * Per-thread packed-B scratch of the GEMM drivers, one per element
+ * type: at most kNc x kKc elements, sized once per shape like apack.
+ */
+template <typename T>
+std::vector<T> &
+bpackScratch()
+{
+    thread_local std::vector<T> bpack;
+    return bpack;
+}
+
+/** Per-thread im2col scratch, shared by the serial and slab-parallel paths. */
+template <typename TIn>
+std::vector<TIn> &
+colScratch()
+{
+    thread_local std::vector<TIn> col;
+    return col;
 }
 
 /**
@@ -255,7 +277,7 @@ gemmDriverPairs(const TA *a, int64_t lda, const TB *b, int64_t ldb,
                               int32_t *))
 {
     const int64_t row_panels = ceilDiv(m, kMr);
-    std::vector<int16_t> bpack;
+    std::vector<int16_t> &bpack = bpackScratch<int16_t>();
     for (int64_t jc = 0; jc < n; jc += kNc) {
         const int64_t ncs = std::min(kNc, n - jc);
         const int64_t col_panels = ceilDiv(ncs, kNr);
@@ -328,7 +350,7 @@ gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
         }
     }
     const int64_t row_panels = ceilDiv(m, kMr);
-    std::vector<TAcc> bpack;
+    std::vector<TAcc> &bpack = bpackScratch<TAcc>();
     for (int64_t jc = 0; jc < n; jc += kNc) {
         const int64_t ncs = std::min(kNc, n - jc);
         const int64_t col_panels = ceilDiv(ncs, kNr);
@@ -463,10 +485,10 @@ im2col(const TIn *DITTO_RESTRICT in, int64_t h, int64_t w, int64_t cin,
 }
 
 /**
- * Convolution of the batch range [batch0, batch0 + batches) of a
- * stacked NCHW input, lowered onto the blocked GEMM and written into
- * the same slabs of `out`: out[b] (viewed as [cout, oh*ow]) =
- * W[cout, K] * col[b]^T.
+ * Convolution of `batches` stacked NCHW slabs [cin, h, w] at `in0`,
+ * lowered onto the blocked GEMM and written to the stacked output
+ * `out0`: out[b] (viewed as [cout, oh*ow]) = W[cout, K] * col[b]^T.
+ * The GEMM accumulates, so the output slabs are zeroed first.
  *
  * 1x1/stride-1/pad-0 convolutions skip im2col entirely: the input slab
  * [cin, h*w] already is the K x P operand in row-major order.
@@ -479,44 +501,20 @@ im2col(const TIn *DITTO_RESTRICT in, int64_t h, int64_t w, int64_t cin,
  */
 template <typename TIn, typename TW, typename TAcc>
 void
-convBlockedInto(const Tensor<TIn> &input, const Tensor<TW> &weight,
-                const FloatTensor *bias, const Conv2dParams &p,
-                Activation act, int64_t batch0, int64_t batches,
-                Tensor<TAcc> *out)
+convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
+               int64_t w, const TW *wmat, const float *bias_data,
+               const Conv2dParams &p, Activation act, TAcc *out0)
 {
-    DITTO_ASSERT(input.shape().rank() == 4, "conv input must be NCHW");
-    DITTO_ASSERT(weight.shape().rank() == 4, "conv weight must be OIHW");
-    const int64_t total_batches = input.shape()[0];
-    const int64_t cin = input.shape()[1];
-    const int64_t h = input.shape()[2];
-    const int64_t w = input.shape()[3];
-    DITTO_ASSERT(batch0 >= 0 && batches >= 0 &&
-                 batch0 + batches <= total_batches,
-                 "conv batch range out of bounds");
-    DITTO_ASSERT(cin == p.inChannels, "conv input channels mismatch");
-    DITTO_ASSERT(weight.shape()[0] == p.outChannels &&
-                 weight.shape()[1] == p.inChannels &&
-                 weight.shape()[2] == p.kernel &&
-                 weight.shape()[3] == p.kernel,
-                 "conv weight shape mismatch");
     const int64_t oh = p.outExtent(h);
     const int64_t ow = p.outExtent(w);
     DITTO_ASSERT(oh > 0 && ow > 0, "conv output would be empty");
-    DITTO_ASSERT(out->shape() ==
-                 Shape({total_batches, p.outChannels, oh, ow}),
-                 "conv output shape mismatch");
-    if (bias)
-        DITTO_ASSERT(bias->numel() == p.outChannels,
-                     "conv bias size mismatch");
-
     const int64_t pix = oh * ow;
     const int64_t patch = cin * p.kernel * p.kernel;
     const bool pointwise =
         p.kernel == 1 && p.stride == 1 && p.padding == 0;
-    const TW *wmat = weight.data().data();
-    const float *bias_data = bias ? bias->data().data() : nullptr;
-    const TIn *in0 = input.data().data() + batch0 * cin * h * w;
-    TAcc *out0 = out->data().data() + batch0 * p.outChannels * pix;
+    std::memset(out0, 0,
+                static_cast<size_t>(batches * p.outChannels * pix) *
+                    sizeof(TAcc));
 
     // Each slab runs its own im2col + GEMM. A single column-folded
     // driver call over all slabs was tried here and measured *slower*:
@@ -525,7 +523,7 @@ convBlockedInto(const Tensor<TIn> &input, const Tensor<TW> &weight,
     // the per-slab pack stays cache-resident. Batch amortization comes
     // from the slab-parallel dispatch below and from the row-folded
     // GEMMs of the token-matrix layers instead.
-    auto runBatch = [&](int64_t b, std::vector<TIn> &col) {
+    auto runBatch = [&](int64_t b) {
         const TIn *in_slab = in0 + b * cin * h * w;
         TAcc *out_slab = out0 + b * p.outChannels * pix;
         if (pointwise) {
@@ -536,6 +534,7 @@ convBlockedInto(const Tensor<TIn> &input, const Tensor<TW> &weight,
                                       bias_data, /*bias_per_row=*/true,
                                       act);
         } else {
+            std::vector<TIn> &col = colScratch<TIn>();
             col.resize(static_cast<size_t>(pix * patch));
             im2col(in_slab, h, w, cin, p, oh, ow, col.data());
             // B = col [pix, patch] row-major, transposed product.
@@ -554,17 +553,16 @@ convBlockedInto(const Tensor<TIn> &input, const Tensor<TW> &weight,
     // same fixed accumulation order, so results are identical.
     if (batches >= threadCount() && batches > 1) {
         parallelFor(0, batches, 1, [&](int64_t lo, int64_t hi) {
-            thread_local std::vector<TIn> col;
             for (int64_t b = lo; b < hi; ++b)
-                runBatch(b, col);
+                runBatch(b);
         });
     } else {
-        std::vector<TIn> col;
         for (int64_t b = 0; b < batches; ++b)
-            runBatch(b, col);
+            runBatch(b);
     }
 }
 
+/** Shape checks + convBlockedRaw for the Tensor entry points. */
 template <typename TIn, typename TW, typename TAcc>
 Tensor<TAcc>
 convBlocked(const Tensor<TIn> &input, const Tensor<TW> &weight,
@@ -572,13 +570,44 @@ convBlocked(const Tensor<TIn> &input, const Tensor<TW> &weight,
             Activation act = Activation::kNone)
 {
     DITTO_ASSERT(input.shape().rank() == 4, "conv input must be NCHW");
+    DITTO_ASSERT(weight.shape().rank() == 4, "conv weight must be OIHW");
     const int64_t batches = input.shape()[0];
-    const int64_t oh = p.outExtent(input.shape()[2]);
-    const int64_t ow = p.outExtent(input.shape()[3]);
+    const int64_t cin = input.shape()[1];
+    const int64_t h = input.shape()[2];
+    const int64_t w = input.shape()[3];
+    DITTO_ASSERT(cin == p.inChannels, "conv input channels mismatch");
+    DITTO_ASSERT(weight.shape()[0] == p.outChannels &&
+                 weight.shape()[1] == p.inChannels &&
+                 weight.shape()[2] == p.kernel &&
+                 weight.shape()[3] == p.kernel,
+                 "conv weight shape mismatch");
+    const int64_t oh = p.outExtent(h);
+    const int64_t ow = p.outExtent(w);
     DITTO_ASSERT(oh > 0 && ow > 0, "conv output would be empty");
+    if (bias)
+        DITTO_ASSERT(bias->numel() == p.outChannels,
+                     "conv bias size mismatch");
     Tensor<TAcc> out(Shape{batches, p.outChannels, oh, ow});
-    convBlockedInto(input, weight, bias, p, act, 0, batches, &out);
+    convBlockedRaw<TIn, TW, TAcc>(input.data().data(), batches, cin, h, w,
+                                  weight.data().data(),
+                                  bias ? bias->data().data() : nullptr, p,
+                                  act, out.data().data());
     return out;
+}
+
+/**
+ * Parallel elementwise binary kernel on raw buffers. No restrict: the
+ * output may alias an operand (in-place updates), and each element is
+ * read before it is written.
+ */
+template <typename T, typename Fn>
+void
+zipWithInto(const T *sa, const T *sb, int64_t n, T *so, Fn fn)
+{
+    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            so[i] = fn(sa[i], sb[i]);
+    });
 }
 
 /** Parallel elementwise binary kernel. */
@@ -588,14 +617,20 @@ zipWithParallel(const Tensor<T> &a, const Tensor<T> &b, Fn fn)
 {
     DITTO_ASSERT(a.shape() == b.shape(), "elementwise shape mismatch");
     Tensor<T> out(a.shape());
-    const T *DITTO_RESTRICT sa = a.data().data();
-    const T *DITTO_RESTRICT sb = b.data().data();
-    T *DITTO_RESTRICT so = out.data().data();
-    parallelFor(0, a.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            so[i] = fn(sa[i], sb[i]);
-    });
+    zipWithInto(a.data().data(), b.data().data(), a.numel(),
+                out.data().data(), fn);
     return out;
+}
+
+/** Parallel elementwise unary kernel on raw buffers (may alias). */
+template <typename T, typename Fn>
+void
+mapInto(const T *sx, int64_t n, T *so, Fn fn)
+{
+    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            so[i] = fn(sx[i]);
+    });
 }
 
 /** Parallel elementwise unary kernel. */
@@ -604,12 +639,7 @@ Tensor<T>
 mapParallel(const Tensor<T> &x, Fn fn)
 {
     Tensor<T> out(x.shape());
-    const T *DITTO_RESTRICT sx = x.data().data();
-    T *DITTO_RESTRICT so = out.data().data();
-    parallelFor(0, x.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            so[i] = fn(sx[i]);
-    });
+    mapInto(x.data().data(), x.numel(), out.data().data(), fn);
     return out;
 }
 
@@ -683,13 +713,46 @@ gemmInt8Into(const int8_t *a, int64_t m, int64_t k, const int8_t *b,
 }
 
 void
-conv2dInt8Into(const Int8Tensor &input, const Int8Tensor &weight,
-               const Conv2dParams &params, int64_t batch0, int64_t batches,
-               Int32Tensor *out)
+conv2dInt8Into(const int8_t *input, int64_t batches, int64_t h, int64_t w,
+               const Int8Tensor &weight, const Conv2dParams &params,
+               int32_t *out)
 {
-    convBlockedInto<int8_t, int8_t, int32_t>(input, weight, nullptr,
-                                             params, Activation::kNone,
-                                             batch0, batches, out);
+    DITTO_ASSERT(weight.shape() == Shape({params.outChannels,
+                                          params.inChannels, params.kernel,
+                                          params.kernel}),
+                 "conv weight shape mismatch");
+    convBlockedRaw<int8_t, int8_t, int32_t>(
+        input, batches, params.inChannels, h, w, weight.data().data(),
+        nullptr, params, Activation::kNone, out);
+}
+
+void
+releaseFloatScratch()
+{
+    std::vector<float>().swap(bpackScratch<float>());
+    std::vector<float>().swap(colScratch<float>());
+}
+
+void
+gemmInto(const float *a, int64_t m, int64_t k, const float *b, int64_t n,
+         bool trans_b, float *c)
+{
+    gemmDriver<float, float, float>(a, k, b, trans_b ? k : n, trans_b, c, n,
+                                    m, n, k);
+}
+
+void
+conv2dInto(const float *input, int64_t batches, int64_t h, int64_t w,
+           const FloatTensor &weight, const Conv2dParams &params,
+           float *out)
+{
+    DITTO_ASSERT(weight.shape() == Shape({params.outChannels,
+                                          params.inChannels, params.kernel,
+                                          params.kernel}),
+                 "conv weight shape mismatch");
+    convBlockedRaw<float, float, float>(input, batches, params.inChannels,
+                                        h, w, weight.data().data(), nullptr,
+                                        params, Activation::kNone, out);
 }
 
 Int32Tensor
@@ -700,11 +763,45 @@ conv2dDiffInt16(const Int16Tensor &input, const Int8Tensor &weight,
                                                  params);
 }
 
+namespace {
+
+float
+addOp(float x, float y)
+{
+    return x + y;
+}
+
+} // namespace
+
+void
+addInto(const float *a, const float *b, int64_t n, float *out)
+{
+    zipWithInto<float>(a, b, n, out, addOp);
+}
+
+void
+affineInto(const float *x, int64_t n, float scale, float shift, float *out)
+{
+    mapInto<float>(x, n, out,
+                   [scale, shift](float v) { return v * scale + shift; });
+}
+
+void
+siluInto(const float *x, int64_t n, float *out)
+{
+    mapInto<float>(x, n, out, siluScalar);
+}
+
+void
+geluInto(const float *x, int64_t n, float *out)
+{
+    mapInto<float>(x, n, out, geluScalar);
+}
+
 FloatTensor
 add(const FloatTensor &a, const FloatTensor &b)
 {
-    return zipWithParallel<float>(a, b,
-                                  [](float x, float y) { return x + y; });
+    return zipWithParallel<float>(a, b, addOp);
 }
 
 FloatTensor
@@ -724,8 +821,9 @@ multiply(const FloatTensor &a, const FloatTensor &b)
 FloatTensor
 affine(const FloatTensor &x, float scale, float shift)
 {
-    return mapParallel<float>(
-        x, [scale, shift](float v) { return v * scale + shift; });
+    FloatTensor out(x.shape());
+    affineInto(x.data().data(), x.numel(), scale, shift, out.data().data());
+    return out;
 }
 
 FloatTensor
@@ -744,11 +842,15 @@ FloatTensor
 softmaxRows(const FloatTensor &x)
 {
     DITTO_ASSERT(x.shape().rank() == 2, "softmaxRows expects a matrix");
-    const int64_t n = x.shape()[0];
-    const int64_t d = x.shape()[1];
     FloatTensor out(x.shape());
-    const float *sx = x.data().data();
-    float *so = out.data().data();
+    softmaxRowsInto(x.data().data(), x.shape()[0], x.shape()[1],
+                    out.data().data());
+    return out;
+}
+
+void
+softmaxRowsInto(const float *sx, int64_t n, int64_t d, float *so)
+{
     parallelFor(0, n, [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r) {
             const float *DITTO_RESTRICT row = sx + r * d;
@@ -766,7 +868,6 @@ softmaxRows(const FloatTensor &x)
                 orow[c] /= sum;
         }
     });
-    return out;
 }
 
 FloatTensor
@@ -779,31 +880,40 @@ groupNorm(const FloatTensor &x, int64_t groups, float eps)
     const int64_t w = x.shape()[3];
     DITTO_ASSERT(groups > 0 && c % groups == 0,
                  "groups must divide channel count");
-    const int64_t span = (c / groups) * h * w; // one group is contiguous
     FloatTensor out(x.shape());
-    const float *sx = x.data().data();
-    float *so = out.data().data();
+    groupNormInto(x.data().data(), n, c, h * w, groups, eps,
+                  out.data().data());
+    return out;
+}
+
+void
+groupNormInto(const float *sx, int64_t n, int64_t c, int64_t hw,
+              int64_t groups, float eps, float *so)
+{
+    const int64_t span = (c / groups) * hw; // one group is contiguous
     parallelFor(0, n * groups, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             normalizeSpan(sx + i * span, so + i * span, span, eps);
     });
-    return out;
 }
 
 FloatTensor
 layerNorm(const FloatTensor &x, float eps)
 {
     DITTO_ASSERT(x.shape().rank() == 2, "layerNorm expects a matrix");
-    const int64_t n = x.shape()[0];
-    const int64_t d = x.shape()[1];
     FloatTensor out(x.shape());
-    const float *sx = x.data().data();
-    float *so = out.data().data();
+    layerNormInto(x.data().data(), x.shape()[0], x.shape()[1], eps,
+                  out.data().data());
+    return out;
+}
+
+void
+layerNormInto(const float *sx, int64_t n, int64_t d, float eps, float *so)
+{
     parallelFor(0, n, [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r)
             normalizeSpan(sx + r * d, so + r * d, d, eps);
     });
-    return out;
 }
 
 Int32Tensor

@@ -139,14 +139,63 @@ void gemmInt8Into(const int8_t *a, int64_t m, int64_t k, const int8_t *b,
                   int64_t n, bool trans_b, int32_t *c);
 
 /**
- * Integer convolution of the batch slabs [batch0, batch0 + batches) of
- * a stacked NCHW input, written into the same slabs of `out` (other
- * slabs untouched). `out` must already be shaped [N, Cout, OH, OW] for
- * the full stack. Bitwise identical to conv2dInt8 per slab.
+ * Integer convolution of `batches` stacked NCHW slabs of [Cin, h, w]
+ * int8 codes at `input`, written to the stacked [batches, Cout, OH, OW]
+ * int32 output. The output is overwritten (zeroed, then accumulated by
+ * the GEMM); no allocation once the thread-local im2col and packing
+ * scratch has grown to the shape. Bitwise identical to conv2dInt8 per
+ * slab.
  */
-void conv2dInt8Into(const Int8Tensor &input, const Int8Tensor &weight,
-                    const Conv2dParams &params, int64_t batch0,
-                    int64_t batches, Int32Tensor *out);
+void conv2dInt8Into(const int8_t *input, int64_t batches, int64_t h,
+                    int64_t w, const Int8Tensor &weight,
+                    const Conv2dParams &params, int32_t *out);
+/** @} */
+
+/**
+ * @name Raw-buffer float entry points (the FP32 executor's substrate)
+ *
+ * The compiled FP32 executor lays every activation into its workspace
+ * arena and calls these with caller-owned buffers; the Tensor-returning
+ * forms above and below are wrappers over the same bodies, so both
+ * produce identical bits.
+ * @{
+ */
+
+/**
+ * Free the calling thread's float packing and im2col scratch — the
+ * largest per-thread buffers, which only the FP32 executor grows.
+ * compile() calls it once calibration is done, so a serving or
+ * benchmark thread does not keep calibration-sized buffers resident.
+ */
+void releaseFloatScratch();
+
+/** C[m,n] += A[m,k] * op(B) (float; `c` holds the accumulation base). */
+void gemmInto(const float *a, int64_t m, int64_t k, const float *b,
+              int64_t n, bool trans_b, float *c);
+
+/**
+ * Float convolution of `batches` stacked [Cin, h, w] slabs into the
+ * stacked [batches, Cout, OH, OW] output (overwritten), no bias.
+ */
+void conv2dInto(const float *input, int64_t batches, int64_t h, int64_t w,
+                const FloatTensor &weight, const Conv2dParams &params,
+                float *out);
+
+/** out[i] = a[i] + b[i]; `out` may alias either operand. */
+void addInto(const float *a, const float *b, int64_t n, float *out);
+/** out[i] = x[i] * scale + shift; `out` may alias `x`. */
+void affineInto(const float *x, int64_t n, float scale, float shift,
+                float *out);
+void siluInto(const float *x, int64_t n, float *out);
+void geluInto(const float *x, int64_t n, float *out);
+/** Row softmax of a [rows, d] matrix. */
+void softmaxRowsInto(const float *x, int64_t rows, int64_t d, float *out);
+/** Group norm of [n, c, hw] with `groups` contiguous channel groups. */
+void groupNormInto(const float *x, int64_t n, int64_t c, int64_t hw,
+                   int64_t groups, float eps, float *out);
+/** Layer norm of each row of a [rows, d] matrix. */
+void layerNormInto(const float *x, int64_t rows, int64_t d, float eps,
+                   float *out);
 /** @} */
 
 /**

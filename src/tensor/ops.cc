@@ -327,7 +327,7 @@ matmulDiffPlanBatch(std::span<const DiffGemmPlan> plans,
         items[i] = {&plans[i], b.data().data(), base};
         base += plans[i].rows * n;
     }
-    kernels::diffGemmBatch(items, n, /*transpose_b=*/false);
+    kernels::diffGemmBatch(items, n);
     return out;
 }
 

@@ -92,6 +92,23 @@ class Tensor
             w)];
     }
 
+    /**
+     * Reshape to `shape`, keeping the storage: no allocation when the
+     * new element count fits what the tensor has held before (the
+     * workspace and double-buffered state slots are resized this way
+     * every step). Elements carried over keep their values; new ones
+     * are zero.
+     */
+    void
+    resize(const Shape &shape)
+    {
+        const auto n = static_cast<size_t>(shape.numel());
+        if (n > data_.capacity())
+            data_.reserve(n); // exact: no geometric over-allocation
+        shape_ = shape;
+        data_.resize(n);
+    }
+
     void
     fill(T value)
     {

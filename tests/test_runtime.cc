@@ -466,6 +466,44 @@ TEST(JunctionAlgebra, ThreadCountInvariance)
     EXPECT_TRUE(one.finalImage == three.finalImage);
 }
 
+/** A left-leaning Add chain over 17 convolution leaves, each with its
+ *  own scale, folded into one junction region feeding convC: the fold
+ *  has no cap on its source count. */
+ModelSpec
+longAddChainSpec()
+{
+    GraphBuilder b("long_add_chain");
+    b.setSeed(8);
+    b.setSteps(5);
+    const int x = b.input(4, 6);
+    int sum = b.conv2d("leaf0", x, 6, 1, 1, 0, b.newScale());
+    for (int i = 1; i < 17; ++i) {
+        const std::string n = std::to_string(i);
+        const int leaf = b.conv2d("leaf" + n, x, 6, 1, 1, 0, b.newScale());
+        sum = b.add("sum" + n, sum, leaf);
+    }
+    const int f = b.conv2d("convC", sum, 6, 3, 1, 1, b.newScale());
+    const int g = b.groupNorm("gn", f, 2);
+    const int s = b.silu("silu", g);
+    b.conv2d("conv_out", s, 4, 3, 1, 1, b.newScale());
+    return b.build();
+}
+
+TEST(JunctionAlgebra, LongAddChainFoldsEverySource)
+{
+    const ModelSpec spec = longAddChainSpec();
+    expectJunctionBitwise(spec);
+    setenv("DITTO_NO_CACHE", "1", 0);
+    CompileOptions opts;
+    opts.policy = DiffPolicy::ForceDiff;
+    const CompiledModel m = compile(spec, opts);
+    EXPECT_TRUE(reportOf(m, "convC").junction);
+    EXPECT_TRUE(reportOf(m, "leaf16").sumSkip);
+    const RolloutResult direct = m.rollout(RunMode::QuantDirect);
+    const RolloutResult ditto = m.rollout(RunMode::QuantDitto);
+    EXPECT_TRUE(direct.finalImage == ditto.finalImage);
+}
+
 /** The two new executable presets, compiled once for the suite. */
 const CompiledModel &
 deepUnet()
