@@ -28,7 +28,6 @@
 
 #include "common/parallel.h"
 #include "core/diff_linear.h"
-#include "core/mini_unet.h"
 #include "hw/encoding_unit.h"
 #include "hw/pe.h"
 #include "quant/encoder.h"
@@ -316,7 +315,7 @@ BM_MiniUnetRollout(benchmark::State &state)
     cfg.channels = 32;
     cfg.resolution = 16;
     cfg.steps = 8;
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
     const RunMode mode =
         state.range(0) ? RunMode::QuantDitto : RunMode::QuantDirect;
     for (auto _ : state) {
@@ -328,23 +327,23 @@ BM_MiniUnetRollout(benchmark::State &state)
 BENCHMARK(BM_MiniUnetRollout)->Arg(0)->Arg(1);
 
 /** Shared serving-shape model for the batched rollout benchmarks. */
-const MiniUnet &
+const CompiledModel &
 servingNet()
 {
-    static const MiniUnet *net = [] {
+    static const CompiledModel *net = [] {
         setenv("DITTO_NO_CACHE", "1", 0);
         MiniUnetConfig cfg;
         cfg.channels = 16;
         cfg.resolution = 8;
         cfg.steps = 8;
-        return new MiniUnet(cfg);
+        return new CompiledModel(compile(miniUnetSpec(cfg)));
     }();
     return *net;
 }
 
 /**
  * Batched rollout throughput at the serving shape: N concurrent
- * QuantDitto requests through MiniUnet::rolloutBatch. Arg: batch size
+ * QuantDitto requests through CompiledModel::rolloutBatch. Arg: batch size
  * (1 = the sequential baseline; the acceptance comparison is
  * items_per_second at batch 8 vs batch 1). Results are bitwise
  * identical across batch sizes — the batch changes wall-clock only.
@@ -353,7 +352,7 @@ void
 BM_BatchedRollout(benchmark::State &state)
 {
     const int64_t batch = state.range(0);
-    const MiniUnet &net = servingNet();
+    const CompiledModel &net = servingNet();
     std::vector<FloatTensor> noises;
     for (int64_t b = 0; b < batch; ++b)
         noises.push_back(net.requestNoise(static_cast<uint64_t>(b + 1)));
@@ -377,14 +376,14 @@ void
 BM_ServeLatency(benchmark::State &state)
 {
     const int64_t batch = state.range(0);
-    const MiniUnet &net = servingNet();
+    const CompiledModel &net = servingNet();
     ServerConfig cfg;
     cfg.maxBatch = batch;
     cfg.maxWaitMicros = 2000;
     cfg.workers = 1;
     std::vector<double> latencies;
     for (auto _ : state) {
-        DenoiseServer server(net.compiled(), cfg);
+        DenoiseServer server(net, cfg);
         std::vector<uint64_t> ids;
         for (int64_t b = 0; b < batch; ++b) {
             DenoiseRequest req;
@@ -427,7 +426,7 @@ BM_ServeOverload(benchmark::State &state)
 {
     const int64_t batch = state.range(0);
     const int64_t factor = state.range(1);
-    const MiniUnet &net = servingNet();
+    const CompiledModel &net = servingNet();
     // Estimate the service rate once: requests/second one engine
     // sustains at this batch size.
     const auto c0 = std::chrono::steady_clock::now();
@@ -453,7 +452,7 @@ BM_ServeOverload(benchmark::State &state)
     std::vector<double> interactive_us;
     uint64_t total = 0, rejected = 0, degraded = 0;
     for (auto _ : state) {
-        DenoiseServer server(net.compiled(), cfg);
+        DenoiseServer server(net, cfg);
         std::vector<uint64_t> ids;
         const auto gap = std::chrono::duration_cast<
             std::chrono::steady_clock::duration>(
@@ -528,14 +527,14 @@ void
 BM_ServeReuse(benchmark::State &state)
 {
     const int64_t dup_pct = state.range(0);
-    const MiniUnet &net = servingNet();
+    const CompiledModel &net = servingNet();
     ServerConfig cfg;
     cfg.maxBatch = 4;
     cfg.maxWaitMicros = 500;
     cfg.workers = 1;
     cfg.reuse.capBytes = 64ll << 20;
     cfg.reuse.checkpointEvery = 2;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     const int64_t kArrivals = 32, kPool = 4;
     std::vector<double> latencies;
     uint64_t fresh_seed = 1;
@@ -594,7 +593,7 @@ BM_ShardRouter(benchmark::State &state)
 {
     const int64_t workers = state.range(0);
     const int64_t dup_pct = state.range(1);
-    const MiniUnet &net = servingNet();
+    const CompiledModel &net = servingNet();
     ServerConfig cfg;
     cfg.maxBatch = 4;
     cfg.maxWaitMicros = 500;
@@ -613,7 +612,7 @@ BM_ShardRouter(benchmark::State &state)
                       static_cast<long long>(i));
         std::remove(path);
         tier.push_back(std::make_unique<shard::ShardWorker>(
-            net.compiled(), path, cfg));
+            net, path, cfg));
         std::string why;
         if (!tier.back()->start(&why) || !router.addWorker(path, &why)) {
             state.SkipWithError(why.c_str());

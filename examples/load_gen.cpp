@@ -58,7 +58,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/mini_unet.h"
+#include "runtime/compiled.h"
+#include "runtime/presets.h"
 #include "serve/server.h"
 #include "shard/router.h"
 
@@ -177,7 +178,7 @@ main(int argc, char **argv)
 
     // Backend: an in-process DenoiseServer by default, or an embedded
     // ShardRouter over external worker processes with --router.
-    std::unique_ptr<MiniUnet> net;
+    std::unique_ptr<CompiledModel> net;
     std::unique_ptr<DenoiseServer> server;
     std::unique_ptr<shard::ShardRouter> router;
     if (!routerSockets.empty()) {
@@ -195,7 +196,7 @@ main(int argc, char **argv)
         cfg.channels = 16;
         cfg.resolution = 8;
         cfg.steps = 8;
-        net = std::make_unique<MiniUnet>(cfg);
+        net = std::make_unique<CompiledModel>(compile(miniUnetSpec(cfg)));
         const ServerConfig scfg = ServerConfig::fromEnv();
         std::printf("server: max batch %lld, %d worker(s), queue cap "
                     "%lld, shed high/low %lld/%lld\n\n",
@@ -203,7 +204,7 @@ main(int argc, char **argv)
                     static_cast<long long>(scfg.queueCapacity),
                     static_cast<long long>(scfg.effectiveShedHigh()),
                     static_cast<long long>(scfg.effectiveShedLow()));
-        server = std::make_unique<DenoiseServer>(net->compiled(), scfg);
+        server = std::make_unique<DenoiseServer>(*net, scfg);
     }
     const auto submitReq = [&](const DenoiseRequest &req) {
         return router ? router->submit(req) : server->submit(req);

@@ -17,7 +17,8 @@
 #include <chrono>
 #include <cstdio>
 
-#include "core/mini_unet.h"
+#include "runtime/compiled.h"
+#include "runtime/presets.h"
 #include "stats/similarity.h"
 
 namespace {
@@ -51,7 +52,7 @@ main()
                 static_cast<long long>(cfg.resolution),
                 static_cast<long long>(cfg.resolution), cfg.steps);
 
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
     RolloutResult fp32, quant, ditto;
     const double fp32_ms = runTimedMs([&] {
         fp32 = net.rollout(RunMode::Fp32);

@@ -20,7 +20,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/mini_unet.h"
+#include "runtime/compiled.h"
+#include "runtime/presets.h"
 #include "serve/server.h"
 
 using namespace ditto;
@@ -38,7 +39,7 @@ main(int argc, char **argv)
     cfg.channels = 16;
     cfg.resolution = 8;
     cfg.steps = 8;
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
 
     std::printf("MiniUnet: %lld channels, %lldx%lld, %d steps\n",
                 static_cast<long long>(cfg.channels),
@@ -75,7 +76,7 @@ main(int argc, char **argv)
     ServerStats stats;
     size_t exact = 0;
     {
-        DenoiseServer server(net.compiled(), scfg);
+        DenoiseServer server(net, scfg);
         std::vector<uint64_t> ids;
         for (const DenoiseRequest &req : requests)
             ids.push_back(server.submit(req));

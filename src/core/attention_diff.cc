@@ -4,8 +4,9 @@
  *
  * Each of the two correction terms pairs one full-bit-width operand
  * with one narrow difference operand; the difference operand is
- * encoded into a sparse panel plan and executed by the plan-driven
- * diff GEMM. Terms whose sparse operand sits on the right of the
+ * encoded into a sparse panel plan and executed by the batched
+ * plan-driven diff GEMM (one *BatchInto body per op; the
+ * single-request entry points run it on one slab). Terms whose sparse operand sits on the right of the
  * product are computed transposed — (X dY^T)^T = dY X^T — so the plan
  * operand is always the left factor, then folded back with a fused
  * transpose-add. The scalar two-term expansions are retained under
@@ -39,37 +40,22 @@ attentionScoresDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
 {
     DITTO_ASSERT(q.shape() == prev_q.shape() && k.shape() == prev_k.shape(),
                  "attention diff operand shape mismatch");
+    DITTO_ASSERT(q.shape().rank() == 2 && k.shape().rank() == 2 &&
+                     q.shape()[1] == k.shape()[1],
+                 "Q/K must be matrices of one head dimension");
     const int64_t tokens = q.shape()[0];
-    const int64_t ctx = k.shape()[0];
-    const int64_t d = q.shape()[1];
-    DITTO_ASSERT(prev_scores.shape() == Shape({tokens, ctx}),
-                 "previous scores shape mismatch");
-    // Sub-op 1: Q_t dK^T — dK elements each multiply `tokens` rows of
-    // Q. Sub-op 2: dQ K_prev^T — dQ elements each multiply `ctx` rows
-    // of K.
-    const DiffClassCounts probe_dq = countTemporalDiffClasses(q, prev_q);
-    const DiffClassCounts probe_dk = countTemporalDiffClasses(k, prev_k);
-    if (counts) {
-        counts->merge(probeOpCounts(probe_dk, tokens));
-        counts->merge(probeOpCounts(probe_dq, ctx));
-    }
-    // Two sub-ops against one dense product: revert unless the
-    // combined predicted sparse cost undercuts Q_t K_t^T.
-    const double predicted =
-        diffMacPenalty(tokens) * static_cast<double>(probe_dk.nonzero()) *
-            static_cast<double>(tokens) +
-        diffMacPenalty(ctx) * static_cast<double>(probe_dq.nonzero()) *
-            static_cast<double>(ctx);
-    if (policy == DiffPolicy::Auto &&
-        predicted >= static_cast<double>(tokens * ctx * d))
-        return attentionScoresDirect(q, k);
-    // S_t = prev + dQ K_prev^T + (dK Q_t^T)^T.
-    const DiffGemmPlan plan_dq = encodeTemporalDiff(q, prev_q);
-    const DiffGemmPlan plan_dk = encodeTemporalDiff(k, prev_k);
-    Int32Tensor partial =
-        matmulTransposedDiffPlan(plan_dq, prev_k, &prev_scores);
-    const Int32Tensor qdk_t = matmulTransposedDiffPlan(plan_dk, q);
-    return addTransposedInt32(partial, qdk_t);
+    const int64_t keys = k.shape()[0];
+    const DiffOperand qo{q.data().data(), prev_q.data().data(), nullptr};
+    const DiffOperand ko{k.data().data(), prev_k.data().data(), nullptr};
+    std::vector<int32_t> delta(static_cast<size_t>(tokens * keys));
+    return detail::runPrimed(
+        prev_scores, Shape{tokens, keys}, 1, counts,
+        [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
+            EngineScratch *scratch) {
+            attentionScoresBatchInto(qo, ko, tokens, keys, q.shape()[1], 1,
+                                     primed, out, delta.data(), slab_counts,
+                                     policy, scratch);
+        });
 }
 
 namespace {
@@ -102,51 +88,56 @@ storedForm(const DiffOperand &op, int64_t n, std::vector<int8_t> *scratch)
 
 void
 attentionScoresBatchInto(const DiffOperand &q_in, const DiffOperand &k_in,
-                         int64_t tokens, int64_t d, int64_t slabs,
-                         const uint8_t *primed, int32_t *out,
+                         int64_t tokens, int64_t keys, int64_t d,
+                         int64_t slabs, const uint8_t *primed, int32_t *out,
                          int32_t *delta, OpCounts *counts,
                          DiffPolicy policy, EngineScratch *scratch)
 {
-    const int64_t in_elems = tokens * d;
-    const int64_t out_elems = tokens * tokens;
+    const int64_t q_elems = tokens * d;
+    const int64_t k_elems = keys * d;
+    const int64_t out_elems = tokens * keys;
     const bool primed_any = anyPrimed(primed, slabs);
     const DiffOperand q =
-        primed_any ? storedForm(q_in, slabs * in_elems, &scratch->prevA)
+        primed_any ? storedForm(q_in, slabs * q_elems, &scratch->prevA)
                    : q_in;
     const DiffOperand k =
-        primed_any ? storedForm(k_in, slabs * in_elems, &scratch->prevB)
+        primed_any ? storedForm(k_in, slabs * k_elems, &scratch->prevB)
                    : k_in;
 
-    // Per-slab decisions, identical to attentionScoresDiff's.
+    // Per-slab decisions. Sub-op 1: Q_t dK^T — dK elements each
+    // multiply `tokens` rows of Q. Sub-op 2: dQ K_prev^T — dQ elements
+    // each multiply `keys` rows of K.
     std::vector<uint8_t> &use_diff = scratch->useDiff;
     use_diff.assign(static_cast<size_t>(slabs), 0);
     if (primed_any) {
         scratch->reserve(&scratch->plans, slabs, tokens, d);
-        scratch->reserve(&scratch->plans2, slabs, tokens, d);
-        if (scratch->bT.capacity() < static_cast<size_t>(2 * slabs * in_elems))
-            scratch->bT.reserve(static_cast<size_t>(2 * slabs * in_elems));
+        scratch->reserve(&scratch->plans2, slabs, keys, d);
+        const auto bt_elems = static_cast<size_t>(slabs * (q_elems + k_elems));
+        if (scratch->bT.capacity() < bt_elems)
+            scratch->bT.reserve(bt_elems);
     }
     int64_t n_diff = 0;
     for (int64_t s = 0; s < slabs; ++s) {
         if (!primed || !primed[s])
             continue;
         DITTO_ASSERT(q.prev && k.prev, "primed slabs need previous state");
-        const DiffClassCounts probe_dq = q.probe(s * in_elems, in_elems);
-        const DiffClassCounts probe_dk = k.probe(s * in_elems, in_elems);
+        const DiffClassCounts probe_dq = q.probe(s * q_elems, q_elems);
+        const DiffClassCounts probe_dk = k.probe(s * k_elems, k_elems);
         if (counts) {
             counts[s].merge(probeOpCounts(probe_dk, tokens));
-            counts[s].merge(probeOpCounts(probe_dq, tokens));
+            counts[s].merge(probeOpCounts(probe_dq, keys));
         }
+        // Two sub-ops against one dense product: revert unless the
+        // combined predicted sparse cost undercuts Q_t K_t^T.
         const double predicted =
             diffMacPenalty(tokens) *
                 static_cast<double>(probe_dk.nonzero()) *
                 static_cast<double>(tokens) +
-            diffMacPenalty(tokens) *
-                static_cast<double>(probe_dq.nonzero()) *
-                static_cast<double>(tokens);
+            diffMacPenalty(keys) * static_cast<double>(probe_dq.nonzero()) *
+                static_cast<double>(keys);
         use_diff[s] =
             policy == DiffPolicy::ForceDiff ||
-            predicted < static_cast<double>(tokens * tokens * d);
+            predicted < static_cast<double>(tokens * keys * d);
         n_diff += use_diff[s];
     }
 
@@ -157,8 +148,8 @@ attentionScoresBatchInto(const DiffOperand &q_in, const DiffOperand &k_in,
         // operand differs per slab and runs stay per-slab GEMMs.
         std::memset(out + s * out_elems, 0,
                     static_cast<size_t>(out_elems) * sizeof(int32_t));
-        kernels::gemmInt8Into(q.codes + s * in_elems, tokens, d,
-                              k.codes + s * in_elems, tokens,
+        kernels::gemmInt8Into(q.codes + s * q_elems, tokens, d,
+                              k.codes + s * k_elems, keys,
                               /*trans_b=*/true, out + s * out_elems);
     }
     if (n_diff == 0)
@@ -168,11 +159,11 @@ attentionScoresBatchInto(const DiffOperand &q_in, const DiffOperand &k_in,
     // batched into one dispatch across slabs; the slab's region of
     // `out` already holds prev.
     std::fill(delta, delta + n_diff * out_elems, 0);
-    // Both products multiply a [tokens, d] operand transposed: the
-    // engine de-transposes them into [d, tokens] scratch once, so the
-    // plan dispatch reads contiguous rows.
+    // Both products multiply an operand transposed: the engine
+    // de-transposes them into [d, keys] / [d, tokens] scratch once, so
+    // the plan dispatch reads contiguous rows.
     std::vector<int8_t> &bt = scratch->bT;
-    bt.resize(static_cast<size_t>(2 * n_diff * in_elems));
+    bt.resize(static_cast<size_t>(n_diff * (q_elems + k_elems)));
     std::vector<kernels::DiffGemmBatchItem> &items_a = scratch->items;
     std::vector<kernels::DiffGemmBatchItem> &items_b = scratch->items2;
     std::vector<int64_t> &diff_slabs = scratch->slabOf;
@@ -186,53 +177,25 @@ attentionScoresBatchInto(const DiffOperand &q_in, const DiffOperand &k_in,
         const auto di = static_cast<int64_t>(diff_slabs.size());
         DiffGemmPlan &plan_dq = scratch->plans[static_cast<size_t>(di)];
         DiffGemmPlan &plan_dk = scratch->plans2[static_cast<size_t>(di)];
-        q.encode(s * in_elems, tokens, d, &plan_dq);
-        k.encode(s * in_elems, tokens, d, &plan_dk);
-        int8_t *kt = bt.data() + 2 * di * in_elems;
-        int8_t *qt = kt + in_elems;
-        kernels::transposeInt8Into(k.prev + s * in_elems, tokens, d, kt);
-        kernels::transposeInt8Into(q.codes + s * in_elems, tokens, d, qt);
+        q.encode(s * q_elems, tokens, d, &plan_dq);
+        k.encode(s * k_elems, keys, d, &plan_dk);
+        int8_t *kt = bt.data() + di * (q_elems + k_elems);
+        int8_t *qt = kt + k_elems;
+        kernels::transposeInt8Into(k.prev + s * k_elems, keys, d, kt);
+        kernels::transposeInt8Into(q.codes + s * q_elems, tokens, d, qt);
         items_a.push_back({&plan_dq, kt, out + s * out_elems});
         items_b.push_back({&plan_dk, qt, sd + di * out_elems});
         diff_slabs.push_back(s);
     }
-    kernels::diffGemmBatch(items_a, tokens);
+    kernels::diffGemmBatch(items_a, keys);
     kernels::diffGemmBatch(items_b, tokens);
     const int64_t *slab_of = diff_slabs.data();
     parallelFor(0, n_diff, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             kernels::addTransposedInt32InPlace(out + slab_of[i] * out_elems,
                                                sd + i * out_elems, tokens,
-                                               tokens);
+                                               keys);
     });
-}
-
-Int32Tensor
-attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
-                     int64_t slabs, const Int8Tensor *prev_q,
-                     const Int8Tensor *prev_k,
-                     const Int32Tensor *prev_scores, const uint8_t *primed,
-                     OpCounts *counts, DiffPolicy policy)
-{
-    DITTO_ASSERT(q.shape().rank() == 2 && q.shape() == k.shape() &&
-                 slabs > 0 && q.shape()[0] % slabs == 0,
-                 "batched attention operands must stack equal slabs");
-    DITTO_ASSERT((!prev_q || prev_q->shape() == q.shape()) &&
-                 (!prev_k || prev_k->shape() == k.shape()),
-                 "batched attention previous state shape mismatch");
-    const int64_t tokens = q.shape()[0] / slabs;
-    const DiffOperand qo{q.data().data(),
-                         prev_q ? prev_q->data().data() : nullptr, nullptr};
-    const DiffOperand ko{k.data().data(),
-                         prev_k ? prev_k->data().data() : nullptr, nullptr};
-    std::vector<int32_t> delta(static_cast<size_t>(slabs * tokens * tokens));
-    return detail::batchIntoTensor(
-        Shape{slabs * tokens, tokens}, prev_scores, primed, slabs,
-        [&](int32_t *out, EngineScratch *scratch) {
-            attentionScoresBatchInto(qo, ko, tokens, q.shape()[1], slabs,
-                                     primed, out, delta.data(), counts,
-                                     policy, scratch);
-        });
 }
 
 Int32Tensor
@@ -249,32 +212,23 @@ attentionOutputDiff(const Int8Tensor &p, const Int8Tensor &prev_p,
 {
     DITTO_ASSERT(p.shape() == prev_p.shape() && v.shape() == prev_v.shape(),
                  "attention diff operand shape mismatch");
+    DITTO_ASSERT(p.shape().rank() == 2 && v.shape().rank() == 2,
+                 "P/V must be matrices");
     const int64_t rows = p.shape()[0];
     const int64_t inner = p.shape()[1];
     const int64_t d = v.shape()[1];
     DITTO_ASSERT(v.shape()[0] == inner, "P/V inner dimension mismatch");
-    DITTO_ASSERT(prev_out.shape() == Shape({rows, d}),
-                 "previous output shape mismatch");
-    const DiffClassCounts probe_dp = countTemporalDiffClasses(p, prev_p);
-    const DiffClassCounts probe_dv = countTemporalDiffClasses(v, prev_v);
-    if (counts) {
-        counts->merge(probeOpCounts(probe_dv, rows));
-        counts->merge(probeOpCounts(probe_dp, d));
-    }
-    const double predicted =
-        diffMacPenalty(rows) * static_cast<double>(probe_dv.nonzero()) *
-            static_cast<double>(rows) +
-        diffMacPenalty(d) * static_cast<double>(probe_dp.nonzero()) *
-            static_cast<double>(d);
-    if (policy == DiffPolicy::Auto &&
-        predicted >= static_cast<double>(rows * inner * d))
-        return attentionOutputDirect(p, v);
-    // O_t = prev + dP V_prev + (dV^T P_t^T)^T.
-    const DiffGemmPlan plan_dp = encodeTemporalDiff(p, prev_p);
-    const DiffGemmPlan plan_dvt = encodeTemporalDiffTransposed(v, prev_v);
-    Int32Tensor partial = matmulDiffPlan(plan_dp, prev_v, &prev_out);
-    const Int32Tensor pdv_t = matmulTransposedDiffPlan(plan_dvt, p);
-    return addTransposedInt32(partial, pdv_t);
+    const DiffOperand po{p.data().data(), prev_p.data().data(), nullptr};
+    const DiffOperand vo{v.data().data(), prev_v.data().data(), nullptr};
+    std::vector<int32_t> delta(static_cast<size_t>(rows * d));
+    return detail::runPrimed(
+        prev_out, Shape{rows, d}, 1, counts,
+        [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
+            EngineScratch *scratch) {
+            attentionOutputBatchInto(po, vo, rows, inner, d, 1, primed, out,
+                                     delta.data(), slab_counts, policy,
+                                     scratch);
+        });
 }
 
 void
@@ -295,7 +249,8 @@ attentionOutputBatchInto(const DiffOperand &p_in, const DiffOperand &v_in,
         primed_any ? storedForm(v_in, slabs * v_elems, &scratch->prevB)
                    : v_in;
 
-    // Per-slab decisions, identical to attentionOutputDiff's.
+    // Per-slab decisions: sub-op 1 (P_t dV) charges each dV element
+    // `rows` multiplies, sub-op 2 (dP V_prev) each dP element `d`.
     std::vector<uint8_t> &use_diff = scratch->useDiff;
     use_diff.assign(static_cast<size_t>(slabs), 0);
     if (primed_any) {
@@ -379,39 +334,6 @@ attentionOutputBatchInto(const DiffOperand &p_in, const DiffOperand &v_in,
     });
 }
 
-Int32Tensor
-attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
-                     int64_t slabs, const Int8Tensor *prev_p,
-                     const Int8Tensor *prev_v, const Int32Tensor *prev_out,
-                     const uint8_t *primed, OpCounts *counts,
-                     DiffPolicy policy)
-{
-    DITTO_ASSERT(p.shape().rank() == 2 && v.shape().rank() == 2 &&
-                 slabs > 0 && p.shape()[0] % slabs == 0 &&
-                 v.shape()[0] % slabs == 0,
-                 "batched attention operands must stack equal slabs");
-    const int64_t rows = p.shape()[0] / slabs;
-    const int64_t inner = p.shape()[1];
-    const int64_t d = v.shape()[1];
-    DITTO_ASSERT(v.shape()[0] / slabs == inner,
-                 "P/V inner dimension mismatch");
-    DITTO_ASSERT((!prev_p || prev_p->shape() == p.shape()) &&
-                 (!prev_v || prev_v->shape() == v.shape()),
-                 "batched attention previous state shape mismatch");
-    const DiffOperand po{p.data().data(),
-                         prev_p ? prev_p->data().data() : nullptr, nullptr};
-    const DiffOperand vo{v.data().data(),
-                         prev_v ? prev_v->data().data() : nullptr, nullptr};
-    std::vector<int32_t> delta(static_cast<size_t>(slabs * rows * d));
-    return detail::batchIntoTensor(
-        Shape{slabs * rows, d}, prev_out, primed, slabs,
-        [&](int32_t *out, EngineScratch *scratch) {
-            attentionOutputBatchInto(po, vo, rows, inner, d, slabs, primed,
-                                     out, delta.data(), counts, policy,
-                                     scratch);
-        });
-}
-
 CrossAttentionEngine::CrossAttentionEngine(Int8Tensor k_const)
     : kConst_(std::move(k_const))
 {
@@ -433,33 +355,16 @@ CrossAttentionEngine::runDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
 {
     DITTO_ASSERT(q.shape() == prev_q.shape(),
                  "cross attention diff shape mismatch");
-    const int64_t ctx = kConst_.shape()[0];
-    const DiffClassCounts probe = countTemporalDiffClasses(q, prev_q);
-    if (counts)
-        counts->merge(probeOpCounts(probe, ctx));
-    if (policy == DiffPolicy::Auto && !diffWorthIt(probe, ctx))
-        return runDirect(q);
-    const DiffGemmPlan plan = encodeTemporalDiff(q, prev_q);
-    return matmulDiffPlan(plan, kConstT_, &prev_scores);
-}
-
-Int32Tensor
-CrossAttentionEngine::runBatch(const Int8Tensor &q, int64_t slabs,
-                               const Int8Tensor *prev_q,
-                               const Int32Tensor *prev_scores,
-                               const uint8_t *primed, OpCounts *counts,
-                               DiffPolicy policy) const
-{
-    DITTO_ASSERT(q.shape().rank() == 2, "batched query must be a matrix");
-    DITTO_ASSERT(!prev_q || prev_q->shape() == q.shape(),
-                 "batched cross previous state shape mismatch");
-    const DiffOperand op{q.data().data(),
-                         prev_q ? prev_q->data().data() : nullptr, nullptr};
-    return detail::batchIntoTensor(
-        Shape{q.shape()[0], kConst_.shape()[0]}, prev_scores, primed, slabs,
-        [&](int32_t *out, EngineScratch *scratch) {
-            runBatchInto(op, q.shape()[0], slabs, primed, out, counts,
-                         policy, scratch);
+    DITTO_ASSERT(q.shape().rank() == 2 && q.shape()[1] == kConst_.shape()[1],
+                 "cross attention query must be [rows, d]");
+    const int64_t rows = q.shape()[0];
+    const DiffOperand op{q.data().data(), prev_q.data().data(), nullptr};
+    return detail::runPrimed(
+        prev_scores, Shape{rows, kConst_.shape()[0]}, 1, counts,
+        [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
+            EngineScratch *scratch) {
+            runBatchInto(op, rows, 1, primed, out, slab_counts, policy,
+                         scratch);
         });
 }
 

@@ -19,9 +19,9 @@
  * layer with K' as the weight (and likewise P' V').
  *
  * All difference operands are executed through the sparse panel-plan
- * path (quant/encoder.h + the plan-driven ops.h entry points); the
- * dense two-term expansions live on under ditto::naive as parity
- * references.
+ * path (quant/encoder.h + the batched plan kernels of
+ * tensor/diff_gemm.h), once per op in its *BatchInto body; the dense
+ * two-term expansions live on under ditto::naive as parity references.
  */
 #ifndef DITTO_CORE_ATTENTION_DIFF_H
 #define DITTO_CORE_ATTENTION_DIFF_H
@@ -39,7 +39,9 @@ Int32Tensor attentionScoresDirect(const Int8Tensor &q, const Int8Tensor &k);
 
 /**
  * Difference-processed scores:
- * S_t = prev_scores + Q_t dK^T + dQ K_prev^T.
+ * S_t = prev_scores + Q_t dK^T + dQ K_prev^T, as
+ * attentionScoresBatchInto on the caller's operands as one primed
+ * slab. Q:[tokens,d], K:[keys,d].
  *
  * @param counts tallies the multiplies of both sub-operations by the
  *        bit class of their difference operand.
@@ -58,46 +60,30 @@ Int32Tensor attentionScoresDiff(const Int8Tensor &q,
                                 DiffPolicy policy = DiffPolicy::Auto);
 
 /**
- * Batched difference-processed scores over `slabs` requests stacked
- * along the token dimension: q and k are [slabs * tokens, d], slab s
- * attends only within its own rows, and the result stacks the per-slab
- * score matrices as [slabs * tokens, tokens]. Per slab the decision
- * (direct when unprimed or the probe reverts, two-term sparse diff
- * otherwise) and the arithmetic match attentionScoresDiff /
- * attentionScoresDirect exactly — bitwise, at any thread count and
- * batch size. Unprimed slabs do not touch counts.
- *
- * @param counts per-slab tallies (array of `slabs`, or null).
- */
-Int32Tensor attentionScoresBatch(const Int8Tensor &q, const Int8Tensor &k,
-                                 int64_t slabs, const Int8Tensor *prev_q,
-                                 const Int8Tensor *prev_k,
-                                 const Int32Tensor *prev_scores,
-                                 const uint8_t *primed,
-                                 OpCounts *counts = nullptr,
-                                 DiffPolicy policy = DiffPolicy::Auto);
-
-/**
- * The one batched scores body (attentionScoresBatch is a Tensor
- * wrapper over it), on caller-owned buffers, with per-operand payload
- * hand-over: q and k stack `slabs` [tokens, d] operands, each arriving
- * either with stored previous codes or with its producer's requantized
- * code difference (the graph runtime's dynamic-attention hand-over; no
- * previous codes were stored for it). The previous operand the
- * two-term expansion multiplies against is reconstructed into scratch
- * as codes - d, which is exact in the integer domain, so results,
- * probes and Defo decisions are bitwise identical to operands whose
- * subtraction equals the handed-over difference. `out`
- * [slabs * tokens, tokens] holds every primed slab's previous scores
- * on entry — direct slabs overwrite their region, diff slabs
- * accumulate the expansion into it in place. `delta` is caller scratch
- * of `out`'s size for the transposed correction terms (contents
- * unspecified on entry; the graph runtime plans it in its arena).
+ * The one scores body, on caller-owned buffers, over `slabs` requests
+ * stacked along the token dimension: q stacks `slabs` [tokens, d] and
+ * k `slabs` [keys, d] operands, slab s attends only within its own
+ * rows. Per slab it runs direct when the slab is unprimed or the probe
+ * reverts, the two-term sparse expansion otherwise; unprimed slabs do
+ * not touch `counts` (per-slab tallies, array of `slabs`, or null).
+ * Each operand arrives either with stored previous codes or with its
+ * producer's requantized code difference (the graph runtime's
+ * dynamic-attention hand-over; no previous codes were stored for it).
+ * The previous operand the two-term expansion multiplies against is
+ * reconstructed into scratch as codes - d, which is exact in the
+ * integer domain, so results, probes and Defo decisions are bitwise
+ * identical to operands whose subtraction equals the handed-over
+ * difference. `out` [slabs * tokens, keys] holds every primed slab's
+ * previous scores on entry — direct slabs overwrite their region, diff
+ * slabs accumulate the expansion into it in place. `delta` is caller
+ * scratch of `out`'s size for the transposed correction terms
+ * (contents unspecified on entry; the graph runtime plans it in its
+ * arena). Bitwise identical at any thread count and batch size.
  */
 void attentionScoresBatchInto(const DiffOperand &q, const DiffOperand &k,
-                              int64_t tokens, int64_t d, int64_t slabs,
-                              const uint8_t *primed, int32_t *out,
-                              int32_t *delta, OpCounts *counts,
+                              int64_t tokens, int64_t keys, int64_t d,
+                              int64_t slabs, const uint8_t *primed,
+                              int32_t *out, int32_t *delta, OpCounts *counts,
                               DiffPolicy policy, EngineScratch *scratch);
 
 /** Direct weighted sum O = P V. P:[tokens,tokens], V:[tokens,d]. */
@@ -105,7 +91,8 @@ Int32Tensor attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v);
 
 /**
  * Difference-processed weighted sum:
- * O_t = prev_out + P_t dV + dP V_prev.
+ * O_t = prev_out + P_t dV + dP V_prev, as attentionOutputBatchInto on
+ * the caller's operands as one primed slab.
  */
 Int32Tensor attentionOutputDiff(const Int8Tensor &p,
                                 const Int8Tensor &prev_p,
@@ -114,19 +101,6 @@ Int32Tensor attentionOutputDiff(const Int8Tensor &p,
                                 const Int32Tensor &prev_out,
                                 OpCounts *counts = nullptr,
                                 DiffPolicy policy = DiffPolicy::Auto);
-
-/**
- * Batched difference-processed weighted sum, the P x V counterpart of
- * attentionScoresBatch: p is [slabs * tokens, tokens], v is
- * [slabs * tokens, d], the result [slabs * tokens, d].
- */
-Int32Tensor attentionOutputBatch(const Int8Tensor &p, const Int8Tensor &v,
-                                 int64_t slabs, const Int8Tensor *prev_p,
-                                 const Int8Tensor *prev_v,
-                                 const Int32Tensor *prev_out,
-                                 const uint8_t *primed,
-                                 OpCounts *counts = nullptr,
-                                 DiffPolicy policy = DiffPolicy::Auto);
 
 /**
  * attentionScoresBatchInto for the weighted sum: p stacks [rows, inner]
@@ -152,24 +126,16 @@ class CrossAttentionEngine
 
     Int32Tensor runDirect(const Int8Tensor &q) const;
 
+    /** S_t = prev + dQ' K'^T, as runBatchInto on one primed slab. */
     Int32Tensor runDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
                         const Int32Tensor &prev_scores,
                         OpCounts *counts = nullptr,
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Batched execution over `slabs` requests stacked along the query
-     * row dimension (DiffFcEngine::runBatch semantics: per-slab
-     * decisions, folded direct runs, one batched plan dispatch;
-     * bitwise identical to per-request calls).
+     * The one difference body, over `slabs` requests stacked along the
+     * query row dimension (DiffFcEngine::runBatchInto semantics).
      */
-    Int32Tensor runBatch(const Int8Tensor &q, int64_t slabs,
-                         const Int8Tensor *prev_q,
-                         const Int32Tensor *prev_scores,
-                         const uint8_t *primed, OpCounts *counts = nullptr,
-                         DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /** The one batched body behind runBatch (DiffFcEngine::runBatchInto). */
     void runBatchInto(const DiffOperand &q, int64_t rows, int64_t slabs,
                       const uint8_t *primed, int32_t *out, OpCounts *counts,
                       DiffPolicy policy, EngineScratch *scratch) const;

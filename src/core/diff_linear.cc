@@ -2,9 +2,10 @@
  * @file
  * Difference-processing engines for FC and convolution layers.
  *
- * runDiff routes through the sparse plan path: encode once (fused
- * subtract + classify), execute zero-skipping diff GEMM, accumulate
- * into the previous output. The dense execution is retained under
+ * runBatchInto is each engine's one sparse body: probe, encode once
+ * (fused subtract + classify), execute zero-skipping diff GEMM or
+ * scatter, accumulate into the previous output; runDiff runs it on a
+ * single request's tensors. The dense execution is retained under
  * naive:: for parity tests and baselines.
  */
 #include "core/diff_linear.h"
@@ -89,10 +90,13 @@ struct PenaltyModel
 };
 
 /**
- * Measure the penalty for one accumulation-row width: run the same
- * weight-stationary layer dense and through the sparse plan path on a
- * 50%-dense low-4 difference stream and compare wall-clock. The probe
- * is a few hundred thousand MACs — microseconds on any host.
+ * Measure the penalty for one accumulation-row width: time the direct
+ * and sparse-diff arms of the weight-stationary body serving runs
+ * (DiffFcEngine::runBatchInto, one slab unprimed vs primed) on a
+ * 50%-dense low-4 difference stream. The probe is a few hundred
+ * thousand MACs — microseconds on any host. It runs inside the
+ * process's first diffWorthIt call, which may sit in an engine body
+ * already using the calling thread's scratch, so it keeps its own.
  */
 double
 measuredPenalty(int64_t out_features)
@@ -110,32 +114,24 @@ measuredPenalty(int64_t out_features)
     Int8Tensor w(Shape{out_features, k});
     w.fillUniformInt(rng, -90, 90);
     const DiffFcEngine eng(std::move(w));
-    const Int32Tensor prev_out = eng.runDirect(prev);
+    const DiffOperand op{cur.data().data(), prev.data().data(), nullptr};
+    std::vector<int32_t> out(static_cast<size_t>(m * out_features));
+    EngineScratch scratch;
 
-    int64_t sink = 0;
-    auto bestOf = [&](auto &&fn) {
+    auto bestOf = [&](uint8_t primed) {
         double best = 1e300;
         for (int rep = 0; rep < 7; ++rep) {
             const auto t0 = Clock::now();
-            fn();
+            eng.runBatchInto(op, m, 1, &primed, out.data(), nullptr,
+                             DiffPolicy::ForceDiff, &scratch);
             const auto t1 = Clock::now();
             best = std::min(
                 best, std::chrono::duration<double>(t1 - t0).count());
         }
         return best;
     };
-    const double dense_s = bestOf([&] {
-        const Int32Tensor r = eng.runDirect(cur);
-        sink += r.at(0);
-    });
-    const double diff_s = bestOf([&] {
-        const Int32Tensor r = eng.runDiff(cur, prev, prev_out, nullptr,
-                                          DiffPolicy::ForceDiff);
-        sink += r.at(0);
-    });
-    // Keep the side effects alive without polluting the measurement.
-    if (sink == 0x7FFF'FFFF'FFFF'FFFF)
-        std::fprintf(stderr, "[ditto] penalty probe sink\n");
+    const double dense_s = bestOf(0);
+    const double diff_s = bestOf(1);
     if (dense_s <= 0.0 || diff_s <= 0.0)
         return 0.0; // degenerate clock: caller falls back to constants
     return std::clamp(diff_s / (density * dense_s), 1.05, 8.0);
@@ -228,16 +224,17 @@ DiffFcEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
 {
     DITTO_ASSERT(x.shape() == prev_x.shape(),
                  "fc diff input shape mismatch");
-    const int64_t out_features = weight_.shape()[0];
-    const DiffClassCounts probe = countTemporalDiffClasses(x, prev_x);
-    if (counts) {
-        // Every input element feeds out_features multiplies.
-        counts->merge(probeOpCounts(probe, out_features));
-    }
-    if (policy == DiffPolicy::Auto && !diffWorthIt(probe, out_features))
-        return runDirect(x);
-    const DiffGemmPlan plan = encodeTemporalDiff(x, prev_x);
-    return matmulDiffPlan(plan, weightT_, &prev_out);
+    DITTO_ASSERT(x.shape().rank() == 2 && x.shape()[1] == weight_.shape()[1],
+                 "fc input must be [rows, in_features]");
+    const int64_t rows = x.shape()[0];
+    const DiffOperand op{x.data().data(), prev_x.data().data(), nullptr};
+    return detail::runPrimed(
+        prev_out, Shape{rows, weight_.shape()[0]}, 1, counts,
+        [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
+            EngineScratch *scratch) {
+            runBatchInto(op, rows, 1, primed, out, slab_counts, policy,
+                         scratch);
+        });
 }
 
 DiffClassCounts
@@ -306,7 +303,7 @@ runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
     const int64_t slab_elems = slab_rows * in;
     const int64_t out_elems = slab_rows * out_features;
 
-    // Per-slab decisions, identical to runDiff's.
+    // Per-slab decisions.
     std::vector<uint8_t> &use_diff = scratch->useDiff;
     use_diff.assign(static_cast<size_t>(slabs), 0);
     if (anyPrimed(primed, slabs))
@@ -362,25 +359,6 @@ runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
 
 } // namespace detail
 
-Int32Tensor
-DiffFcEngine::runBatch(const Int8Tensor &x, int64_t slabs,
-                       const Int8Tensor *prev_x, const Int32Tensor *prev_out,
-                       const uint8_t *primed, OpCounts *counts,
-                       DiffPolicy policy) const
-{
-    DITTO_ASSERT(x.shape().rank() == 2, "batched fc input must be a matrix");
-    DITTO_ASSERT(!prev_x || prev_x->shape() == x.shape(),
-                 "batched fc previous state shape mismatch");
-    const DiffOperand op{x.data().data(),
-                         prev_x ? prev_x->data().data() : nullptr, nullptr};
-    return detail::batchIntoTensor(
-        Shape{x.shape()[0], weight_.shape()[0]}, prev_out, primed, slabs,
-        [&](int32_t *out, EngineScratch *scratch) {
-            runBatchInto(op, x.shape()[0], slabs, primed, out, counts,
-                         policy, scratch);
-        });
-}
-
 void
 DiffFcEngine::runBatchInto(const DiffOperand &x, int64_t rows, int64_t slabs,
                            const uint8_t *primed, int32_t *out,
@@ -432,66 +410,22 @@ DiffConvEngine::runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
 {
     DITTO_ASSERT(x.shape() == prev_x.shape(),
                  "conv diff input shape mismatch");
-    DITTO_ASSERT(x.shape().rank() == 4, "conv diff input must be NCHW");
+    DITTO_ASSERT(x.shape().rank() == 4 &&
+                     x.shape()[1] == params_.inChannels,
+                 "conv diff input must be NCHW with the engine's channels");
     const int64_t batches = x.shape()[0];
-    const int64_t cin = x.shape()[1];
     const int64_t h = x.shape()[2];
     const int64_t w = x.shape()[3];
-    const int64_t oh = params_.outExtent(h);
-    const int64_t ow = params_.outExtent(w);
-    const int64_t cout = weight_.shape()[0];
-    // Each input element is touched by roughly
-    // out_channels * k * k / stride^2 multiplies; use the exact
-    // average macs / input elements for the tally weight (same
-    // convention as the dense reference and the BOPs model).
-    const int64_t per_elem = std::max<int64_t>(
-        1, cout * params_.kernel * params_.kernel /
-               (params_.stride * params_.stride));
-
-    const DiffClassCounts probe = countTemporalDiffClasses(x, prev_x);
-    if (counts)
-        counts->merge(probeOpCounts(probe, per_elem));
-    // The interior fast path accumulates kernel*cout-wide rows; use
-    // that as the amortization width for the cost model.
-    if (policy == DiffPolicy::Auto &&
-        !diffWorthIt(probe, params_.kernel * cout))
-        return runDirect(x);
-
-    // The raw [Cin, H*W] difference slab is encoded per batch — no
-    // im2col expansion — and scattered through the cached transposed
-    // weights into a pixel-major delta; slabs execute through the
-    // batched scatter so multi-batch tensors parallelize across slabs.
-    std::vector<DiffGemmPlan> plans;
-    plans.reserve(static_cast<size_t>(batches));
-    for (int64_t b = 0; b < batches; ++b)
-        plans.push_back(encodeTemporalDiffRegion(x, prev_x,
-                                                 b * cin * h * w, cin,
-                                                 h * w));
-    const Int32Tensor delta =
-        convDeltaDiffPlanBatch(plans, wmatT_, wrevT_, params_, h, w);
-    return addConvDeltaInt32(prev_out, delta);
-}
-
-Int32Tensor
-DiffConvEngine::runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
-                         const Int32Tensor *prev_out, const uint8_t *primed,
-                         OpCounts *counts, DiffPolicy policy) const
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "conv batch input must be NCHW");
-    DITTO_ASSERT(!prev_x || prev_x->shape() == x.shape(),
-                 "batched conv previous state shape mismatch");
-    const DiffOperand op{x.data().data(),
-                         prev_x ? prev_x->data().data() : nullptr, nullptr};
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    const Shape out_shape{x.shape()[0], weight_.shape()[0],
-                          params_.outExtent(h), params_.outExtent(w)};
+    const Shape out_shape{batches, weight_.shape()[0], params_.outExtent(h),
+                          params_.outExtent(w)};
     std::vector<int32_t> delta(static_cast<size_t>(out_shape.numel()));
-    return detail::batchIntoTensor(
-        out_shape, prev_out, primed, x.shape()[0],
-        [&](int32_t *out, EngineScratch *scratch) {
-            runBatchInto(op, x.shape()[0], h, w, primed, out, delta.data(),
-                         counts, policy, scratch);
+    const DiffOperand op{x.data().data(), prev_x.data().data(), nullptr};
+    return detail::runPrimed(
+        prev_out, out_shape, batches, counts,
+        [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
+            EngineScratch *scratch) {
+            runBatchInto(op, batches, h, w, primed, out, delta.data(),
+                         slab_counts, policy, scratch);
         });
 }
 
@@ -507,11 +441,17 @@ DiffConvEngine::runBatchInto(const DiffOperand &x, int64_t batches,
     const int64_t cout = weight_.shape()[0];
     const int64_t slab_elems = cin * h * w;
     const int64_t out_elems = cout * oh * ow;
+    // Each input element is touched by roughly
+    // out_channels * k * k / stride^2 multiplies; use the exact
+    // average macs / input elements for the tally weight (same
+    // convention as the dense reference and the BOPs model).
     const int64_t per_elem = std::max<int64_t>(
         1, cout * params_.kernel * params_.kernel /
                (params_.stride * params_.stride));
 
-    // Per-slab decisions, identical to a single-batch runDiff.
+    // Per-slab decisions. The interior fast path accumulates
+    // kernel*cout-wide rows; that is the cost model's amortization
+    // width.
     std::vector<uint8_t> &use_diff = scratch->useDiff;
     use_diff.assign(static_cast<size_t>(batches), 0);
     if (anyPrimed(primed, batches))

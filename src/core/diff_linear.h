@@ -18,8 +18,10 @@
  * Since the sparse diff-GEMM refactor the engines realize that speedup
  * in software too: the difference operand is classified once by the
  * software Encoding Unit (quant/encoder.h) into a panel plan that the
- * plan-driven ops.h entry points execute, skipping zero values and
- * reading 4-bit values from packed nibble panels. The previous dense
+ * plan-driven kernels (tensor/diff_gemm.h) execute, skipping zero
+ * values and reading 4-bit values from packed nibble panels. Each
+ * engine has one such body, runBatchInto, over a stack of request
+ * slabs; runDiff runs it on one request's tensors. The previous dense
  * execution (full int16 GEMM over the difference) is retained under
  * ditto::naive as the reference the sparse path is parity-tested
  * against.
@@ -103,8 +105,11 @@ struct OpCounts
  *  - Auto: revert to direct execution when the probe predicts the
  *    diff path is more expensive. Results are bitwise identical either
  *    way (the distributive identity is exact), so reversion changes
- *    wall-clock only; the decision is a pure function of the codes,
- *    never of timers or thread counts.
+ *    wall-clock only. The decision weighs the codes' class counts
+ *    against diffMacPenalty, which is DITTO_DIFF_MAC_PENALTY when set
+ *    and otherwise a start-up timing probe's measurement — so without
+ *    the override it can differ between hosts, processes and pool
+ *    sizes.
  *  - ForceDiff: always run the sparse plan path (parity tests,
  *    kernel benchmarks).
  */
@@ -117,8 +122,10 @@ enum class DiffPolicy
 /**
  * Software Defo cost model: per-MAC penalty of the sparse diff path
  * relative to the dense blocked GEMM, as a function of the
- * accumulation row width n. Wide rows amortize the per-entry decode
- * and read-modify-write overhead (~1.3x); narrow rows do not (~3x).
+ * accumulation row width n (wide: n >= 64). DITTO_DIFF_MAC_PENALTY
+ * sets it; otherwise the first call times the direct and diff arms of
+ * DiffFcEngine::runBatchInto at both widths, falling back to 1.3x /
+ * 3x when the clock is degenerate.
  * Predicted sparse cost = nonzero_fraction * penalty * dense cost.
  */
 double diffMacPenalty(int64_t n);
@@ -175,7 +182,7 @@ struct DiffOperand
  * (encodeTemporalDiffInto), so after the first call of a given shape
  * an engine call allocates nothing. A forward pass takes it from its
  * workspace (runtime/workspace.h) and hands it from node to node; the
- * Tensor-returning entry points use the calling thread's own.
+ * Tensor-returning runDiff wrappers use the calling thread's own.
  */
 struct EngineScratch
 {
@@ -207,6 +214,34 @@ bool anyPrimed(const uint8_t *primed, int64_t slabs);
 /** The calling thread's engine scratch (Tensor-returning wrappers). */
 EngineScratch &threadEngineScratch();
 
+namespace detail {
+
+/**
+ * Run a single-request difference call through its op's batched body:
+ * `body(out, primed, counts, scratch)` accumulates `slabs` primed slabs
+ * into a copy of `prev_out` (checked against the result shape) on the
+ * calling thread's scratch; the per-slab tallies merge into `counts`.
+ */
+template <typename Body>
+Int32Tensor
+runPrimed(const Int32Tensor &prev_out, const Shape &out_shape,
+          int64_t slabs, OpCounts *counts, Body &&body)
+{
+    DITTO_ASSERT(prev_out.shape() == out_shape,
+                 "previous output shape mismatch");
+    Int32Tensor out = prev_out;
+    const std::vector<uint8_t> primed(static_cast<size_t>(slabs), 1);
+    std::vector<OpCounts> slab_counts(counts ? static_cast<size_t>(slabs)
+                                             : 0);
+    body(out.data().data(), primed.data(),
+         counts ? slab_counts.data() : nullptr, &threadEngineScratch());
+    for (const OpCounts &c : slab_counts)
+        counts->merge(c);
+    return out;
+}
+
+} // namespace detail
+
 /**
  * Fully-connected layer with temporal difference processing.
  *
@@ -222,7 +257,8 @@ class DiffFcEngine
     Int32Tensor runDirect(const Int8Tensor &x) const;
 
     /**
-     * Difference execution: y_t = prev_out + W (x - prev_x).
+     * Difference execution: y_t = prev_out + W (x - prev_x), as
+     * runBatchInto on the caller's tensors as one primed slab.
      *
      * @param x current-step input codes.
      * @param prev_x previous-step input codes.
@@ -237,42 +273,24 @@ class DiffFcEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Batched execution over `slabs` requests stacked along the row
-     * dimension: x is [slabs * rows, in]; slab s covers rows
-     * [s * rows, (s+1) * rows). Per slab the engine makes exactly the
-     * single-request decision — direct when the slab is unprimed
-     * (primed[s] == 0) or its probe reverts, sparse diff otherwise —
-     * and executes it through batch-folded kernels: contiguous direct
-     * runs become one row-folded GEMM, diff slabs one batched plan
-     * dispatch. Bitwise identical to per-request runDirect/runDiff at
-     * any thread count and batch size.
-     *
-     * @param prev_x stacked previous codes (may be null when no slab
-     *        is primed).
-     * @param prev_out stacked previous outputs (same condition).
-     * @param primed per-slab flags; unprimed slabs run direct and do
-     *        not touch counts.
-     * @param counts per-slab tallies (array of `slabs`, or null).
-     */
-    Int32Tensor runBatch(const Int8Tensor &x, int64_t slabs,
-                         const Int8Tensor *prev_x,
-                         const Int32Tensor *prev_out,
-                         const uint8_t *primed, OpCounts *counts = nullptr,
-                         DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
-     * The one batched body (runBatch is a Tensor wrapper over it), on
-     * caller-owned buffers: `x` stacks `rows` code rows of `slabs`
-     * equal slabs with either stored previous codes or a difference
-     * the producer handed over (DiffOperand) — the graph runtime hands
-     * it over when the dependency analysis says the producer's output
-     * is already a difference, so this layer stores no previous input
-     * codes. Probes, plans, tallies and Defo decisions are bitwise
-     * identical either way. `out` [rows, out_features] holds every
-     * primed slab's previous output on entry — the flipped Ditto state
-     * accumulates in place. Direct slabs (unprimed or reverted)
-     * overwrite their region; diff slabs add W * dx to it. Unprimed
-     * slabs never read their difference region.
+     * The one difference body, on caller-owned buffers: `x` stacks
+     * `rows` code rows of `slabs` equal slabs (slab s covers rows
+     * [s * rows / slabs, (s+1) * rows / slabs)) with either stored
+     * previous codes or a difference the producer handed over
+     * (DiffOperand) — the graph runtime hands it over when the
+     * dependency analysis says the producer's output is already a
+     * difference, so this layer stores no previous input codes.
+     * Probes, plans, tallies and Defo decisions are bitwise identical
+     * either way. Per slab the engine runs direct when the slab is
+     * unprimed (primed[s] == 0) or its probe reverts, sparse diff
+     * otherwise: contiguous direct runs become one row-folded GEMM,
+     * diff slabs one batched plan dispatch. `out` [rows, out_features]
+     * holds every primed slab's previous output on entry — the flipped
+     * Ditto state accumulates in place. Direct slabs overwrite their
+     * region; diff slabs add W * dx to it. Unprimed slabs never read
+     * their difference region and do not touch `counts` (per-slab
+     * tallies, array of `slabs`, or null). Bitwise identical at any
+     * thread count and batch size.
      */
     void runBatchInto(const DiffOperand &x, int64_t rows, int64_t slabs,
                       const uint8_t *primed, int32_t *out, OpCounts *counts,
@@ -295,13 +313,8 @@ class DiffConvEngine
     Int32Tensor runDirect(const Int8Tensor &x) const;
 
     /**
-     * Difference execution: y_t = prev_out + conv(x - prev_x).
-     *
-     * The raw difference is encoded per batch slab and scattered
-     * through the kernel windows (kernels::convDiffScatter); `counts`
-     * classifies each input element once, charged the average
-     * out_channels * k * k / stride^2 multiplies — the same convention
-     * as the dense reference and the BOPs model.
+     * Difference execution: y_t = prev_out + conv(x - prev_x), as
+     * runBatchInto with every batch of the NCHW x a primed slab.
      */
     Int32Tensor runDiff(const Int8Tensor &x, const Int8Tensor &prev_x,
                         const Int32Tensor &prev_out,
@@ -309,27 +322,20 @@ class DiffConvEngine
                         DiffPolicy policy = DiffPolicy::Auto) const;
 
     /**
-     * Batched execution over the batch dimension of a stacked NCHW
-     * input: slab b is x[b]. Per-slab decisions exactly as runDiff
-     * makes them for a single-batch tensor; direct runs fold into
-     * batched convolutions, diff slabs into one batched scatter
-     * dispatch (slab-parallel — including the 1x1 fast path that is
-     * serial per slab in runDiff). Bitwise identical to per-request
-     * execution at any thread count and batch size.
-     */
-    Int32Tensor runBatch(const Int8Tensor &x, const Int8Tensor *prev_x,
-                         const Int32Tensor *prev_out, const uint8_t *primed,
-                         OpCounts *counts = nullptr,
-                         DiffPolicy policy = DiffPolicy::Auto) const;
-
-    /**
-     * The one batched body behind runBatch (DiffFcEngine::runBatchInto
-     * semantics): `batches` stacked [Cin, h, w] slabs of codes, `out`
-     * the stacked [batches, Cout, OH, OW] accumulator holding each
-     * primed slab's previous output on entry. `delta` is caller
-     * scratch of at least `batches` x Cout*OH*OW elements for the diff
-     * slabs' scattered deltas (contents unspecified on entry; the
-     * graph runtime plans it in its arena).
+     * The one difference body (DiffFcEngine::runBatchInto semantics):
+     * `batches` stacked [Cin, h, w] slabs of codes, `out` the stacked
+     * [batches, Cout, OH, OW] accumulator holding each primed slab's
+     * previous output on entry. Direct runs fold into batched
+     * convolutions; each diff slab's raw [Cin, h*w] difference is
+     * encoded (no im2col expansion) and all of them scatter through
+     * the kernel windows in one slab-parallel dispatch
+     * (kernels::convDiffScatterBatch). `counts` classifies each input
+     * element once, charged the average out_channels * k * k / stride^2
+     * multiplies — the same convention as the dense reference and the
+     * BOPs model. `delta` is caller scratch of at least `batches` x
+     * Cout*OH*OW elements for the diff slabs' scattered deltas
+     * (contents unspecified on entry; the graph runtime plans it in
+     * its arena).
      */
     void runBatchInto(const DiffOperand &x, int64_t batches, int64_t h,
                       int64_t w, const uint8_t *primed, int32_t *out,
@@ -348,12 +354,11 @@ class DiffConvEngine
 namespace detail {
 
 /**
- * Shared batched weight-stationary execution (DiffFcEngine and
+ * Shared weight-stationary body (DiffFcEngine and
  * CrossAttentionEngine, stored codes or handed-over difference alike):
- * per-slab probe/decide exactly like the single-request runDiff, then
- * contiguous direct runs as one row-folded GEMM and all diff slabs as
- * one batched plan dispatch accumulating into `out` in place. Bitwise
- * identical to per-slab runDirect/runDiff calls.
+ * per-slab probe and Defo decision, then contiguous direct runs as one
+ * row-folded GEMM and all diff slabs as one batched plan dispatch
+ * accumulating into `out` in place.
  */
 void runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
                                   int64_t slabs, const uint8_t *primed,
@@ -362,26 +367,6 @@ void runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
                                   const Int8Tensor &weight,
                                   const Int8Tensor &weight_t,
                                   EngineScratch *scratch);
-
-/**
- * Run a Tensor-level batched call through an Into body: the result
- * starts as a copy of `prev_out` (zeros when absent) and `body` fills
- * it in place with the calling thread's scratch.
- */
-template <typename Body>
-Int32Tensor
-batchIntoTensor(const Shape &out_shape, const Int32Tensor *prev_out,
-                const uint8_t *primed, int64_t slabs, Body &&body)
-{
-    bool any_primed = false;
-    for (int64_t s = 0; primed && s < slabs; ++s)
-        any_primed |= primed[s] != 0;
-    DITTO_ASSERT(!any_primed || (prev_out && prev_out->shape() == out_shape),
-                 "primed slabs need a previous output of the result shape");
-    Int32Tensor out = any_primed ? *prev_out : Int32Tensor(out_shape);
-    body(out.data().data(), &threadEngineScratch());
-    return out;
-}
 
 } // namespace detail
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * MiniUnet implementation.
+ * The hand-wired MiniUnet parity reference (design notes in
+ * legacy_unet.h).
  */
 #include "core/legacy_unet.h"
 
@@ -10,7 +11,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "tensor/slab.h"
 #include "trace/calibrate.h"
 
 namespace ditto {
@@ -122,84 +122,7 @@ tokensToNchw(const FloatTensor &t, int64_t h, int64_t w)
     return out;
 }
 
-/**
- * Stacked NCHW (B,C,H,W) -> stacked token matrix [B*H*W, C]; slab b
- * holds exactly nchwToTokens of request b's feature map.
- */
-FloatTensor
-nchwToTokensBatch(const FloatTensor &x)
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "expected NCHW feature maps");
-    const int64_t bsz = x.shape()[0];
-    const int64_t c = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    FloatTensor out(Shape{bsz * h * w, c});
-    for (int64_t b = 0; b < bsz; ++b)
-        for (int64_t ci = 0; ci < c; ++ci)
-            for (int64_t y = 0; y < h; ++y)
-                for (int64_t xw = 0; xw < w; ++xw)
-                    out.at((b * h + y) * w + xw, ci) = x.at(b, ci, y, xw);
-    return out;
-}
-
-/** Stacked token matrix [B*H*W, C] -> stacked NCHW (B,C,H,W). */
-FloatTensor
-tokensToNchwBatch(const FloatTensor &t, int64_t bsz, int64_t h, int64_t w)
-{
-    DITTO_ASSERT(t.shape().rank() == 2 && t.shape()[0] == bsz * h * w,
-                 "token count mismatch");
-    const int64_t c = t.shape()[1];
-    FloatTensor out(Shape{bsz, c, h, w});
-    for (int64_t b = 0; b < bsz; ++b)
-        for (int64_t ci = 0; ci < c; ++ci)
-            for (int64_t y = 0; y < h; ++y)
-                for (int64_t xw = 0; xw < w; ++xw)
-                    out.at(b, ci, y, xw) = t.at((b * h + y) * w + xw, ci);
-    return out;
-}
-
 } // namespace
-
-void
-HandWiredMiniUnet::BatchDittoState::appendSlabs(int64_t count)
-{
-    DITTO_ASSERT(count > 0, "appendSlabs needs a positive count");
-    const int64_t b = batch();
-    if (b > 0) {
-        // Empty slots are not materialized yet; the first forward
-        // sizes them to the then-current batch.
-        for (Int8Tensor &t : prevIn)
-            if (t.numel() > 0)
-                t = slab::appended(t, b, count);
-        for (Int32Tensor &t : prevOut)
-            if (t.numel() > 0)
-                t = slab::appended(t, b, count);
-    }
-    primed.insert(primed.end(), static_cast<size_t>(count), 0);
-}
-
-void
-HandWiredMiniUnet::BatchDittoState::removeSlab(int64_t i)
-{
-    const int64_t b = batch();
-    DITTO_ASSERT(i >= 0 && i < b, "removeSlab index out of range");
-    if (b == 1) {
-        // Last request leaving: drop the state wholesale so tensor
-        // shapes never hit a zero dimension.
-        prevIn.clear();
-        prevOut.clear();
-        primed.clear();
-        return;
-    }
-    for (Int8Tensor &t : prevIn)
-        if (t.numel() > 0)
-            t = slab::removed(t, b, i);
-    for (Int32Tensor &t : prevOut)
-        if (t.numel() > 0)
-            t = slab::removed(t, b, i);
-    primed.erase(primed.begin() + i);
-}
 
 HandWiredMiniUnet::HandWiredMiniUnet(MiniUnetConfig cfg) : cfg_(cfg)
 {
@@ -584,193 +507,6 @@ HandWiredMiniUnet::forwardQuant(const FloatTensor &x, bool use_ditto,
     return eps;
 }
 
-/**
- * Batched mirror of forwardQuant: activations stay stacked
- * ([B, C, H, W] feature maps, [B*tokens, C] token matrices) through
- * every layer, the persistent engines run their batched entry points
- * with per-slab primed flags and Defo decisions, and the Ditto state
- * slots hold the stacked tensors wholesale. Every per-element
- * computation — quantize, dequantize, norms, softmax, every GEMM row
- * and conv slab — is the single-request arithmetic on that request's
- * slab, which is what makes batched rollouts bitwise identical to
- * sequential ones.
- *
- * forwardQuant is deliberately NOT routed through this path with
- * B = 1: it stays an independent implementation so the
- * batched-vs-sequential parity suite (tests/test_serve.cc) checks a
- * real cross-implementation invariant rather than a tautology — the
- * same role the naive:: references play for the fast kernels. A layer
- * added to one forward must be added to both; the parity tests fail
- * loudly on any divergence.
- */
-FloatTensor
-HandWiredMiniUnet::forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                            BatchDittoState *state, OpCounts *counts) const
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "batched input must be NCHW");
-    const int64_t bsz = x.shape()[0];
-    DITTO_ASSERT(!use_ditto || state != nullptr,
-                 "Ditto mode needs persistent batch state");
-    DITTO_ASSERT(!use_ditto || state->batch() == bsz,
-                 "batch state size mismatch");
-    const int64_t c = cfg_.channels;
-    const int64_t res = cfg_.resolution;
-    const float inv_sqrt_c = 1.0f / std::sqrt(static_cast<float>(c));
-    if (use_ditto && state->prevIn.empty()) {
-        state->prevIn.resize(kNumInSlots);
-        state->prevOut.resize(kNumOutSlots);
-    }
-    const uint8_t *primed = use_ditto ? state->primed.data() : nullptr;
-
-    // Previous-state slot pointer, or null while nothing is primed
-    // (the engines only dereference state for primed slabs).
-    auto prev_in = [&](InSlot slot) -> const Int8Tensor * {
-        return use_ditto && state->prevIn[slot].numel() > 0
-                   ? &state->prevIn[slot]
-                   : nullptr;
-    };
-    auto prev_out = [&](OutSlot slot) -> const Int32Tensor * {
-        return use_ditto && state->prevOut[slot].numel() > 0
-                   ? &state->prevOut[slot]
-                   : nullptr;
-    };
-
-    // Weight-stationary convolution over the stacked batch.
-    auto run_conv = [&](const DiffConvEngine &eng, const QuantWeight &w,
-                        const FloatTensor &in, int scale_idx,
-                        InSlot in_slot, OutSlot out_slot) {
-        const QuantParams qp{actScale_[scale_idx], 8};
-        Int8Tensor codes = quantize(in, qp);
-        Int32Tensor acc =
-            eng.runBatch(codes, prev_in(in_slot), prev_out(out_slot),
-                         primed, counts);
-        if (use_ditto) {
-            state->prevIn[in_slot] = std::move(codes);
-            state->prevOut[out_slot] = std::move(acc);
-            return dequantizeAccum(state->prevOut[out_slot],
-                                   qp.scale * w.scale);
-        }
-        return dequantizeAccum(acc, qp.scale * w.scale);
-    };
-    // Weight-stationary FC over the stacked token rows.
-    auto run_fc = [&](const DiffFcEngine &eng, const QuantWeight &w,
-                      const FloatTensor &in, int scale_idx, InSlot in_slot,
-                      OutSlot out_slot) {
-        const QuantParams qp{actScale_[scale_idx], 8};
-        Int8Tensor codes = quantize(in, qp);
-        Int32Tensor acc =
-            eng.runBatch(codes, bsz, prev_in(in_slot), prev_out(out_slot),
-                         primed, counts);
-        if (use_ditto) {
-            state->prevIn[in_slot] = std::move(codes);
-            state->prevOut[out_slot] = std::move(acc);
-            return dequantizeAccum(state->prevOut[out_slot],
-                                   qp.scale * w.scale);
-        }
-        return dequantizeAccum(acc, qp.scale * w.scale);
-    };
-
-    const FloatTensor h0 = run_conv(*eConvIn_, qConvIn_, x, kScaleConvIn,
-                                    kInConvIn, kOutConvIn);
-
-    // Residual block.
-    FloatTensor a = silu(groupNorm(h0, 2));
-    a = run_conv(*eRes1_, qRes1_, a, kScaleRes1, kInRes1, kOutRes1);
-    a = silu(groupNorm(a, 2));
-    a = run_conv(*eRes2_, qRes2_, a, kScaleRes2, kInRes2, kOutRes2);
-    const FloatTensor h1 = add(h0, a);
-
-    // Self attention: stacked token matrices, per-slab attention.
-    FloatTensor g = groupNorm(h1, 2);
-    const FloatTensor qf = nchwToTokensBatch(run_conv(
-        *eAttnQ_, qAttnQ_, g, kScaleAttnIn, kInAttnQ, kOutAttnQ));
-    const FloatTensor kf = nchwToTokensBatch(run_conv(
-        *eAttnK_, qAttnK_, g, kScaleAttnIn, kInAttnK, kOutAttnK));
-    const FloatTensor vf = nchwToTokensBatch(run_conv(
-        *eAttnV_, qAttnV_, g, kScaleAttnIn, kInAttnV, kOutAttnV));
-
-    const QuantParams qpq{actScale_[kScaleAttnQ], 8};
-    const QuantParams qpk{actScale_[kScaleAttnK], 8};
-    Int8Tensor q_codes = quantize(qf, qpq);
-    Int8Tensor k_codes = quantize(kf, qpk);
-    Int32Tensor s_acc = attentionScoresBatch(
-        q_codes, k_codes, bsz, prev_in(kInQkQ), prev_in(kInQkK),
-        prev_out(kOutQk), primed, counts);
-    if (use_ditto) {
-        state->prevIn[kInQkQ] = std::move(q_codes);
-        state->prevIn[kInQkK] = std::move(k_codes);
-        state->prevOut[kOutQk] = std::move(s_acc);
-    }
-    const Int32Tensor &s_ref = use_ditto ? state->prevOut[kOutQk] : s_acc;
-    FloatTensor s = dequantizeAccum(s_ref, qpq.scale * qpk.scale);
-    s = affine(s, inv_sqrt_c, 0.0f);
-    const FloatTensor prob = softmaxRows(s);
-
-    const QuantParams qpp{actScale_[kScaleAttnP], 8};
-    const QuantParams qpv{actScale_[kScaleAttnV], 8};
-    Int8Tensor p_codes = quantize(prob, qpp);
-    Int8Tensor v_codes = quantize(vf, qpv);
-    Int32Tensor o_acc = attentionOutputBatch(
-        p_codes, v_codes, bsz, prev_in(kInPvP), prev_in(kInPvV),
-        prev_out(kOutPv), primed, counts);
-    if (use_ditto) {
-        state->prevIn[kInPvP] = std::move(p_codes);
-        state->prevIn[kInPvV] = std::move(v_codes);
-        state->prevOut[kOutPv] = std::move(o_acc);
-    }
-    const FloatTensor o = dequantizeAccum(
-        use_ditto ? state->prevOut[kOutPv] : o_acc, qpp.scale * qpv.scale);
-
-    const FloatTensor proj = run_conv(
-        *eAttnProj_, qAttnProj_, tokensToNchwBatch(o, bsz, res, res),
-        kScaleProj, kInProj, kOutProj);
-    const FloatTensor h2 = add(h1, proj);
-
-    // Cross attention: weight-stationary engines, batched.
-    const FloatTensor tok = nchwToTokensBatch(h2);
-    const FloatTensor q2 = run_fc(*eCrossQ_, qCrossQ_, tok, kScaleCrossIn,
-                                  kInCrossQ, kOutCrossQ);
-    const QuantParams qpq2{actScale_[kScaleCrossQ], 8};
-    Int8Tensor q2_codes = quantize(q2, qpq2);
-    Int32Tensor s2_acc =
-        eCrossQk_->runBatch(q2_codes, bsz, prev_in(kInCrossQkQ),
-                            prev_out(kOutCrossQk), primed, counts);
-    if (use_ditto) {
-        state->prevIn[kInCrossQkQ] = std::move(q2_codes);
-        state->prevOut[kOutCrossQk] = std::move(s2_acc);
-    }
-    FloatTensor s2 = dequantizeAccum(
-        use_ditto ? state->prevOut[kOutCrossQk] : s2_acc,
-        qpq2.scale * qCrossKConst_.scale);
-    s2 = affine(s2, inv_sqrt_c, 0.0f);
-    const FloatTensor prob2 = softmaxRows(s2);
-
-    const QuantParams qpp2{actScale_[kScaleCrossP], 8};
-    Int8Tensor p2_codes = quantize(prob2, qpp2);
-    Int32Tensor o2_acc =
-        eCrossPv_->runBatch(p2_codes, bsz, prev_in(kInCrossPvP),
-                            prev_out(kOutCrossPv), primed, counts);
-    if (use_ditto) {
-        state->prevIn[kInCrossPvP] = std::move(p2_codes);
-        state->prevOut[kOutCrossPv] = std::move(o2_acc);
-    }
-    const FloatTensor o2 = dequantizeAccum(
-        use_ditto ? state->prevOut[kOutCrossPv] : o2_acc,
-        qpp2.scale * qCrossVConst_.scale);
-
-    const FloatTensor co = run_fc(*eCrossOut_, qCrossOut_, o2, kScaleCrossO,
-                                  kInCrossOut, kOutCrossOut);
-    const FloatTensor h3 = add(h2, tokensToNchwBatch(co, bsz, res, res));
-
-    FloatTensor out = silu(groupNorm(h3, 2));
-    const FloatTensor eps = run_conv(*eConvOut_, qConvOut_, out,
-                                     kScaleConvOut, kInConvOut,
-                                     kOutConvOut);
-    if (use_ditto)
-        std::fill(state->primed.begin(), state->primed.end(), 1);
-    return eps;
-}
-
 FloatTensor
 HandWiredMiniUnet::forward(const FloatTensor &x, RunMode mode, DittoState *state,
                   OpCounts *counts) const
@@ -782,43 +518,6 @@ HandWiredMiniUnet::forward(const FloatTensor &x, RunMode mode, DittoState *state
         return forwardQuant(x, /*use_ditto=*/false, nullptr, nullptr);
       case RunMode::QuantDitto:
         return forwardQuant(x, /*use_ditto=*/true, state, counts);
-      case RunMode::ApproxDitto:
-        DITTO_FATAL("ApproxDitto is a graph-runtime mode; the "
-                    "hand-wired parity reference only runs the exact "
-                    "modes");
-    }
-    DITTO_PANIC("unknown RunMode");
-}
-
-FloatTensor
-HandWiredMiniUnet::forwardBatch(const FloatTensor &x, RunMode mode,
-                       BatchDittoState *state, OpCounts *counts) const
-{
-    switch (mode) {
-      case RunMode::Fp32: {
-        // FP32 has no quantized state to batch; run per slab (the
-        // serving layer only batches the quantized modes).
-        DITTO_ASSERT(x.shape().rank() == 4, "batched input must be NCHW");
-        const int64_t bsz = x.shape()[0];
-        const int64_t ch = x.shape()[1];
-        const int64_t h = x.shape()[2];
-        const int64_t w = x.shape()[3];
-        FloatTensor out(x.shape());
-        for (int64_t b = 0; b < bsz; ++b) {
-            FloatTensor slab(Shape{1, ch, h, w});
-            std::copy(x.data().begin() + b * ch * h * w,
-                      x.data().begin() + (b + 1) * ch * h * w,
-                      slab.data().begin());
-            const FloatTensor eps = forwardFp32(slab);
-            std::copy(eps.data().begin(), eps.data().end(),
-                      out.data().begin() + b * ch * h * w);
-        }
-        return out;
-      }
-      case RunMode::QuantDirect:
-        return forwardQuantBatch(x, /*use_ditto=*/false, nullptr, nullptr);
-      case RunMode::QuantDitto:
-        return forwardQuantBatch(x, /*use_ditto=*/true, state, counts);
       case RunMode::ApproxDitto:
         DITTO_FATAL("ApproxDitto is a graph-runtime mode; the "
                     "hand-wired parity reference only runs the exact "
@@ -882,44 +581,6 @@ HandWiredMiniUnet::requestNoise(uint64_t seed) const
     FloatTensor noise(noiseInit_.shape());
     noise.fillNormal(rng, 0.0, 1.0);
     return noise;
-}
-
-std::vector<RolloutResult>
-HandWiredMiniUnet::rolloutBatch(RunMode mode,
-                       std::span<const FloatTensor> noises) const
-{
-    const int64_t bsz = static_cast<int64_t>(noises.size());
-    if (bsz == 0)
-        return {};
-    const int64_t slab = noiseInit_.numel();
-    FloatTensor x(Shape{bsz, cfg_.inChannels, cfg_.resolution,
-                        cfg_.resolution});
-    for (int64_t b = 0; b < bsz; ++b) {
-        DITTO_ASSERT(noises[b].shape() == noiseInit_.shape(),
-                     "rolloutBatch noise shape mismatch");
-        std::copy(noises[b].data().begin(), noises[b].data().end(),
-                  x.data().begin() + b * slab);
-    }
-
-    BatchDittoState state;
-    state.primed.assign(static_cast<size_t>(bsz), 0);
-    std::vector<OpCounts> counts(static_cast<size_t>(bsz));
-    for (int t = 0; t < cfg_.steps; ++t) {
-        const FloatTensor eps = forwardBatch(x, mode, &state, counts.data());
-        x = add(x, affine(eps, -0.15f, 0.0f));
-    }
-
-    std::vector<RolloutResult> results(static_cast<size_t>(bsz));
-    for (int64_t b = 0; b < bsz; ++b) {
-        RolloutResult &r = results[static_cast<size_t>(b)];
-        r.finalImage = FloatTensor(noiseInit_.shape());
-        std::copy(x.data().begin() + b * slab,
-                  x.data().begin() + (b + 1) * slab,
-                  r.finalImage.data().begin());
-        r.dittoOps = counts[static_cast<size_t>(b)];
-        r.totalMacsPerStep = macsPerStep(cfg_);
-    }
-    return results;
 }
 
 } // namespace ditto

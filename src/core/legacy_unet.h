@@ -4,15 +4,16 @@
  *
  * This is the original manually-routed implementation of the MiniUnet
  * slice — every layer explicitly wired through its
- * DiffConvEngine/DiffFcEngine/CrossAttentionEngine, with its own
- * calibration and batched forward. Since the graph-compiled execution
- * API landed, MiniUnet itself is a thin wrapper over
- * runtime/compiled.h; this implementation is deliberately retained as
- * an *independent* reference (the same role ditto::naive plays for
- * the fast kernels): the golden parity suite in tests/test_runtime.cc
- * asserts the compiled MiniUnet preset reproduces it bit for bit in
- * every mode, batch size and thread count. A layer added to the
- * preset must be added here too; the suite fails loudly on any
+ * DiffConvEngine/DiffFcEngine/CrossAttentionEngine single-request
+ * entry points, with its own calibration. The MiniUnet itself is the
+ * miniUnetSpec preset compiled by runtime/compiled.h; this
+ * implementation is deliberately retained as an *independent*
+ * reference (the same role ditto::naive plays for the fast kernels):
+ * the golden parity suite in tests/test_runtime.cc asserts the
+ * compiled preset reproduces it bit for bit in every mode, batch size
+ * and thread count. It has one executor — a batch of compiled slabs is
+ * checked against one hand-wired rollout per slab — so a layer added
+ * to the preset is written here once; the suite fails loudly on any
  * divergence.
  */
 #ifndef DITTO_CORE_LEGACY_UNET_H
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/attention_diff.h"
@@ -89,77 +89,6 @@ class HandWiredMiniUnet
         bool primed = false;
     };
 
-    /**
-     * Per-layer state for a *batch* of concurrent Ditto requests:
-     * every DittoState slot holds the requests' tensors stacked along
-     * the batch (NCHW) or row (token-matrix) dimension, with one
-     * primed flag per batch slab. Slab b of every slot always belongs
-     * to the same request; the serving layer keeps the request ->
-     * slab mapping and edits the batch with appendSlab/removeSlab when
-     * requests join or finish, so requests at different timesteps can
-     * share a batch (a freshly joined slab is simply unprimed and runs
-     * its first step direct, exactly like a fresh DittoState).
-     */
-    struct BatchDittoState
-    {
-        std::vector<Int8Tensor> prevIn;   //!< stacked previous codes
-        std::vector<Int32Tensor> prevOut; //!< stacked previous outputs
-        std::vector<uint8_t> primed;      //!< one flag per batch slab
-
-        int64_t batch() const
-        {
-            return static_cast<int64_t>(primed.size());
-        }
-
-        /** Append one unprimed slab (a request joining the batch). */
-        void appendSlab() { appendSlabs(1); }
-
-        /**
-         * Append `count` unprimed slabs in one reallocation of every
-         * materialized state tensor (a burst of requests joining).
-         */
-        void appendSlabs(int64_t count);
-
-        /** Remove slab `i` (a request leaving); later slabs shift down. */
-        void removeSlab(int64_t i);
-
-        /**
-         * Hand slab `i` to a new request in place: just clears its
-         * primed flag. The stale tensor contents are never read (an
-         * unprimed slab always runs direct first), so slab reuse is
-         * O(1) where remove+append would copy the whole stacked state
-         * — the continuous-batching fast path.
-         */
-        void resetSlab(int64_t i)
-        {
-            primed[static_cast<size_t>(i)] = 0;
-        }
-    };
-
-    /**
-     * One denoising-model evaluation for a stacked batch of requests:
-     * x is [B, inChannels, res, res] and the result stacks each
-     * request's predicted noise. Every request's slab is computed with
-     * exactly the arithmetic of forward() on its own tensors — batched
-     * results are bitwise identical to per-request rollouts at any
-     * thread count and batch size.
-     *
-     * @param state required for RunMode::QuantDitto; its batch() must
-     *        equal x's batch dimension.
-     * @param counts per-request tallies (array of B, or null).
-     */
-    FloatTensor forwardBatch(const FloatTensor &x, RunMode mode,
-                             BatchDittoState *state,
-                             OpCounts *counts) const;
-
-    /**
-     * Run N full reverse diffusions as one batch (all cfg().steps steps,
-     * one noise tensor per request). Returns per-request results,
-     * bitwise identical to rollout(mode, noises[i]) for every i.
-     */
-    std::vector<RolloutResult>
-    rolloutBatch(RunMode mode, std::span<const FloatTensor> noises) const;
-
   private:
     MiniUnetConfig cfg_;
 
@@ -203,9 +132,6 @@ class HandWiredMiniUnet
     FloatTensor forwardFp32(const FloatTensor &x) const;
     FloatTensor forwardQuant(const FloatTensor &x, bool use_ditto,
                              DittoState *state, OpCounts *counts) const;
-    FloatTensor forwardQuantBatch(const FloatTensor &x, bool use_ditto,
-                                  BatchDittoState *state,
-                                  OpCounts *counts) const;
 };
 
 } // namespace ditto

@@ -1,9 +1,8 @@
 /**
  * @file
  * Execution mode and rollout result types shared by every executable
- * model surface (the graph runtime's CompiledModel, the MiniUnet
- * compatibility wrapper, the hand-wired parity reference and the
- * serving layer).
+ * model surface (the graph runtime's CompiledModel, the hand-wired
+ * parity reference and the serving layer).
  */
 #ifndef DITTO_CORE_RUN_MODE_H
 #define DITTO_CORE_RUN_MODE_H

@@ -310,26 +310,6 @@ countDiffClasses(const int16_t *d, int64_t count)
     return c;
 }
 
-DiffClassCounts
-countTemporalDiffClasses(const Int8Tensor &current,
-                         const Int8Tensor &previous, int64_t offset,
-                         int64_t count)
-{
-    DITTO_ASSERT(current.shape() == previous.shape(),
-                 "temporal diff operand shape mismatch");
-    DITTO_ASSERT(offset >= 0 && offset + count <= current.numel(),
-                 "countTemporalDiffClasses region out of range");
-    return countTemporalDiffClasses(current.data().data() + offset,
-                                    previous.data().data() + offset, count);
-}
-
-DiffClassCounts
-countTemporalDiffClasses(const Int8Tensor &current,
-                         const Int8Tensor &previous)
-{
-    return countTemporalDiffClasses(current, previous, 0, current.numel());
-}
-
 DiffGemmPlan
 encodeDiff(const Int16Tensor &diff)
 {
@@ -350,20 +330,6 @@ encodeTemporalDiff(const Int8Tensor &current, const Int8Tensor &previous)
     return encodeNew(current.shape()[0], cols,
                      TemporalAt{current.data().data(),
                                 previous.data().data(), cols});
-}
-
-DiffGemmPlan
-encodeTemporalDiffRegion(const Int8Tensor &current,
-                         const Int8Tensor &previous, int64_t offset,
-                         int64_t rows, int64_t cols)
-{
-    DITTO_ASSERT(current.shape() == previous.shape(),
-                 "temporal diff operand shape mismatch");
-    DITTO_ASSERT(offset >= 0 && offset + rows * cols <= current.numel(),
-                 "encodeTemporalDiffRegion region out of range");
-    return encodeNew(rows, cols,
-                     TemporalAt{current.data().data() + offset,
-                                previous.data().data() + offset, cols});
 }
 
 DiffGemmPlan

@@ -48,15 +48,6 @@ struct DiffClassCounts
     int64_t nonzero() const { return low4 + full8; }
 };
 
-/** Count difference classes of current - previous (whole tensors). */
-DiffClassCounts countTemporalDiffClasses(const Int8Tensor &current,
-                                         const Int8Tensor &previous);
-
-/** Count over a flat region (batch slab), as encodeTemporalDiffRegion. */
-DiffClassCounts countTemporalDiffClasses(const Int8Tensor &current,
-                                         const Int8Tensor &previous,
-                                         int64_t offset, int64_t count);
-
 /**
  * Encode an already-subtracted int16 difference matrix [rows, cols].
  * Values must lie in the int8-code difference domain [-254, 254].
@@ -70,17 +61,6 @@ DiffGemmPlan encodeDiff(const Int16Tensor &diff);
  */
 DiffGemmPlan encodeTemporalDiff(const Int8Tensor &current,
                                 const Int8Tensor &previous);
-
-/**
- * encodeTemporalDiff over a rectangular region of flat storage: the
- * logical operand is rows x cols elements starting at `offset` in both
- * tensors' flat data. Used per batch slab, e.g. the [Cin, H*W] slice
- * of an NCHW difference that the sparse scatter convolution consumes.
- */
-DiffGemmPlan encodeTemporalDiffRegion(const Int8Tensor &current,
-                                      const Int8Tensor &previous,
-                                      int64_t offset, int64_t rows,
-                                      int64_t cols);
 
 /**
  * Like encodeTemporalDiff but encodes the *transpose* of the difference:
@@ -102,7 +82,10 @@ DiffGemmPlan encodeTemporalDiffTransposed(const Int8Tensor &current,
  * @{
  */
 
-/** countTemporalDiffClasses over `count` elements of raw codes. */
+/**
+ * Count difference classes of `count` elements of current - previous
+ * (raw codes; one flat region, e.g. a batch slab).
+ */
 DiffClassCounts countTemporalDiffClasses(const int8_t *current,
                                          const int8_t *previous,
                                          int64_t count);
@@ -131,7 +114,11 @@ void reserveDiffPlan(DiffGemmPlan *plan, int64_t rows, int64_t cols);
 void encodeDiffInto(const int16_t *diff, int64_t rows, int64_t cols,
                     DiffGemmPlan *plan);
 
-/** encodeTemporalDiffRegion of raw [rows, cols] codes into `plan`. */
+/**
+ * encodeTemporalDiff of raw [rows, cols] codes into `plan`: the region
+ * may start anywhere in flat storage, e.g. the [Cin, H*W] batch slab of
+ * an NCHW difference the sparse scatter convolution consumes.
+ */
 void encodeTemporalDiffInto(const int8_t *current, const int8_t *previous,
                             int64_t rows, int64_t cols, DiffGemmPlan *plan);
 

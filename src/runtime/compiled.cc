@@ -1166,9 +1166,9 @@ CompiledModel::forwardQuant(const float *x, int64_t bsz, bool approx,
                 int32_t *delta =
                     planned<int32_t>(arena, nd.bufs[plan].delta, bsz);
                 if (scores)
-                    attentionScoresBatchInto(a, b, sa[0], sa[1], bsz, primed,
-                                             acc, delta, eng, opts_.policy,
-                                             &scratch);
+                    attentionScoresBatchInto(a, b, sa[0], sb[0], sa[1], bsz,
+                                             primed, acc, delta, eng,
+                                             opts_.policy, &scratch);
                 else
                     attentionOutputBatchInto(a, b, sa[0], sa[1], sb[1], bsz,
                                              primed, acc, delta, eng,

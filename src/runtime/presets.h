@@ -44,7 +44,7 @@
 
 namespace ditto {
 
-/** MiniUnet configuration (the historic core/mini_unet.h knobs). */
+/** MiniUnet configuration (the historic hand-wired model's knobs). */
 struct MiniUnetConfig
 {
     int64_t channels = 8;    //!< working channel width

@@ -134,11 +134,14 @@ ShardWorker::handleFrame(int fd, const net::Frame &frame)
         DenoiseRequest req;
         if (!getRequest(r, &req) || r.remaining() != 0)
             return sendError(fd, "malformed submit");
-        if (drained_.load())
-            return sendError(fd, "worker drained");
         uint64_t id = 0;
         {
+            // Checked under mu_, which Drain holds to set the flag: a
+            // Submit is either refused or reaches the server before
+            // its shutdown.
             std::lock_guard<std::mutex> lk(mu_);
+            if (drained_.load())
+                return sendError(fd, "worker drained");
             id = server_.submit(req);
             live_.insert(id);
         }
@@ -237,8 +240,6 @@ ShardWorker::handleFrame(int fd, const net::Frame &frame)
         MigratedWire wire;
         if (!getMigratedWire(r, &wire) || r.remaining() != 0)
             return sendError(fd, "malformed migrate-in");
-        if (drained_.load())
-            return sendError(fd, "worker drained");
         if (wire.specHash != info_.specHash ||
             wire.calibDigest != info_.calibDigest)
             return sendError(fd, "model identity mismatch");
@@ -264,6 +265,8 @@ ShardWorker::handleFrame(int fd, const net::Frame &frame)
         uint64_t id = 0;
         {
             std::lock_guard<std::mutex> lk(mu_);
+            if (drained_.load())
+                return sendError(fd, "worker drained");
             id = server_.importMigrated(m);
             live_.insert(id);
         }
@@ -283,8 +286,13 @@ ShardWorker::handleFrame(int fd, const net::Frame &frame)
       case Msg::Drain: {
         // Finish everything accepted, then confirm. Results stay
         // retrievable (Poll keeps working); Submit/MigrateIn are
-        // refused from here on.
-        drained_.store(true);
+        // refused from here on. The flag is set under mu_, so a
+        // Submit/MigrateIn past its check finishes reaching the server
+        // before shutdown() starts.
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            drained_.store(true);
+        }
         server_.shutdown();
         return net::sendFrame(fd, static_cast<uint32_t>(Msg::DrainRe), {});
       }

@@ -103,7 +103,12 @@ class ShardWorker
     net::UnixListener listener_;
     std::thread acceptThread_;
 
-    std::mutex mu_; //!< guards conns_, connFds_, live_
+    /**
+     * Guards conns_, connFds_ and live_, and orders drained_ against
+     * the handlers that admit work: Drain sets the flag under it, and
+     * Submit/MigrateIn check it under it before reaching the server.
+     */
+    std::mutex mu_;
     std::vector<std::thread> conns_;
     std::vector<int> connFds_;
 

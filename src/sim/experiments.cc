@@ -8,11 +8,12 @@
 
 #include "common/logging.h"
 #include "core/bops.h"
-#include "core/mini_unet.h"
 #include "hw/cost_model.h"
 #include "hw/energy.h"
 #include "hw/gpu_model.h"
 #include "model/graph.h"
+#include "runtime/compiled.h"
+#include "runtime/presets.h"
 #include "stats/similarity.h"
 #include "trace/provider.h"
 
@@ -255,7 +256,7 @@ AccuracyProxy
 runTable2Accuracy()
 {
     AccuracyProxy proxy;
-    const MiniUnet net((MiniUnetConfig()));
+    const CompiledModel net = compile(miniUnetSpec(MiniUnetConfig()));
     const RolloutResult fp = net.rollout(RunMode::Fp32);
     const RolloutResult qd = net.rollout(RunMode::QuantDirect);
     const RolloutResult dt = net.rollout(RunMode::QuantDitto);

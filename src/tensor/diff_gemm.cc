@@ -397,28 +397,6 @@ scatterPlanBand(const DiffGemmPlan &plan, const int8_t *wmat_t,
 
 } // namespace
 
-Int32Tensor
-convDiffScatter(const DiffGemmPlan &plan, const int8_t *wmat_t,
-                const int8_t *wrev_t, const Conv2dParams &p, int64_t h,
-                int64_t w)
-{
-    DITTO_ASSERT(plan.rows == p.inChannels && plan.cols == h * w,
-                 "convDiffScatter plan must cover the [Cin, H*W] slab");
-    const int64_t oh = p.outExtent(h);
-    const int64_t ow = p.outExtent(w);
-    DITTO_ASSERT(oh > 0 && ow > 0, "convDiffScatter output would be empty");
-    Int32Tensor delta(Shape{oh * ow, p.outChannels});
-    int32_t *dd = delta.data().data();
-    if (p.kernel == 1 && p.stride == 1 && p.padding == 0) {
-        scatterPointwisePlan(plan, wmat_t, p.outChannels, dd);
-        return delta;
-    }
-    parallelFor(0, oh, [&](int64_t ylo, int64_t yhi) {
-        scatterPlanBand(plan, wmat_t, wrev_t, p, w, oh, ow, ylo, yhi, dd);
-    });
-    return delta;
-}
-
 void
 convDiffScatterBatch(std::span<const ConvScatterBatchItem> items,
                      const int8_t *wmat_t, const int8_t *wrev_t,
@@ -516,34 +494,6 @@ addTransposedInt32InPlace(int32_t *acc, const int32_t *delta, int64_t m,
                     so[r * n + c] += sd[c * m + r];
         }
     }
-}
-
-Int32Tensor
-addConvDelta(const Int32Tensor &prev_out, const Int32Tensor &delta)
-{
-    DITTO_ASSERT(prev_out.shape().rank() == 4,
-                 "addConvDelta expects an NCHW previous output");
-    const int64_t batches = prev_out.shape()[0];
-    const int64_t ch = prev_out.shape()[1];
-    const int64_t pix = prev_out.shape()[2] * prev_out.shape()[3];
-    DITTO_ASSERT(delta.shape() == Shape({batches * pix, ch}),
-                 "addConvDelta delta shape mismatch");
-    Int32Tensor out(prev_out.shape());
-    const int32_t *DITTO_RESTRICT sp = prev_out.data().data();
-    const int32_t *DITTO_RESTRICT sd = delta.data().data();
-    int32_t *DITTO_RESTRICT so = out.data().data();
-    parallelFor(0, batches * ch, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const int64_t b = i / ch;
-            const int64_t c = i % ch;
-            const int32_t *src = sp + i * pix;
-            int32_t *dst = so + i * pix;
-            const int32_t *dcol = sd + b * pix * ch + c;
-            for (int64_t p = 0; p < pix; ++p)
-                dst[p] = src[p] + dcol[p * ch];
-        }
-    });
-    return out;
 }
 
 void

@@ -144,31 +144,6 @@ Int32Tensor diffGemm(const DiffGemmPlan &plan, const int8_t *b, int64_t n,
                      bool transpose_b, const Int32Tensor *prev);
 
 /**
- * Sparse scatter convolution delta for one batch.
- *
- * `plan` encodes the *raw* difference slab [Cin, H*W] — no im2col
- * expansion, so the Encoding Unit touches each difference value once
- * instead of K*K times. `wmat_t` points at the OIHW weight viewed as
- * [Cout, Cin*K*K] and transposed to [Cin*K*K, Cout] row-major (cached
- * by DiffConvEngine); row ic*K*K + ky*K + kx holds the output-channel
- * vector for tap (ic, ky, kx). `wrev_t` is the same data regrouped as
- * [Cin*K, K*Cout] with kx *descending* within a row: for stride-1
- * interior pixels the K windows of one kernel row land on K adjacent
- * output pixels, so the whole kernel row becomes a single contiguous
- * K*Cout-wide axpy against a wrev_t row. Boundary pixels (and any
- * stride > 1) take the window-by-window path. Every nonzero
- * difference value is scattered through its valid kernel windows into
- * the pixel-major delta [OH*OW, Cout].
- *
- * Work is divided into output-row bands; each band walks the plan in
- * fixed order and writes only its own output rows, so the result is
- * bitwise identical at any thread count.
- */
-Int32Tensor convDiffScatter(const DiffGemmPlan &plan,
-                            const int8_t *wmat_t, const int8_t *wrev_t,
-                            const Conv2dParams &p, int64_t h, int64_t w);
-
-/**
  * @name Batched plan execution (serving substrate)
  *
  * The batched denoising path carries one encoding plan per request;
@@ -215,10 +190,25 @@ struct ConvScatterBatchItem
 };
 
 /**
- * Batched convDiffScatter: every item scatters through the shared
- * cached weights. Non-pointwise items split into (item, output-row
- * band) tasks; 1x1/stride-1/pad-0 items — serial per slab in the
- * single-plan entry — run item-parallel here.
+ * Sparse scatter convolution deltas, one per item. Each plan encodes a
+ * request's *raw* difference slab [Cin, H*W] — no im2col expansion, so
+ * the Encoding Unit touches each difference value once instead of K*K
+ * times. `wmat_t` points at the OIHW weight viewed as [Cout, Cin*K*K]
+ * and transposed to [Cin*K*K, Cout] row-major (cached by
+ * DiffConvEngine); row ic*K*K + ky*K + kx holds the output-channel
+ * vector for tap (ic, ky, kx). `wrev_t` is the same data regrouped as
+ * [Cin*K, K*Cout] with kx *descending* within a row: for stride-1
+ * interior pixels the K windows of one kernel row land on K adjacent
+ * output pixels, so the whole kernel row becomes a single contiguous
+ * K*Cout-wide axpy against a wrev_t row. Boundary pixels (and any
+ * stride > 1) take the window-by-window path. Every nonzero difference
+ * value is scattered through its valid kernel windows into the item's
+ * pixel-major delta [OH*OW, Cout].
+ *
+ * Non-pointwise items split into (item, output-row band) tasks, each
+ * walking its plan in fixed order and writing only its own output
+ * rows; 1x1/stride-1/pad-0 items are serial per slab and run
+ * item-parallel. Bitwise identical at any thread count.
  */
 void convDiffScatterBatch(std::span<const ConvScatterBatchItem> items,
                           const int8_t *wmat_t, const int8_t *wrev_t,
@@ -239,14 +229,6 @@ void transposeInt8Into(const int8_t *src, int64_t rows, int64_t cols,
 /** out = prev + delta^T for prev:[m, n], delta:[n, m]. */
 Int32Tensor addTransposedInt32(const Int32Tensor &prev,
                                const Int32Tensor &delta);
-
-/**
- * Scatter a conv delta back to NCHW: out[b, c, y, x] =
- * prev[b, c, y, x] + delta[b * OH*OW + y*OW + x, c] for
- * prev:[N, C, OH, OW], delta:[N*OH*OW, C].
- */
-Int32Tensor addConvDelta(const Int32Tensor &prev_out,
-                         const Int32Tensor &delta);
 
 /**
  * In-place conv delta fold for the flipped Ditto state: the

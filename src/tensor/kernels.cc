@@ -523,7 +523,7 @@ convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
     // the per-slab pack stays cache-resident. Batch amortization comes
     // from the slab-parallel dispatch below and from the row-folded
     // GEMMs of the token-matrix layers instead.
-    auto runBatch = [&](int64_t b) {
+    auto runSlab = [&](int64_t b) {
         const TIn *in_slab = in0 + b * cin * h * w;
         TAcc *out_slab = out0 + b * p.outChannels * pix;
         if (pointwise) {
@@ -554,11 +554,11 @@ convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
     if (batches >= threadCount() && batches > 1) {
         parallelFor(0, batches, 1, [&](int64_t lo, int64_t hi) {
             for (int64_t b = lo; b < hi; ++b)
-                runBatch(b);
+                runSlab(b);
         });
     } else {
         for (int64_t b = 0; b < batches; ++b)
-            runBatch(b);
+            runSlab(b);
     }
 }
 

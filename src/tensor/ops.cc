@@ -290,71 +290,6 @@ matmulTransposedDiffPlan(const DiffGemmPlan &plan, const Int8Tensor &b,
                              /*transpose_b=*/true, prev);
 }
 
-Int32Tensor
-convDeltaDiffPlan(const DiffGemmPlan &plan, const Int8Tensor &wmat_t,
-                  const Int8Tensor &wrev_t, const Conv2dParams &p,
-                  int64_t h, int64_t w)
-{
-    DITTO_ASSERT(wmat_t.shape().rank() == 2 &&
-                 wmat_t.shape()[0] == p.inChannels * p.kernel * p.kernel &&
-                 wmat_t.shape()[1] == p.outChannels,
-                 "convDeltaDiffPlan weight layout mismatch");
-    DITTO_ASSERT(wrev_t.numel() == wmat_t.numel(),
-                 "convDeltaDiffPlan reversed weight size mismatch");
-    return kernels::convDiffScatter(plan, wmat_t.data().data(),
-                                    wrev_t.data().data(), p, h, w);
-}
-
-Int32Tensor
-matmulDiffPlanBatch(std::span<const DiffGemmPlan> plans,
-                    const Int8Tensor &b, const Int32Tensor *prev)
-{
-    DITTO_ASSERT(b.shape().rank() == 2, "matmulDiffPlanBatch needs a matrix");
-    const int64_t k = b.shape()[0];
-    const int64_t n = b.shape()[1];
-    int64_t rows = 0;
-    for (const DiffGemmPlan &plan : plans) {
-        DITTO_ASSERT(plan.cols == k,
-                     "matmulDiffPlanBatch operand shape mismatch");
-        rows += plan.rows;
-    }
-    Int32Tensor out = prev ? *prev : Int32Tensor(Shape{rows, n});
-    DITTO_ASSERT(out.shape() == Shape({rows, n}),
-                 "matmulDiffPlanBatch previous-output shape mismatch");
-    std::vector<kernels::DiffGemmBatchItem> items(plans.size());
-    int32_t *base = out.data().data();
-    for (size_t i = 0; i < plans.size(); ++i) {
-        items[i] = {&plans[i], b.data().data(), base};
-        base += plans[i].rows * n;
-    }
-    kernels::diffGemmBatch(items, n);
-    return out;
-}
-
-Int32Tensor
-convDeltaDiffPlanBatch(std::span<const DiffGemmPlan> plans,
-                       const Int8Tensor &wmat_t, const Int8Tensor &wrev_t,
-                       const Conv2dParams &p, int64_t h, int64_t w)
-{
-    DITTO_ASSERT(wmat_t.shape().rank() == 2 &&
-                 wmat_t.shape()[0] == p.inChannels * p.kernel * p.kernel &&
-                 wmat_t.shape()[1] == p.outChannels,
-                 "convDeltaDiffPlanBatch weight layout mismatch");
-    DITTO_ASSERT(wrev_t.numel() == wmat_t.numel(),
-                 "convDeltaDiffPlanBatch reversed weight size mismatch");
-    const int64_t count = static_cast<int64_t>(plans.size());
-    const int64_t pix = p.outExtent(h) * p.outExtent(w);
-    Int32Tensor delta(Shape{count * pix, p.outChannels});
-    std::vector<kernels::ConvScatterBatchItem> items(plans.size());
-    for (size_t i = 0; i < plans.size(); ++i)
-        items[i] = {&plans[i], delta.data().data() +
-                                   static_cast<int64_t>(i) * pix *
-                                       p.outChannels};
-    kernels::convDiffScatterBatch(items, wmat_t.data().data(),
-                                  wrev_t.data().data(), p, h, w);
-    return delta;
-}
-
 Int8Tensor
 transposeInt8(const Int8Tensor &m)
 {
@@ -365,12 +300,6 @@ Int32Tensor
 addTransposedInt32(const Int32Tensor &prev, const Int32Tensor &delta)
 {
     return kernels::addTransposedInt32(prev, delta);
-}
-
-Int32Tensor
-addConvDeltaInt32(const Int32Tensor &prev_out, const Int32Tensor &delta)
-{
-    return kernels::addConvDelta(prev_out, delta);
 }
 
 //

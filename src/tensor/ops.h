@@ -15,7 +15,6 @@
 #define DITTO_TENSOR_OPS_H
 
 #include <cstdint>
-#include <span>
 
 #include "tensor/diff_gemm.h"
 #include "tensor/tensor.h"
@@ -149,11 +148,13 @@ Int16Tensor subtractInt8(const Int8Tensor &a, const Int8Tensor &b);
 /**
  * @name Plan-driven sparse difference execution
  *
- * The fast path for every QuantDitto layer: the software Encoding Unit
- * (quant/encoder.h) classifies a difference operand into a panel plan
- * (tensor/diff_gemm.h) and these entry points execute it, skipping
- * zero values and reading 4-bit lane panels from packed nibbles. All
- * are bitwise identical to the dense matmul*DiffInt16 kernels at any
+ * Tensor conveniences over the plan kernels: the software Encoding
+ * Unit (quant/encoder.h) classifies a difference operand into a panel
+ * plan (tensor/diff_gemm.h) and these entry points execute it, skipping
+ * zero values and reading 4-bit lane panels from packed nibbles. The
+ * engines' batched bodies (core/diff_linear.h) drive the kernels::
+ * batch entry points directly; these serve tests and benches. All are
+ * bitwise identical to the dense matmul*DiffInt16 kernels at any
  * thread count; docs/diff_exec.md has the full story.
  * @{
  */
@@ -168,18 +169,6 @@ Int32Tensor matmulTransposedDiffPlan(const DiffGemmPlan &plan,
                                      const Int32Tensor *prev = nullptr);
 
 /**
- * Sparse conv delta for one batch: `plan` encodes the raw difference
- * slab [Cin, H*W] (no im2col expansion); `wmat_t` is the OIHW weight
- * viewed as [Cout, Cin*K*K], transposed, and `wrev_t` its kx-reversed
- * regrouping for the stride-1 interior fast path — see
- * kernels::convDiffScatter. Returns pixel-major [OH*OW, Cout].
- */
-Int32Tensor convDeltaDiffPlan(const DiffGemmPlan &plan,
-                              const Int8Tensor &wmat_t,
-                              const Int8Tensor &wrev_t,
-                              const Conv2dParams &p, int64_t h, int64_t w);
-
-/**
  * Transposed copy of an int8 matrix. Weight-stationary engines cache
  * the transposed weight once so every diff step runs the plan against
  * contiguous B rows without per-call packing.
@@ -189,48 +178,6 @@ Int8Tensor transposeInt8(const Int8Tensor &m);
 /** prev[m,n] + delta[n,m]^T. */
 Int32Tensor addTransposedInt32(const Int32Tensor &prev,
                                const Int32Tensor &delta);
-
-/** prev[N,C,OH,OW] + pixel-major conv delta [N*OH*OW, C]. */
-Int32Tensor addConvDeltaInt32(const Int32Tensor &prev_out,
-                              const Int32Tensor &delta);
-
-/** @} */
-
-/**
- * @name Batched plan execution (serving layer)
- *
- * Stacked-tensor conveniences over kernels::diffGemmBatch /
- * kernels::convDiffScatterBatch for callers whose slabs all take the
- * diff path: one plan per request, executed through a single kernel
- * dispatch, batch folded into the GEMM M dimension (row slabs) or
- * conv batch slabs. The engines' runBatch methods, whose slabs mix
- * per-request direct/diff decisions, drive the kernels:: entry points
- * directly (DiffConvEngine::runDiff routes its multi-batch scatter
- * through convDeltaDiffPlanBatch). Bitwise identical to per-plan
- * calls at any thread count and batch size.
- * @{
- */
-
-/**
- * Row-stacked batched diff GEMM against one shared weight-stationary
- * operand: slab i of the result is prev_slab_i + D_i * B. All plans
- * must share the K extent b.shape()[0]; the result stacks the plans'
- * row blocks. `prev`, when given, is the stacked previous output.
- */
-Int32Tensor matmulDiffPlanBatch(std::span<const DiffGemmPlan> plans,
-                                const Int8Tensor &b,
-                                const Int32Tensor *prev = nullptr);
-
-/**
- * Batched sparse conv delta: one plan per batch slab, shared cached
- * weights (convDeltaDiffPlan's layout). Returns the stacked pixel-major
- * delta [count*OH*OW, Cout].
- */
-Int32Tensor convDeltaDiffPlanBatch(std::span<const DiffGemmPlan> plans,
-                                   const Int8Tensor &wmat_t,
-                                   const Int8Tensor &wrev_t,
-                                   const Conv2dParams &p, int64_t h,
-                                   int64_t w);
 
 /** @} */
 

@@ -6,9 +6,8 @@
  * dimension 0: slab i of a tensor holding `batch` slabs is rows
  * [i * d0/batch, (i+1) * d0/batch). These helpers grow/shrink such
  * stacks when requests join or leave; the image stack
- * (serve/batch_rollout.cc) and every BatchDittoState slot (the graph
- * runtime's in runtime/compiled.cc and the parity reference's in
- * core/legacy_unet.cc) edit their slabs through this one
+ * (serve/batch_rollout.cc) and every CompiledModel::BatchDittoState
+ * slot (runtime/compiled.cc) edit their slabs through this one
  * implementation, so slab layout can never diverge between them.
  */
 #ifndef DITTO_TENSOR_SLAB_H

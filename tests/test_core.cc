@@ -13,7 +13,8 @@
 #include "core/bops.h"
 #include "core/defo.h"
 #include "core/diff_linear.h"
-#include "core/mini_unet.h"
+#include "runtime/compiled.h"
+#include "runtime/presets.h"
 #include "stats/similarity.h"
 
 namespace ditto {
@@ -347,7 +348,7 @@ TEST(MiniUnet, DittoBitExactAgainstQuantizedDirect)
 {
     MiniUnetConfig cfg;
     cfg.steps = 4;
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
     const RolloutResult direct = net.rollout(RunMode::QuantDirect);
     const RolloutResult ditto = net.rollout(RunMode::QuantDitto);
     EXPECT_TRUE(direct.finalImage == ditto.finalImage);
@@ -357,7 +358,7 @@ TEST(MiniUnet, QuantizationPreservesSignal)
 {
     MiniUnetConfig cfg;
     cfg.steps = 4;
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
     const RolloutResult fp = net.rollout(RunMode::Fp32);
     const RolloutResult q = net.rollout(RunMode::QuantDirect);
     EXPECT_GT(sqnrDb(fp.finalImage, q.finalImage), 25.0);
@@ -367,7 +368,7 @@ TEST(MiniUnet, DittoOpsShowSparsityAndNarrowness)
 {
     MiniUnetConfig cfg;
     cfg.steps = 5;
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
     const RolloutResult r = net.rollout(RunMode::QuantDitto);
     EXPECT_GT(r.dittoOps.total(), 0);
     // The toy trajectory converges, so most diff multiplies should be
@@ -386,8 +387,8 @@ TEST(MiniUnet, DifferentSeedsDifferentImages)
     a.steps = 3;
     MiniUnetConfig b = a;
     b.seed = 77;
-    const MiniUnet na(a);
-    const MiniUnet nb(b);
+    const CompiledModel na = compile(miniUnetSpec(a));
+    const CompiledModel nb = compile(miniUnetSpec(b));
     EXPECT_FALSE(na.rollout(RunMode::Fp32).finalImage ==
                  nb.rollout(RunMode::Fp32).finalImage);
 }
@@ -400,7 +401,7 @@ TEST(MiniUnet, BitExactAcrossConfigSweep)
             cfg.channels = channels;
             cfg.resolution = res;
             cfg.steps = 3;
-            const MiniUnet net(cfg);
+            const CompiledModel net = compile(miniUnetSpec(cfg));
             EXPECT_TRUE(net.rollout(RunMode::QuantDirect).finalImage ==
                         net.rollout(RunMode::QuantDitto).finalImage)
                 << "channels=" << channels << " res=" << res;

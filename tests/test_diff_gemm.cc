@@ -435,6 +435,53 @@ TEST(DiffEngines, EngineThreadCountInvariance)
     EXPECT_TRUE(r1 == r4);
 }
 
+TEST(DiffEngines, SingleRequestEntryPointsRejectMismatchedShapes)
+{
+    // The wrappers hand raw pointers to the batched bodies, so every
+    // caller shape must be checked up front: a mismatch panics with a
+    // reason instead of reading out of range.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const DiffFcEngine fc(randomInt8(Shape{6, 8}, 800));
+    const Int8Tensor x = randomInt8(Shape{5, 8}, 801);
+    const Int32Tensor fc_out = fc.runDirect(x);
+    EXPECT_DEATH(fc.runDiff(x, randomInt8(Shape{4, 8}, 802), fc_out),
+                 "fc diff input shape mismatch");
+    EXPECT_DEATH(fc.runDiff(x, x, randomInt32(Shape{5, 7}, 803)),
+                 "previous output shape mismatch");
+    const Int8Tensor wide = randomInt8(Shape{5, 9}, 804);
+    EXPECT_DEATH(fc.runDiff(wide, wide, fc_out), "in_features");
+
+    const Conv2dParams p{3, 4, 3, 1, 1};
+    const DiffConvEngine conv(randomInt8(Shape{4, 3, 3, 3}, 805), p);
+    const Int8Tensor img = randomInt8(Shape{1, 3, 6, 6}, 806);
+    const Int32Tensor conv_out = conv.runDirect(img);
+    const Int8Tensor img2 = randomInt8(Shape{1, 2, 6, 6}, 807);
+    EXPECT_DEATH(conv.runDiff(img2, img2, conv_out), "engine's channels");
+    EXPECT_DEATH(conv.runDiff(img, img, randomInt32(Shape{1, 4, 5, 6}, 808)),
+                 "previous output shape mismatch");
+
+    const CrossAttentionEngine cross(randomInt8(Shape{7, 8}, 809));
+    EXPECT_DEATH(cross.runDiff(x, x, randomInt32(Shape{5, 6}, 810)),
+                 "previous output shape mismatch");
+
+    const Int8Tensor q = randomInt8(Shape{6, 8}, 811);
+    const Int8Tensor k = randomInt8(Shape{4, 8}, 812);
+    const Int8Tensor k9 = randomInt8(Shape{4, 9}, 813);
+    const Int32Tensor s = attentionScoresDirect(q, k);
+    EXPECT_DEATH(attentionScoresDiff(q, q, k9, k9, s), "head dimension");
+    EXPECT_DEATH(attentionScoresDiff(q, q, k, k, randomInt32(Shape{4, 6}, 814)),
+                 "previous output shape mismatch");
+
+    const Int8Tensor pm = randomInt8(Shape{6, 4}, 815, 0, 127);
+    const Int8Tensor v = randomInt8(Shape{4, 5}, 816);
+    const Int8Tensor v3 = randomInt8(Shape{3, 5}, 817);
+    const Int32Tensor o = attentionOutputDirect(pm, v);
+    EXPECT_DEATH(attentionOutputDiff(pm, pm, v3, v3, o),
+                 "P/V inner dimension mismatch");
+    EXPECT_DEATH(attentionOutputDiff(pm, pm, v, v, randomInt32(Shape{6, 4}, 818)),
+                 "previous output shape mismatch");
+}
+
 // ---- Fold-back helpers --------------------------------------------------
 
 TEST(DiffGemmHelpers, AddTransposedInt32)

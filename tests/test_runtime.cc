@@ -20,7 +20,6 @@
 #include "common/env.h"
 #include "common/parallel.h"
 #include "core/legacy_unet.h"
-#include "core/mini_unet.h"
 #include "runtime/compiled.h"
 #include "runtime/presets.h"
 #include "serve/server.h"
@@ -44,9 +43,9 @@ parityConfig()
 struct ParityPair
 {
     HandWiredMiniUnet legacy;
-    MiniUnet compiled;
+    CompiledModel compiled;
     explicit ParityPair(const MiniUnetConfig &cfg)
-        : legacy(cfg), compiled(cfg)
+        : legacy(cfg), compiled(compile(miniUnetSpec(cfg)))
     {}
 };
 
@@ -107,13 +106,12 @@ TEST(GoldenParity, BatchedRollouts)
                 p.legacy.requestNoise(static_cast<uint64_t>(50 + b)));
         for (RunMode mode :
              {RunMode::QuantDirect, RunMode::QuantDitto}) {
-            const std::vector<RolloutResult> want =
-                p.legacy.rolloutBatch(mode, noises);
             const std::vector<RolloutResult> got =
                 p.compiled.rolloutBatch(mode, noises);
-            ASSERT_EQ(want.size(), got.size());
-            for (size_t i = 0; i < want.size(); ++i)
-                expectRolloutParity(want[i], got[i]);
+            ASSERT_EQ(got.size(), noises.size());
+            for (size_t i = 0; i < got.size(); ++i)
+                expectRolloutParity(p.legacy.rollout(mode, noises[i]),
+                                    got[i]);
         }
     }
 }
@@ -138,7 +136,7 @@ TEST(GoldenParity, MixedModeServingMatchesHandWired)
     cfg.maxBatch = 3;
     cfg.maxWaitMicros = 1000;
     cfg.workers = 1;
-    DenoiseServer server(p.compiled.compiled(), cfg);
+    DenoiseServer server(p.compiled, cfg);
     std::vector<DenoiseRequest> reqs;
     for (int i = 0; i < 8; ++i) {
         DenoiseRequest req;
@@ -168,8 +166,8 @@ TEST(GoldenParity, MiniUnetSpecUsesTheDependencyAnalysis)
     // crossPV -> crossOut. Dynamic-attention operand hand-overs: the
     // q/k/v convolutions feed the QK/PV operands their requantized
     // code diffs directly (and skip their float materialization).
-    EXPECT_EQ(p.compiled.compiled().numDiffBypassNodes(), 6);
-    EXPECT_EQ(p.compiled.compiled().numSumSkipNodes(), 6);
+    EXPECT_EQ(p.compiled.numDiffBypassNodes(), 6);
+    EXPECT_EQ(p.compiled.numSumSkipNodes(), 6);
 }
 
 /** input -> tokens -> fc1 -> fc2 -> fc3 -> nchw: a diff-transparent
@@ -1068,7 +1066,7 @@ TEST(ShapeValidation, ForwardBatchRejectsWrongGeometry)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const ParityPair &p = parityPair();
     const FloatTensor bad(Shape{2, 5, 8, 8}); // wrong channel count
-    EXPECT_EXIT(p.compiled.compiled().forwardBatch(
+    EXPECT_EXIT(p.compiled.forwardBatch(
                     bad, RunMode::QuantDirect, nullptr, nullptr),
                 testing::ExitedWithCode(1),
                 "does not stack model inputs");
@@ -1079,7 +1077,7 @@ TEST(ShapeValidation, ForwardRejectsMultiSlabState)
     // A single request's state is a batch of one; forward() must not
     // silently run a multi-slab state against a one-slab input.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const CompiledModel &m = parityPair().compiled.compiled();
+    const CompiledModel &m = parityPair().compiled;
     EXPECT_EXIT(
         {
             CompiledModel::DittoState st;
@@ -1098,7 +1096,7 @@ TEST(ShapeValidation, ServerRejectsMalformedRequests)
         {
             ServerConfig cfg;
             cfg.workers = 1;
-            DenoiseServer server(p.compiled.compiled(), cfg);
+            DenoiseServer server(p.compiled, cfg);
             DenoiseRequest req;
             req.steps = -1;
             server.submit(req);

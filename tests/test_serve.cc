@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -18,14 +20,17 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/attention_diff.h"
 #include "core/diff_linear.h"
-#include "core/mini_unet.h"
 #include "quant/encoder.h"
+#include "runtime/compiled.h"
 #include "runtime/presets.h"
 #include "serve/batch_rollout.h"
 #include "serve/faultpoints.h"
 #include "serve/server.h"
+#include "tensor/diff_gemm.h"
 #include "tensor/ops.h"
+#include "tensor/slab.h"
 
 namespace ditto {
 namespace {
@@ -41,12 +46,12 @@ smallConfig()
 }
 
 /** Shared test model (calibration runs once per process). */
-const MiniUnet &
+const CompiledModel &
 testNet()
 {
-    static const MiniUnet *net = [] {
+    static const CompiledModel *net = [] {
         setenv("DITTO_NO_CACHE", "1", 0);
-        return new MiniUnet(smallConfig());
+        return new CompiledModel(compile(miniUnetSpec(smallConfig())));
     }();
     return *net;
 }
@@ -68,7 +73,7 @@ expectCountsEqual(const OpCounts &a, const OpCounts &b)
 
 TEST(ServeParity, BatchedRolloutMatchesSequentialBitwise)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     std::vector<FloatTensor> noises;
     for (uint64_t s = 1; s <= 6; ++s)
         noises.push_back(net.requestNoise(s));
@@ -86,7 +91,7 @@ TEST(ServeParity, BatchedRolloutMatchesSequentialBitwise)
 
 TEST(ServeParity, BatchedRolloutThreadCountInvariant)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     std::vector<FloatTensor> noises;
     for (uint64_t s = 11; s <= 15; ++s)
         noises.push_back(net.requestNoise(s));
@@ -112,7 +117,7 @@ TEST(ServeParity, OddResolutionFallbackPaths)
     setenv("DITTO_NO_CACHE", "1", 0);
     MiniUnetConfig cfg = smallConfig();
     cfg.resolution = 6;
-    const MiniUnet net(cfg);
+    const CompiledModel net = compile(miniUnetSpec(cfg));
     std::vector<FloatTensor> noises;
     for (uint64_t s = 21; s <= 24; ++s)
         noises.push_back(net.requestNoise(s));
@@ -127,8 +132,8 @@ TEST(ServeParity, OddResolutionFallbackPaths)
 
 TEST(BatchEngineTest, MixedTimestepsShareABatch)
 {
-    const MiniUnet &net = testNet();
-    BatchEngine engine(net.compiled(), /*max_batch=*/4);
+    const CompiledModel &net = testNet();
+    BatchEngine engine(net, /*max_batch=*/4);
 
     // Three requests with different step counts join together ...
     const int steps[4] = {3, 5, 7, 4};
@@ -168,8 +173,8 @@ TEST(BatchEngineTest, MixedTimestepsShareABatch)
 
 TEST(BatchEngineTest, DirectAndDittoRequestsShareABatch)
 {
-    const MiniUnet &net = testNet();
-    BatchEngine engine(net.compiled(), /*max_batch=*/3);
+    const CompiledModel &net = testNet();
+    BatchEngine engine(net, /*max_batch=*/3);
     const RunMode modes[3] = {RunMode::QuantDitto, RunMode::QuantDirect,
                               RunMode::QuantDitto};
     for (uint64_t i = 0; i < 3; ++i) {
@@ -192,7 +197,7 @@ TEST(BatchEngineTest, DirectAndDittoRequestsShareABatch)
     }
 }
 
-TEST(BatchedOpsTest, MatmulDiffPlanBatchMatchesPerPlan)
+TEST(BatchedOpsTest, DiffGemmBatchMatchesPerPlan)
 {
     Rng rng(7);
     const int64_t rows = 13, k = 40, n = 24, slabs = 5;
@@ -220,8 +225,12 @@ TEST(BatchedOpsTest, MatmulDiffPlanBatchMatchesPerPlan)
                   prev_stacked.data().begin() + s * rows * n);
         prevs.push_back(std::move(prev));
     }
-    const Int32Tensor batched =
-        matmulDiffPlanBatch(plans, b, &prev_stacked);
+    Int32Tensor batched = prev_stacked;
+    std::vector<kernels::DiffGemmBatchItem> items;
+    for (int64_t s = 0; s < slabs; ++s)
+        items.push_back({&plans[static_cast<size_t>(s)], b.data().data(),
+                         batched.data().data() + s * rows * n});
+    kernels::diffGemmBatch(items, n);
     for (int64_t s = 0; s < slabs; ++s) {
         const Int32Tensor single =
             matmulDiffPlan(plans[static_cast<size_t>(s)], b,
@@ -232,58 +241,311 @@ TEST(BatchedOpsTest, MatmulDiffPlanBatchMatchesPerPlan)
     }
 }
 
-TEST(BatchedOpsTest, FcEngineRunBatchMatchesRunDiffForceDiff)
+constexpr int64_t kOpSlabs = 3;
+
+/**
+ * One difference op seen through every entry point, on kOpSlabs
+ * stacked request slabs of its operands (`b` empty for the
+ * weight-stationary ops). `batched` runs the op's *BatchInto body over
+ * the stack; the others run one slab's tensors: runDiff (`single`),
+ * the naive:: dense reference and runDirect.
+ */
+struct OpRow
+{
+    std::string name;
+    Shape aSlab, bSlab;
+    Int8Tensor a, prevA, b, prevB;
+    std::function<void(const DiffOperand &, const DiffOperand &,
+                       const uint8_t *, int32_t *, int32_t *, OpCounts *,
+                       DiffPolicy, EngineScratch *)>
+        batched;
+    std::function<Int32Tensor(const Int8Tensor &, const Int8Tensor &,
+                              const Int8Tensor &, const Int8Tensor &,
+                              const Int32Tensor &, OpCounts *, DiffPolicy)>
+        single;
+    std::function<Int32Tensor(const Int8Tensor &, const Int8Tensor &,
+                              const Int8Tensor &, const Int8Tensor &,
+                              const Int32Tensor &, OpCounts *)>
+        naive;
+    std::function<Int32Tensor(const Int8Tensor &, const Int8Tensor &)> direct;
+};
+
+/**
+ * kOpSlabs stacked slabs of `shape`: previous codes in [lo, hi] and
+ * current codes that move 10%, 50% and 95% of their elements (a fifth
+ * of the moves 8-bit wide): sparse to dense differences, so Auto's
+ * per-slab decisions can differ, while ForceDiff runs the diff path
+ * on every primed slab.
+ */
+void
+stackedOperand(const Shape &shape, int lo, int hi, Rng &rng, Int8Tensor *cur,
+               Int8Tensor *prev)
+{
+    const double moved[kOpSlabs] = {0.1, 0.5, 0.95};
+    *prev = Int8Tensor(slab::withDim0(shape, kOpSlabs * shape[0]));
+    prev->fillUniformInt(rng, lo, hi);
+    *cur = *prev;
+    for (int64_t i = 0; i < cur->numel(); ++i) {
+        if (!rng.bernoulli(moved[i / shape.numel()]))
+            continue;
+        const int step = rng.bernoulli(0.2)
+                             ? 40
+                             : 1 + static_cast<int>(rng.uniformInt(5));
+        cur->at(i) = static_cast<int8_t>(std::clamp(
+            cur->at(i) + (rng.bernoulli(0.5) ? step : -step), lo, hi));
+    }
+}
+
+/** Slab s of a kOpSlabs stack (empty stays empty). */
+template <typename T>
+Tensor<T>
+slabOf(const Tensor<T> &t, const Shape &shape, int64_t s)
+{
+    if (t.numel() == 0)
+        return Tensor<T>();
+    Tensor<T> out(shape);
+    const int64_t n = shape.numel();
+    std::copy(t.data().begin() + s * n, t.data().begin() + (s + 1) * n,
+              out.data().begin());
+    return out;
+}
+
+OpRow
+fcRow(Rng &rng)
+{
+    OpRow r;
+    r.name = "fc";
+    r.aSlab = Shape{9, 32};
+    stackedOperand(r.aSlab, -127, 127, rng, &r.a, &r.prevA);
+    Int8Tensor w(Shape{16, 32});
+    w.fillUniformInt(rng, -127, 127);
+    const auto eng = std::make_shared<const DiffFcEngine>(w);
+    const int64_t rows = kOpSlabs * r.aSlab[0];
+    r.batched = [eng, rows](const DiffOperand &a, const DiffOperand &,
+                            const uint8_t *primed, int32_t *out, int32_t *,
+                            OpCounts *c, DiffPolicy pol, EngineScratch *sc) {
+        eng->runBatchInto(a, rows, kOpSlabs, primed, out, c, pol, sc);
+    };
+    r.single = [eng](const Int8Tensor &a, const Int8Tensor &pa,
+                     const Int8Tensor &, const Int8Tensor &,
+                     const Int32Tensor &po, OpCounts *c, DiffPolicy pol) {
+        return eng->runDiff(a, pa, po, c, pol);
+    };
+    r.naive = [w](const Int8Tensor &a, const Int8Tensor &pa,
+                  const Int8Tensor &, const Int8Tensor &,
+                  const Int32Tensor &po, OpCounts *c) {
+        return naive::fcRunDiff(a, pa, po, w, c);
+    };
+    r.direct = [eng](const Int8Tensor &a, const Int8Tensor &) {
+        return eng->runDirect(a);
+    };
+    return r;
+}
+
+OpRow
+convRow(Rng &rng, const Conv2dParams &p, int64_t h, int64_t w_extent)
+{
+    OpRow r;
+    r.name = "conv k" + std::to_string(p.kernel) + " s" +
+             std::to_string(p.stride);
+    r.aSlab = Shape{1, p.inChannels, h, w_extent};
+    stackedOperand(r.aSlab, -127, 127, rng, &r.a, &r.prevA);
+    Int8Tensor w(Shape{p.outChannels, p.inChannels, p.kernel, p.kernel});
+    w.fillUniformInt(rng, -127, 127);
+    const auto eng = std::make_shared<const DiffConvEngine>(w, p);
+    r.batched = [eng, h, w_extent](const DiffOperand &a, const DiffOperand &,
+                                   const uint8_t *primed, int32_t *out,
+                                   int32_t *delta, OpCounts *c,
+                                   DiffPolicy pol, EngineScratch *sc) {
+        eng->runBatchInto(a, kOpSlabs, h, w_extent, primed, out, delta, c,
+                          pol, sc);
+    };
+    r.single = [eng](const Int8Tensor &a, const Int8Tensor &pa,
+                     const Int8Tensor &, const Int8Tensor &,
+                     const Int32Tensor &po, OpCounts *c, DiffPolicy pol) {
+        return eng->runDiff(a, pa, po, c, pol);
+    };
+    r.naive = [w, p](const Int8Tensor &a, const Int8Tensor &pa,
+                     const Int8Tensor &, const Int8Tensor &,
+                     const Int32Tensor &po, OpCounts *c) {
+        return naive::convRunDiff(a, pa, po, w, p, c);
+    };
+    r.direct = [eng](const Int8Tensor &a, const Int8Tensor &) {
+        return eng->runDirect(a);
+    };
+    return r;
+}
+
+OpRow
+crossRow(Rng &rng)
+{
+    OpRow r;
+    r.name = "cross attention";
+    r.aSlab = Shape{12, 29};
+    stackedOperand(r.aSlab, -127, 127, rng, &r.a, &r.prevA);
+    Int8Tensor k_const(Shape{7, 29});
+    k_const.fillUniformInt(rng, -127, 127);
+    const auto eng = std::make_shared<const CrossAttentionEngine>(k_const);
+    const int64_t rows = kOpSlabs * r.aSlab[0];
+    r.batched = [eng, rows](const DiffOperand &a, const DiffOperand &,
+                            const uint8_t *primed, int32_t *out, int32_t *,
+                            OpCounts *c, DiffPolicy pol, EngineScratch *sc) {
+        eng->runBatchInto(a, rows, kOpSlabs, primed, out, c, pol, sc);
+    };
+    r.single = [eng](const Int8Tensor &a, const Int8Tensor &pa,
+                     const Int8Tensor &, const Int8Tensor &,
+                     const Int32Tensor &po, OpCounts *c, DiffPolicy pol) {
+        return eng->runDiff(a, pa, po, c, pol);
+    };
+    r.naive = [k_const](const Int8Tensor &a, const Int8Tensor &pa,
+                        const Int8Tensor &, const Int8Tensor &,
+                        const Int32Tensor &po, OpCounts *c) {
+        return naive::crossAttentionScoresDiff(a, pa, k_const, po, c);
+    };
+    r.direct = [eng](const Int8Tensor &a, const Int8Tensor &) {
+        return eng->runDirect(a);
+    };
+    return r;
+}
+
+OpRow
+scoresRow(Rng &rng, int64_t tokens, int64_t keys, int64_t d)
+{
+    OpRow r;
+    r.name = "scores " + std::to_string(tokens) + "x" + std::to_string(keys);
+    r.aSlab = Shape{tokens, d};
+    r.bSlab = Shape{keys, d};
+    stackedOperand(r.aSlab, -127, 127, rng, &r.a, &r.prevA);
+    stackedOperand(r.bSlab, -127, 127, rng, &r.b, &r.prevB);
+    r.batched = [tokens, keys, d](const DiffOperand &q, const DiffOperand &k,
+                                  const uint8_t *primed, int32_t *out,
+                                  int32_t *delta, OpCounts *c,
+                                  DiffPolicy pol, EngineScratch *sc) {
+        attentionScoresBatchInto(q, k, tokens, keys, d, kOpSlabs, primed, out,
+                                 delta, c, pol, sc);
+    };
+    r.single = [](const Int8Tensor &q, const Int8Tensor &pq,
+                  const Int8Tensor &k, const Int8Tensor &pk,
+                  const Int32Tensor &po, OpCounts *c, DiffPolicy pol) {
+        return attentionScoresDiff(q, pq, k, pk, po, c, pol);
+    };
+    r.naive = [](const Int8Tensor &q, const Int8Tensor &pq,
+                 const Int8Tensor &k, const Int8Tensor &pk,
+                 const Int32Tensor &po, OpCounts *c) {
+        return naive::attentionScoresDiff(q, pq, k, pk, po, c);
+    };
+    r.direct = attentionScoresDirect;
+    return r;
+}
+
+OpRow
+outputRow(Rng &rng)
+{
+    const int64_t rows = 15, inner = 11, d = 23;
+    OpRow r;
+    r.name = "weighted sum";
+    r.aSlab = Shape{rows, inner};
+    r.bSlab = Shape{inner, d};
+    stackedOperand(r.aSlab, 0, 127, rng, &r.a, &r.prevA);
+    stackedOperand(r.bSlab, -127, 127, rng, &r.b, &r.prevB);
+    r.batched = [](const DiffOperand &p, const DiffOperand &v,
+                   const uint8_t *primed, int32_t *out, int32_t *delta,
+                   OpCounts *c, DiffPolicy pol, EngineScratch *sc) {
+        attentionOutputBatchInto(p, v, rows, inner, d, kOpSlabs, primed, out,
+                                 delta, c, pol, sc);
+    };
+    r.single = [](const Int8Tensor &p, const Int8Tensor &pp,
+                  const Int8Tensor &v, const Int8Tensor &pv,
+                  const Int32Tensor &po, OpCounts *c, DiffPolicy pol) {
+        return attentionOutputDiff(p, pp, v, pv, po, c, pol);
+    };
+    r.naive = [](const Int8Tensor &p, const Int8Tensor &pp,
+                 const Int8Tensor &v, const Int8Tensor &pv,
+                 const Int32Tensor &po, OpCounts *c) {
+        return naive::attentionOutputDiff(p, pp, v, pv, po, c);
+    };
+    r.direct = attentionOutputDirect;
+    return r;
+}
+
+TEST(BatchedOpsTest, EveryOpBatchIntoMatchesSingleCalls)
 {
     Rng rng(9);
-    const int64_t slabs = 4, rows = 9, in = 32, out = 16;
-    Int8Tensor w(Shape{out, in});
-    w.fillUniformInt(rng, -127, 127);
-    const DiffFcEngine engine(w);
-
-    Int8Tensor x(Shape{slabs * rows, in});
-    Int8Tensor prev_x(Shape{slabs * rows, in});
-    x.fillUniformInt(rng, -50, 50);
-    // Mostly-similar previous step so the diff stream is sparse.
-    for (int64_t i = 0; i < prev_x.numel(); ++i)
-        prev_x.at(i) = static_cast<int8_t>(
-            x.at(i) + (rng.uniformInt(10) == 0 ? 3 : 0));
-    Int32Tensor prev_out(Shape{slabs * rows, out});
-    prev_out.fillUniformInt(rng, -100000, 100000);
-    std::vector<uint8_t> primed(static_cast<size_t>(slabs), 1);
-
-    for (DiffPolicy policy : {DiffPolicy::Auto, DiffPolicy::ForceDiff}) {
-        std::vector<OpCounts> counts(static_cast<size_t>(slabs));
-        const Int32Tensor batched =
-            engine.runBatch(x, slabs, &prev_x, &prev_out, primed.data(),
-                            counts.data(), policy);
-        for (int64_t s = 0; s < slabs; ++s) {
-            Int8Tensor xs(Shape{rows, in}), ps(Shape{rows, in});
-            Int32Tensor os(Shape{rows, out});
-            for (int64_t i = 0; i < rows * in; ++i) {
-                xs.at(i) = x.at(s * rows * in + i);
-                ps.at(i) = prev_x.at(s * rows * in + i);
+    const std::vector<OpRow> rows = {
+        fcRow(rng),
+        convRow(rng, Conv2dParams{3, 5, 3, 1, 1}, 7, 7),
+        convRow(rng, Conv2dParams{4, 6, 1, 1, 0}, 6, 5),
+        convRow(rng, Conv2dParams{2, 4, 3, 2, 1}, 8, 9),
+        crossRow(rng),
+        scoresRow(rng, 10, 10, 18),
+        scoresRow(rng, 21, 13, 18),
+        outputRow(rng),
+    };
+    const uint8_t primed[kOpSlabs] = {1, 0, 1};
+    EngineScratch scratch;
+    for (const OpRow &row : rows) {
+        SCOPED_TRACE(row.name);
+        std::vector<Int8Tensor> a, pa, b, pb;
+        std::vector<Int32Tensor> prev_out;
+        for (int64_t s = 0; s < kOpSlabs; ++s) {
+            a.push_back(slabOf(row.a, row.aSlab, s));
+            pa.push_back(slabOf(row.prevA, row.aSlab, s));
+            b.push_back(slabOf(row.b, row.bSlab, s));
+            pb.push_back(slabOf(row.prevB, row.bSlab, s));
+            prev_out.push_back(row.direct(pa.back(), pb.back()));
+        }
+        const Shape out_slab = prev_out[0].shape();
+        const int64_t out_elems = out_slab.numel();
+        for (DiffPolicy policy : {DiffPolicy::Auto, DiffPolicy::ForceDiff}) {
+            // Unprimed regions start as garbage: direct slabs overwrite.
+            std::vector<int32_t> out(static_cast<size_t>(kOpSlabs * out_elems),
+                                     0x5A5A5A5A);
+            std::vector<int32_t> delta(out.size());
+            for (int64_t s = 0; s < kOpSlabs; ++s)
+                if (primed[s])
+                    std::copy(prev_out[s].data().begin(),
+                              prev_out[s].data().end(),
+                              out.begin() + s * out_elems);
+            std::vector<OpCounts> counts(kOpSlabs);
+            row.batched({row.a.data().data(), row.prevA.data().data(), nullptr},
+                        {row.b.data().data(), row.prevB.data().data(), nullptr},
+                        primed, out.data(), delta.data(), counts.data(),
+                        policy, &scratch);
+            for (int64_t s = 0; s < kOpSlabs; ++s) {
+                Int32Tensor got(out_slab);
+                std::copy(out.begin() + s * out_elems,
+                          out.begin() + (s + 1) * out_elems,
+                          got.data().begin());
+                const OpCounts &c = counts[static_cast<size_t>(s)];
+                if (!primed[s]) {
+                    EXPECT_TRUE(got == row.direct(a[s], b[s])) << "slab " << s;
+                    expectCountsEqual(c, OpCounts{});
+                    continue;
+                }
+                OpCounts single_counts, naive_counts;
+                EXPECT_TRUE(got == row.single(a[s], pa[s], b[s], pb[s],
+                                              prev_out[s], &single_counts,
+                                              policy))
+                    << "slab " << s;
+                EXPECT_TRUE(got == row.naive(a[s], pa[s], b[s], pb[s],
+                                             prev_out[s], &naive_counts))
+                    << "slab " << s;
+                expectCountsEqual(c, single_counts);
+                expectCountsEqual(c, naive_counts);
+                EXPECT_GT(c.low4, 0) << "slab " << s;
             }
-            for (int64_t i = 0; i < rows * out; ++i)
-                os.at(i) = prev_out.at(s * rows * out + i);
-            OpCounts seq_counts;
-            const Int32Tensor single =
-                engine.runDiff(xs, ps, os, &seq_counts, policy);
-            for (int64_t i = 0; i < rows * out; ++i)
-                ASSERT_EQ(single.at(i), batched.at(s * rows * out + i));
-            expectCountsEqual(seq_counts,
-                              counts[static_cast<size_t>(s)]);
         }
     }
 }
 
 TEST(ServerTest, CompletesBurstWithBatchFormation)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg;
     cfg.maxBatch = 4;
     cfg.maxWaitMicros = 200'000; // generous window: the burst fills it
     cfg.workers = 1;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     std::vector<uint64_t> ids;
     for (uint64_t s = 0; s < 8; ++s) {
         DenoiseRequest req;
@@ -294,7 +556,7 @@ TEST(ServerTest, CompletesBurstWithBatchFormation)
     for (size_t i = ids.size(); i-- > 0;) {
         const DenoiseResult res = server.wait(ids[i]);
         EXPECT_EQ(res.id, ids[i]);
-        EXPECT_EQ(res.steps, net.config().steps);
+        EXPECT_EQ(res.steps, net.defaultSteps());
         const RolloutResult seq = net.rollout(
             RunMode::QuantDitto, net.requestNoise(300 + i));
         expectBitwiseEqual(seq.finalImage, res.image);
@@ -312,12 +574,12 @@ TEST(ServerTest, CompletesBurstWithBatchFormation)
 
 TEST(ServerTest, ZeroWaitRequestDispatchesImmediately)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg;
     cfg.maxBatch = 8;
     cfg.maxWaitMicros = 30'000'000; // 30s default window ...
     cfg.workers = 1;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest req;
     req.seed = 400;
     req.maxWaitMicros = 0; // ... which this request opts out of
@@ -338,12 +600,12 @@ TEST(ServerTest, ZeroWaitRequestDispatchesImmediately)
 
 TEST(ServerTest, PollDeliversTheResultNonBlocking)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg;
     cfg.maxBatch = 2;
     cfg.maxWaitMicros = 0;
     cfg.workers = 2; // two engines draining the same queue
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest req;
     req.seed = 500;
     const uint64_t id = server.submit(req);
@@ -361,12 +623,12 @@ TEST(ServerTest, PollDeliversTheResultNonBlocking)
 
 TEST(ServerTest, ManyRequestsAcrossWorkersAllBitwiseCorrect)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg;
     cfg.maxBatch = 3;
     cfg.maxWaitMicros = 1000;
     cfg.workers = 2;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     std::vector<uint64_t> ids;
     std::vector<int> steps;
     for (uint64_t s = 0; s < 12; ++s) {
@@ -483,7 +745,7 @@ referenceImage(RunMode mode, uint64_t seed, int steps)
 TEST(ServerDeathTest, SubmitAfterShutdownFailsLoudly)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    DenoiseServer server(testNet().compiled(), quietConfig());
+    DenoiseServer server(testNet(), quietConfig());
     server.shutdown();
     EXPECT_EXIT(server.submit(DenoiseRequest{}),
                 testing::ExitedWithCode(1), "submit after");
@@ -492,7 +754,7 @@ TEST(ServerDeathTest, SubmitAfterShutdownFailsLoudly)
 TEST(ServerDeathTest, DoubleWaitFailsLoudly)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    DenoiseServer server(testNet().compiled(), quietConfig());
+    DenoiseServer server(testNet(), quietConfig());
     DenoiseRequest req;
     req.seed = 1;
     req.steps = 1;
@@ -505,7 +767,7 @@ TEST(ServerDeathTest, DoubleWaitFailsLoudly)
 TEST(ServerDeathTest, PollUnknownTicketFailsLoudly)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    DenoiseServer server(testNet().compiled(), quietConfig());
+    DenoiseServer server(testNet(), quietConfig());
     DenoiseResult out;
     EXPECT_EXIT(server.poll(12345, &out), testing::ExitedWithCode(1),
                 "unknown");
@@ -516,7 +778,7 @@ TEST(ServerDeathTest, PollUnknownTicketFailsLoudly)
 TEST(ServerDeathTest, MalformedRequestFailsLoudly)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    DenoiseServer server(testNet().compiled(), quietConfig());
+    DenoiseServer server(testNet(), quietConfig());
     DenoiseRequest fp32;
     fp32.mode = RunMode::Fp32;
     EXPECT_EXIT(server.submit(fp32), testing::ExitedWithCode(1),
@@ -540,8 +802,8 @@ TEST(FaultPointsDeathTest, MalformedSpecFailsLoudly)
 
 TEST(LifecycleTest, CancelWorksInQueuedAndRunningStates)
 {
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest busy;
     busy.seed = 30;
     busy.steps = 400;
@@ -574,8 +836,8 @@ TEST(LifecycleTest, CancelWorksInQueuedAndRunningStates)
 
 TEST(LifecycleTest, PreemptionParksLowerClassAndParkedCancelWorks)
 {
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest low;
     low.seed = 35;
     low.steps = 400;
@@ -614,8 +876,8 @@ TEST(LifecycleTest, PreemptionParksLowerClassAndParkedCancelWorks)
 
 TEST(LifecycleTest, ShutdownDrainsParkedRequestsToCompletion)
 {
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest low;
     low.seed = 40;
     low.steps = 60;
@@ -649,12 +911,12 @@ TEST(LifecycleTest, ShutdownDrainsParkedRequestsToCompletion)
 
 TEST(PreemptResume, ResumedRolloutsAreBitwiseIdentical)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     for (RunMode mode : {RunMode::QuantDitto, RunMode::QuantDirect}) {
         for (int64_t max_batch : {int64_t{1}, int64_t{2}}) {
             ServerConfig cfg = quietConfig();
             cfg.maxBatch = max_batch;
-            DenoiseServer server(net.compiled(), cfg);
+            DenoiseServer server(net, cfg);
             // Fill the engine with low-class work ...
             std::vector<uint64_t> low;
             for (int64_t j = 0; j < max_batch; ++j) {
@@ -705,12 +967,12 @@ TEST(PreemptResume, ResumedRolloutsAreBitwiseIdentical)
 
 TEST(PreemptResume, ParityAcrossWorkerAndThreadCounts)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     setThreadCount(3);
     ServerConfig cfg = quietConfig();
     cfg.workers = 3; // three single-slot engines; parked work may
     cfg.maxBatch = 1; // resume on a different engine than it left
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     std::vector<uint64_t> low;
     for (uint64_t j = 0; j < 3; ++j) {
         DenoiseRequest req;
@@ -752,8 +1014,8 @@ TEST(PreemptResume, ParityAcrossWorkerAndThreadCounts)
 
 TEST(DeadlineTest, ZeroBudgetTimesOutAtTheFirstCheckpoint)
 {
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest req;
     req.seed = 50;
     req.deadlineMicros = 0; // legal: expires at the first checkpoint
@@ -775,8 +1037,8 @@ TEST(DeadlineTest, ZeroBudgetTimesOutAtTheFirstCheckpoint)
 
 TEST(DeadlineTest, QueuedRequestTimesOutWhileTheEngineIsBusy)
 {
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest busy;
     busy.seed = 55;
     busy.steps = 400;
@@ -801,8 +1063,8 @@ TEST(DeadlineTest, ParkedRequestTimesOutUnderInjectedStepDelay)
     // schedule-independent: the high-class run alone outlasts the
     // low-class deadline.
     faults::configure("step_begin:delay:every=1:2000");
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest low;
     low.seed = 60;
     low.steps = 400;
@@ -832,8 +1094,8 @@ TEST(FaultPointsTest, SubmitFailScheduleRejectsDeterministically)
 {
     FaultGuard guard;
     faults::configure("submit:fail:every=2");
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     std::vector<uint64_t> ids;
     for (uint64_t s = 0; s < 4; ++s) {
         DenoiseRequest req;
@@ -856,8 +1118,8 @@ TEST(FaultPointsTest, AdmissionFailRejectsAfterQueueing)
 {
     FaultGuard guard;
     faults::configure("admission:fail:every=1");
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     DenoiseRequest req;
     req.seed = 75;
     const DenoiseResult r = server.wait(server.submit(req));
@@ -878,12 +1140,12 @@ TEST(FaultPointsTest, SeededDelaysLeaveEveryResultBitwise)
                       "park:delay:every=1:200;"
                       "resume:delay:every=1:200",
                       1234);
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg = quietConfig();
     cfg.maxBatch = 2;
     cfg.workers = 2;
     cfg.maxWaitMicros = 500;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     std::vector<uint64_t> ids;
     std::vector<DenoiseRequest> reqs;
     for (uint64_t s = 0; s < 6; ++s) {
@@ -908,12 +1170,12 @@ TEST(FaultPointsTest, SeededDelaysLeaveEveryResultBitwise)
 
 TEST(AdmissionTest, BoundedQueueRejectsWhenFull)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg = quietConfig();
     cfg.queueCapacity = 2;
     cfg.shedHighWater = 50; // keep shedding out of this test
     cfg.shedLowWater = 10;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest busy;
     busy.seed = 90;
     busy.steps = 400;
@@ -942,13 +1204,13 @@ TEST(AdmissionTest, BoundedQueueRejectsWhenFull)
 
 TEST(AdmissionTest, BlockingSubmitRejectsAfterItsBudget)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg = quietConfig();
     cfg.queueCapacity = 1;
     cfg.admitBlockMicros = 100'000; // 100ms of backpressure
     cfg.shedHighWater = 50;
     cfg.shedLowWater = 10;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest busy;
     busy.seed = 95;
     busy.steps = 2000;
@@ -978,13 +1240,13 @@ TEST(AdmissionTest, BlockingSubmitAdmitsWhenSpaceFreesUp)
 {
     FaultGuard guard;
     faults::configure("step_begin:delay:every=1:1000");
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg = quietConfig();
     cfg.queueCapacity = 1;
     cfg.admitBlockMicros = 20'000'000; // far beyond the busy run
     cfg.shedHighWater = 50;
     cfg.shedLowWater = 10;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest busy;
     busy.seed = 100;
     busy.steps = 20; // ~20ms under the injected step delay
@@ -1009,12 +1271,12 @@ TEST(AdmissionTest, BlockingSubmitAdmitsWhenSpaceFreesUp)
 
 TEST(ShedTest, OverloadShedsByClassWithHysteresis)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg = quietConfig();
     cfg.queueCapacity = 100;
     cfg.shedHighWater = 4;
     cfg.shedLowWater = 1;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest busy;
     busy.seed = 110;
     busy.steps = 500;
@@ -1258,7 +1520,7 @@ TEST(ApproxServe, ReplaceSlotClearsPriorApproxState)
 
 TEST(ApproxServe, ExplicitApproxRequestServedBitwise)
 {
-    DenoiseServer server(testNet().compiled(), quietConfig());
+    DenoiseServer server(testNet(), quietConfig());
     DenoiseRequest req;
     req.seed = 740;
     req.steps = 4;
@@ -1272,12 +1534,12 @@ TEST(ApproxServe, ExplicitApproxRequestServedBitwise)
 
 TEST(ApproxServe, ShedNeverDegradesInteractive)
 {
-    const MiniUnet &net = testNet();
+    const CompiledModel &net = testNet();
     ServerConfig cfg = quietConfig();
     cfg.queueCapacity = 100;
     cfg.shedHighWater = 4;
     cfg.shedLowWater = 1;
-    DenoiseServer server(net.compiled(), cfg);
+    DenoiseServer server(net, cfg);
     DenoiseRequest busy;
     busy.seed = 750;
     busy.steps = 500;
@@ -1317,8 +1579,8 @@ TEST(ApproxServe, ShedNeverDegradesInteractive)
 
 TEST(MetricsTest, JsonExportCoversTheDocumentedSurface)
 {
-    const MiniUnet &net = testNet();
-    DenoiseServer server(net.compiled(), quietConfig());
+    const CompiledModel &net = testNet();
+    DenoiseServer server(net, quietConfig());
     for (uint64_t s = 0; s < 2; ++s) {
         DenoiseRequest req;
         req.seed = 130 + s;

@@ -38,6 +38,7 @@
 #include "runtime/presets.h"
 #include "serve/request.h"
 #include "serve/reuse_cache.h"
+#include "serve/faultpoints.h"
 #include "serve/server.h"
 #include "shard/client.h"
 #include "shard/protocol.h"
@@ -934,6 +935,57 @@ TEST(ShardTier, WorkerScreensHostileTicketsAndSlabs)
         RunMode::QuantDitto, m.requestNoise(11), m.defaultSteps());
     expectBitwiseEqual(res.image, ref.finalImage);
     EXPECT_GE(worker.server().metrics().migratedIn, 1u);
+}
+
+TEST(ShardTier, DrainWaitsForAnInFlightSubmit)
+{
+    // A Submit that has passed the worker's drained check when a Drain
+    // arrives on another connection must still be accepted and then
+    // drained — not reach the server after its shutdown, which would
+    // take the whole worker down. The armed delay holds the Submit
+    // inside DenoiseServer::submit for 300 ms; the Drain is sent once
+    // the Submit has hit the fault point.
+    const CompiledModel &m = presetModel(0);
+    shard::ShardWorker worker(m, uniqueSocketPath(), tierConfig());
+    std::string why;
+    ASSERT_TRUE(worker.start(&why)) << why;
+    shard::ShardClient submitter;
+    shard::ShardClient drainer;
+    ASSERT_TRUE(submitter.connect(worker.socketPath(), &why)) << why;
+    ASSERT_TRUE(drainer.connect(worker.socketPath(), &why)) << why;
+
+    faults::configure("submit:delay:every=1:300000");
+    uint64_t id = 0;
+    bool submitted = false;
+    std::thread submit([&] {
+        submitted = submitter.submit(
+            identityRequest(71, 72, RunMode::QuantDitto, 0), &id);
+    });
+    while (faults::hitCount(faults::Point::Submit) == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const bool drained = drainer.drain();
+    submit.join();
+    faults::reset();
+    ASSERT_TRUE(submitted) << submitter.lastError();
+    EXPECT_TRUE(drained) << drainer.lastError();
+    EXPECT_TRUE(worker.drained());
+
+    // The drain finished the accepted request; it stays retrievable.
+    bool ready = false;
+    DenoiseResult res;
+    ASSERT_TRUE(submitter.poll(id, &ready, &res)) << submitter.lastError();
+    ASSERT_TRUE(ready);
+    ASSERT_EQ(res.status, RequestStatus::Done);
+    expectBitwiseEqual(
+        res.image,
+        m.rollout(RunMode::QuantDitto, m.requestNoise(71)).finalImage);
+
+    // Later submits are refused with a reason, not fatal.
+    uint64_t late = 0;
+    EXPECT_FALSE(submitter.submit(
+        identityRequest(73, 74, RunMode::QuantDitto, 0), &late));
+    EXPECT_NE(submitter.lastError().find("drained"), std::string::npos)
+        << submitter.lastError();
 }
 
 TEST(ShardTier, FrontDoorServesTheShardProtocol)
