@@ -215,7 +215,7 @@ driveModel(CompiledModel model, bool verdicts, bool approx)
     std::printf("  served %zu/%zu requests bitwise == standalone "
                 "rollouts (avg occupancy %.2f)\n\n",
                 served_exact, ids.size(),
-                server.stats().avgOccupancy());
+                server.metrics().avgOccupancy());
     return exact && approx_ok && served_exact == ids.size();
 }
 

@@ -73,7 +73,7 @@ main(int argc, char **argv)
     // The same burst through the batched server.
     const auto t1 = std::chrono::steady_clock::now();
     double p50 = 0, p95 = 0;
-    ServerStats stats;
+    ServeMetrics metrics;
     size_t exact = 0;
     {
         DenoiseServer server(net, scfg);
@@ -90,7 +90,7 @@ main(int argc, char **argv)
         std::sort(latencies.begin(), latencies.end());
         p50 = latencies[latencies.size() / 2];
         p95 = latencies[latencies.size() * 95 / 100];
-        stats = server.stats();
+        metrics = server.metrics();
     }
     const double srv_s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t1)
@@ -104,9 +104,9 @@ main(int argc, char **argv)
                 p50 / 1e3, p95 / 1e3);
     std::printf("batch occupancy  : %.2f requests/step over %llu steps, "
                 "%llu batch(es) formed\n",
-                stats.avgOccupancy(),
-                static_cast<unsigned long long>(stats.steps),
-                static_cast<unsigned long long>(stats.batchesFormed));
+                metrics.avgOccupancy(),
+                static_cast<unsigned long long>(metrics.steps),
+                static_cast<unsigned long long>(metrics.batchesFormed));
     std::printf("bitwise vs sequential rollouts : %zu/%d %s\n", exact,
                 num_requests,
                 exact == static_cast<size_t>(num_requests)

@@ -492,6 +492,53 @@ CompiledModel::BatchDittoState::installSlab(int64_t i, const SlabState &s)
     }
 }
 
+bool
+CompiledModel::acceptsSlab(const FloatTensor &image, int steps_done,
+                           const BatchDittoState::SlabState *state,
+                           std::string *why) const
+{
+    const auto reject = [&](std::string reason) {
+        if (why)
+            *why = std::move(reason);
+        return false;
+    };
+    if (image.numel() == 0) {
+        if (steps_done > 0 || state)
+            return reject("slab missing partial image");
+    } else if (image.shape() != inputShape()) {
+        return reject("slab image shape mismatch: " +
+                      image.shape().toString() + " for input " +
+                      inputShape().toString());
+    }
+    if (!state)
+        return true;
+    if (state->prevIn.size() != inSlotShape_.size() ||
+        state->prevOut.size() != outSlotShape_.size())
+        return reject("slab slot geometry mismatch: " +
+                      std::to_string(state->prevIn.size()) + "/" +
+                      std::to_string(state->prevOut.size()) +
+                      " slots for " + std::to_string(numInSlots_) + "/" +
+                      std::to_string(numOutSlots_));
+    for (size_t k = 0; k < inSlotShape_.size(); ++k)
+        if (state->prevIn[k].shape() != inSlotShape_[k])
+            return reject("slab code slot " + std::to_string(k) +
+                          " shaped " + state->prevIn[k].shape().toString() +
+                          ", want " + inSlotShape_[k].toString());
+    for (size_t k = 0; k < outSlotShape_.size(); ++k)
+        if (state->prevOut[k].shape() != outSlotShape_[k])
+            return reject("slab output slot " + std::to_string(k) +
+                          " shaped " + state->prevOut[k].shape().toString() +
+                          ", want " + outSlotShape_[k].toString());
+    const size_t counters = state->consec.size();
+    if (state->skips.size() != counters ||
+        (counters != 0 && counters != nodes_.size()))
+        return reject("slab skip counters hold " + std::to_string(counters) +
+                      "/" + std::to_string(state->skips.size()) +
+                      " entries, want 0 or " +
+                      std::to_string(nodes_.size()) + " each");
+    return true;
+}
+
 float
 CompiledModel::combinedScale(const Node &nd) const
 {

@@ -72,6 +72,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/attention_diff.h"
@@ -307,15 +308,30 @@ class CompiledModel
 
     /**
      * Slot counts of the compiled difference program's DittoState
-     * (previous-input code slots / previous-output slots). A relocated
-     * slab (src/shard/slab_codec.h) is only installable into a model
-     * with the same slot geometry; the shard worker validates these —
-     * plus the spec hash and calibration digest — *before* install, so
-     * a mismatched slab is rejected gracefully at the wire instead of
-     * tripping installSlab's assertions.
+     * (previous-input code slots / previous-output slots).
      */
     int numStateInSlots() const { return numInSlots_; }
     int numStateOutSlots() const { return numOutSlots_; }
+
+    /**
+     * Whether a request's portable state — its image after
+     * `steps_done` steps and, when it has one, its extracted slab
+     * `state` — can join a batch of this model. It can when:
+     *  - any image present has inputShape(), and a state or any
+     *    progress comes with an image;
+     *  - a state holds one tensor per code and output slot, each of
+     *    exactly this model's single-slab shape for that slot;
+     *  - its consecutive-skip and skip counters are both empty or
+     *    both hold one entry per node.
+     * Otherwise false, with the reason in `*why`. A state this accepts
+     * installs and executes within the batch's buffers. The shard
+     * worker runs it on every migrated-in slab (src/shard/worker.h),
+     * so a hostile slab is answered at the wire, and BatchEngine
+     * asserts it on every join.
+     */
+    bool acceptsSlab(const FloatTensor &image, int steps_done,
+                     const BatchDittoState::SlabState *state,
+                     std::string *why) const;
 
     /** MACs of one denoising step (all steady-state compute layers). */
     int64_t macsPerStep() const { return macsPerStep_; }

@@ -5,6 +5,7 @@
 #include "serve/batch_rollout.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.h"
 #include "runtime/workspace.h"
@@ -44,54 +45,77 @@ BatchEngine::BatchEngine(const CompiledModel &model, int64_t max_batch)
 BatchEngine::~BatchEngine() = default;
 BatchEngine::BatchEngine(BatchEngine &&) noexcept = default;
 
-void
-BatchEngine::admit(uint64_t id, const DenoiseRequest &req)
+BatchEngine::Parked
+BatchEngine::Parked::unstarted(const CompiledModel &model, uint64_t id,
+                               const DenoiseRequest &req)
 {
-    admitBatch(std::span<const uint64_t>(&id, 1),
-               std::span<const DenoiseRequest>(&req, 1));
+    DITTO_ASSERT(req.mode == RunMode::QuantDitto ||
+                 req.mode == RunMode::QuantDirect ||
+                 req.mode == RunMode::ApproxDitto,
+                 "only quantized modes are served batched");
+    Parked p;
+    p.id = id;
+    p.stepsTotal = req.steps > 0 ? req.steps : model.defaultSteps();
+    p.ditto = req.mode != RunMode::QuantDirect;
+    p.approx = req.mode == RunMode::ApproxDitto;
+    return p;
+}
+
+BatchEngine::Parked
+BatchEngine::Parked::cold(const CompiledModel &model, uint64_t id,
+                          const DenoiseRequest &req)
+{
+    Parked p = unstarted(model, id, req);
+    p.image = model.requestNoise(req.seed);
+    return p;
 }
 
 void
-BatchEngine::admitBatch(std::span<const uint64_t> ids,
-                        std::span<const DenoiseRequest> reqs)
+BatchEngine::join(std::span<const Parked> burst)
 {
-    const int64_t k = static_cast<int64_t>(ids.size());
-    DITTO_ASSERT(k == static_cast<int64_t>(reqs.size()),
-                 "admitBatch id/request count mismatch");
+    const int64_t k = static_cast<int64_t>(burst.size());
     if (k == 0)
         return;
-    DITTO_ASSERT(active() + k <= maxBatch_,
-                 "admitBatch exceeds engine capacity");
-    for (const DenoiseRequest &req : reqs)
-        DITTO_ASSERT(req.mode == RunMode::QuantDitto ||
-                     req.mode == RunMode::QuantDirect ||
-                     req.mode == RunMode::ApproxDitto,
-                     "only quantized modes are served batched");
-    const int64_t n0 = active();
+    DITTO_ASSERT(active() + k <= maxBatch_, "join exceeds engine capacity");
     // One grow for the image stack and one per state tensor, then
     // fill the new slabs in place.
-    const FloatTensor first = model_.requestNoise(reqs[0].seed);
-    if (n0 > 0) {
-        x_ = slab::appended(x_, n0, k);
-    } else {
-        x_ = FloatTensor(slab::withDim0(first.shape(), k));
-    }
-    const int64_t slab_elems = first.numel();
-    state_.appendSlabs(k); // joins unprimed: first step runs direct
-    for (int64_t j = 0; j < k; ++j) {
-        const FloatTensor noise =
-            j == 0 ? first : model_.requestNoise(reqs[j].seed);
-        std::copy(noise.data().begin(), noise.data().end(),
-                  x_.data().begin() + (n0 + j) * slab_elems);
-        Slot slot;
-        slot.id = ids[j];
-        slot.stepsTotal =
-            reqs[j].steps > 0 ? reqs[j].steps : model_.defaultSteps();
-        slot.ditto = reqs[j].mode != RunMode::QuantDirect;
-        slot.approx = reqs[j].mode == RunMode::ApproxDitto;
-        state_.approx[static_cast<size_t>(n0 + j)] = slot.approx;
-        slots_.push_back(slot);
-    }
+    const int64_t n0 = active();
+    x_ = n0 > 0 ? slab::appended(x_, n0, k)
+                : FloatTensor(slab::withDim0(model_.inputShape(), k));
+    state_.appendSlabs(k);
+    slots_.resize(slots_.size() + burst.size());
+    for (int64_t j = 0; j < k; ++j)
+        install(n0 + j, burst[static_cast<size_t>(j)]);
+}
+
+void
+BatchEngine::joinInto(int64_t i, const Parked &p)
+{
+    DITTO_ASSERT(i >= 0 && i < active(), "joinInto slot out of range");
+    install(i, p);
+}
+
+void
+BatchEngine::install(int64_t i, const Parked &p)
+{
+    DITTO_ASSERT(p.image.numel() > 0,
+                 "request " << p.id << " joins without an image");
+    std::string why;
+    DITTO_ASSERT(model_.acceptsSlab(p.image, p.stepsDone,
+                                    p.hasState ? &p.state : nullptr, &why),
+                 "request " << p.id << " cannot join: " << why);
+    std::copy(p.image.data().begin(), p.image.data().end(),
+              x_.data().begin() + i * p.image.numel());
+    // Unprimed, approx flag, skip counters and back-reference cleared:
+    // nothing of the slab's previous occupant survives, and its stale
+    // tensors are never read while unprimed.
+    state_.resetSlab(i);
+    if (p.hasState)
+        state_.installSlab(i, p.state);
+    else
+        state_.approx[static_cast<size_t>(i)] = p.approx;
+    slots_[static_cast<size_t>(i)] =
+        Slot{p.id, p.stepsDone, p.stepsTotal, p.ditto, p.approx, p.ops};
 }
 
 void
@@ -148,31 +172,6 @@ BatchEngine::extract(int64_t i) const
 }
 
 void
-BatchEngine::replaceSlot(int64_t i, uint64_t id, const DenoiseRequest &req)
-{
-    DITTO_ASSERT(req.mode == RunMode::QuantDitto ||
-                 req.mode == RunMode::QuantDirect ||
-                 req.mode == RunMode::ApproxDitto,
-                 "only quantized modes are served batched");
-    Slot &slot = slots_[static_cast<size_t>(i)];
-    DITTO_ASSERT(slot.stepsDone >= slot.stepsTotal,
-                 "replacing an unfinished slot");
-    slot.id = id;
-    slot.stepsDone = 0;
-    slot.stepsTotal = req.steps > 0 ? req.steps : model_.defaultSteps();
-    slot.ditto = req.mode != RunMode::QuantDirect;
-    slot.approx = req.mode == RunMode::ApproxDitto;
-    slot.ops = OpCounts{};
-    const FloatTensor noise = model_.requestNoise(req.seed);
-    std::copy(noise.data().begin(), noise.data().end(),
-              x_.data().begin() + i * noise.numel());
-    // resetSlab also clears the approx flag and the consecutive-skip
-    // counters left by the slot's previous occupant.
-    state_.resetSlab(i);
-    state_.approx[static_cast<size_t>(i)] = slot.approx;
-}
-
-void
 BatchEngine::removeSlot(int64_t i)
 {
     x_ = removeImageSlab(x_, i);
@@ -192,10 +191,10 @@ BatchEngine::park(int64_t i)
     p.stepsTotal = slot.stepsTotal;
     p.ditto = slot.ditto;
     p.approx = slot.approx;
-    if (slot.approx) {
+    if (slot.approx && state_.primed[static_cast<size_t>(i)]) {
         // Exact modes resume unprimed bit-for-bit; approx reuse does
         // not, so the slab's cached codes/outputs and skip counters
-        // travel with the request.
+        // travel with the request (an unprimed slab has none yet).
         p.state = state_.extractSlab(i);
         p.hasState = true;
     }
@@ -214,59 +213,11 @@ BatchEngine::snapshot(int64_t i) const
     p.stepsTotal = slot.stepsTotal;
     p.ditto = slot.ditto;
     p.approx = slot.approx;
-    if (slot.ditto && slot.stepsDone > 0) {
+    if (state_.primed[static_cast<size_t>(i)]) {
         p.state = state_.extractSlab(i);
         p.hasState = true;
     }
     return p;
-}
-
-void
-BatchEngine::admitParked(const Parked &p)
-{
-    DITTO_ASSERT(!full(), "admitParked on a full engine");
-    const int64_t n0 = active();
-    if (n0 > 0) {
-        x_ = slab::appended(x_, n0, 1);
-    } else {
-        x_ = FloatTensor(slab::withDim0(p.image.shape(), 1));
-    }
-    std::copy(p.image.data().begin(), p.image.data().end(),
-              x_.data().begin() + n0 * p.image.numel());
-    state_.appendSlabs(1); // unprimed: the resumed step runs direct
-    if (p.hasState)
-        state_.installSlab(n0, p.state);
-    else
-        state_.approx[static_cast<size_t>(n0)] = p.approx;
-    Slot slot;
-    slot.id = p.id;
-    slot.stepsDone = p.stepsDone;
-    slot.stepsTotal = p.stepsTotal;
-    slot.ditto = p.ditto;
-    slot.approx = p.approx;
-    slot.ops = p.ops;
-    slots_.push_back(slot);
-}
-
-void
-BatchEngine::replaceSlotParked(int64_t i, const Parked &p)
-{
-    Slot &slot = slots_[static_cast<size_t>(i)];
-    DITTO_ASSERT(slot.stepsDone >= slot.stepsTotal,
-                 "replacing an unfinished slot");
-    slot.id = p.id;
-    slot.stepsDone = p.stepsDone;
-    slot.stepsTotal = p.stepsTotal;
-    slot.ditto = p.ditto;
-    slot.approx = p.approx;
-    slot.ops = p.ops;
-    std::copy(p.image.data().begin(), p.image.data().end(),
-              x_.data().begin() + i * p.image.numel());
-    state_.resetSlab(i); // stale state is never read while unprimed
-    if (p.hasState)
-        state_.installSlab(i, p.state);
-    else
-        state_.approx[static_cast<size_t>(i)] = p.approx;
 }
 
 std::vector<BatchEngine::Finished>

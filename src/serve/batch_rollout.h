@@ -5,13 +5,21 @@
  * One engine owns one in-flight batch: the stacked image tensor, the
  * stacked Ditto state (CompiledModel::BatchDittoState) and one slot
  * record per request. The engine serves any CompiledModel — the
- * MiniUnet preset, the deep UNet, the DiT block or a custom spec. Requests join between steps (continuous batching), run
- * however many steps they individually asked for, and retire as they
- * finish — so slabs at different timesteps share every forwardBatch
- * call. Each slab's arithmetic is exactly the single-request
- * rollout's, which keeps results bitwise independent of batch
- * composition; tests/test_serve.cc asserts this under mixed step
- * counts, modes and thread counts.
+ * MiniUnet preset, the deep UNet, the DiT block or a custom spec.
+ * Requests join between steps (continuous batching), run however many
+ * steps they individually asked for, and retire as they finish — so
+ * slabs at different timesteps share every forwardBatch call. Each
+ * slab's arithmetic is exactly the single-request rollout's, which
+ * keeps results bitwise independent of batch composition;
+ * tests/test_serve.cc asserts this under mixed step counts, modes and
+ * thread counts.
+ *
+ * A request enters a batch one way: as a Parked. A fresh request is a
+ * cold one (step 0, its starting noise, no state); a preempted,
+ * migrated or reuse-cache warm-started request carries its image,
+ * step counters and, when it has one, its difference slab. join()
+ * appends a burst of them and joinInto() hands a vacated slab over in
+ * place; both write the slab through one private body.
  */
 #ifndef DITTO_SERVE_BATCH_ROLLOUT_H
 #define DITTO_SERVE_BATCH_ROLLOUT_H
@@ -43,66 +51,20 @@ class BatchEngine
     ~BatchEngine();
     BatchEngine(BatchEngine &&) noexcept;
 
-    int64_t capacity() const { return maxBatch_; }
     int64_t active() const
     {
         return static_cast<int64_t>(slots_.size());
     }
     bool empty() const { return slots_.empty(); }
-    bool full() const { return active() >= maxBatch_; }
 
     /**
-     * Join a request to the batch as a fresh (unprimed) slab seeded
-     * with requestNoise(req.seed). Only the quantized modes
-     * (QuantDirect, QuantDitto, ApproxDitto) are served batched.
-     * Must not be called on a full engine.
-     */
-    void admit(uint64_t id, const DenoiseRequest &req);
-
-    /**
-     * Join a burst of requests with a single reallocation of the
-     * image stack and every stacked state tensor (admit() pays a full
-     * grow-copy per request). ids and reqs run in parallel; the burst
-     * must fit the remaining capacity.
-     */
-    void admitBatch(std::span<const uint64_t> ids,
-                    std::span<const DenoiseRequest> reqs);
-
-    /**
-     * Advance every active request by one denoising step. Runs on the
-     * engine's own workspace (created by the first step, kept for the
-     * engine's life), so a step over an unchanged batch allocates
-     * nothing.
-     */
-    void step();
-
-    /**
-     * Slots whose request has completed all its steps, in descending
-     * slot order (safe to extract/remove/replace while iterating).
-     */
-    std::vector<int64_t> finishedSlots() const;
-
-    /** Copy slot `i`'s result out (the slot stays in the batch). */
-    Finished extract(int64_t i) const;
-
-    /**
-     * Hand slot `i` to a new request in place — the continuous-
-     * batching fast path: writes the new noise into the slab and
-     * clears its primed flag instead of copying the stacked state
-     * twice for a remove + admit.
-     */
-    void replaceSlot(int64_t i, uint64_t id, const DenoiseRequest &req);
-
-    /** Remove slot `i` wholesale (no replacement queued). */
-    void removeSlot(int64_t i);
-
-    /**
-     * A preempted request's portable partial state. Because QuantDitto
+     * A request's portable state, and the one way into a batch. A
+     * fresh request is a cold Parked (cold()). Because QuantDitto
      * difference execution is bitwise identical to direct execution,
-     * the partial image plus the step counters are *all* the state a
-     * rollout needs to move between engines: the resumed slab joins
-     * unprimed, its next step runs direct, and every later step
-     * re-primes — bit-for-bit the uninterrupted trajectory
+     * the partial image plus the step counters are *all* the state an
+     * exact-mode rollout needs to move between engines: the resumed
+     * slab joins unprimed, its next step runs direct, and every later
+     * step re-primes — bit-for-bit the uninterrupted trajectory
      * (tests/test_serve.cc PreemptResume suite). Note the OpCounts do
      * change: a resumed step that would have run as a sparse diff runs
      * direct instead, so lane tallies reflect the actual execution.
@@ -122,20 +84,73 @@ class BatchEngine
          * simply resume unprimed: the skip decisions depend on the
          * cached previous step, so dropping the state would change
          * which blocks skip — and therefore the bits. park() captures
-         * it, admitParked()/replaceSlotParked() reinstall it, and the
-         * resumed trajectory is bitwise the uninterrupted one
+         * it, join()/joinInto() reinstall it, and the resumed
+         * trajectory is bitwise the uninterrupted one
          * (tests/test_serve.cc ApproxServe suite).
          */
         bool approx = false;
         bool hasState = false;
         CompiledModel::BatchDittoState::SlabState state;
+
+        /**
+         * `req` before its first step: its id, step budget and mode
+         * flags at step 0, with no state and no image — the shape a
+         * queued request migrates in. Only the quantized modes
+         * (QuantDirect, QuantDitto, ApproxDitto) are served batched.
+         */
+        static Parked unstarted(const CompiledModel &model, uint64_t id,
+                                const DenoiseRequest &req);
+
+        /** unstarted() with its starting image, requestNoise(req.seed). */
+        static Parked cold(const CompiledModel &model, uint64_t id,
+                           const DenoiseRequest &req);
     };
+
+    /**
+     * Append a burst of requests with one reallocation of the image
+     * stack and of every stacked state tensor. Each one joins at its
+     * own progress: a cold slab's first step runs direct, a parked
+     * one resumes bitwise where it stopped. Every entry must carry an
+     * image and pass CompiledModel::acceptsSlab; the burst must fit
+     * the remaining capacity.
+     */
+    void join(std::span<const Parked> burst);
+
+    /**
+     * Hand slot `i` to `p` in place — the continuous-batching fast
+     * path. The slot's previous occupant must be gone (finished and
+     * extracted, cancelled or timed out): its image, state, flags,
+     * skip counters and back-reference are all overwritten or reset,
+     * so nothing of it reaches `p`.
+     */
+    void joinInto(int64_t i, const Parked &p);
+
+    /**
+     * Advance every active request by one denoising step. Runs on the
+     * engine's own workspace (created by the first step, kept for the
+     * engine's life), so a step over an unchanged batch allocates
+     * nothing.
+     */
+    void step();
+
+    /**
+     * Slots whose request has completed all its steps, in descending
+     * slot order (safe to extract, remove or joinInto while
+     * iterating).
+     */
+    std::vector<int64_t> finishedSlots() const;
+
+    /** Copy slot `i`'s result out (the slot stays in the batch). */
+    Finished extract(int64_t i) const;
+
+    /** Remove slot `i` wholesale (no request takes it over). */
+    void removeSlot(int64_t i);
 
     /**
      * Evict slot `i` between steps (any progress, finished or not)
      * and return its portable state. The server parks preempted
-     * requests and re-admits them later — on this engine or any other
-     * engine over the same model.
+     * requests and joins them again later — on this engine or any
+     * other engine over the same model.
      */
     Parked park(int64_t i);
 
@@ -152,15 +167,6 @@ class BatchEngine
      * backRef.
      */
     Parked snapshot(int64_t i) const;
-
-    /** Re-join a parked request as a fresh-appended (unprimed) slab. */
-    void admitParked(const Parked &p);
-
-    /**
-     * Re-join a parked request into finished slot `i` in place (the
-     * continuous-batching fast path, like replaceSlot).
-     */
-    void replaceSlotParked(int64_t i, const Parked &p);
 
     /** Ticket occupying slot `i`. */
     uint64_t
@@ -191,6 +197,9 @@ class BatchEngine
     std::vector<Finished> retire();
 
   private:
+    /** Write `p` into slab `i`, which exists: image, state, slot. */
+    void install(int64_t i, const Parked &p);
+
     struct Slot
     {
         uint64_t id = 0;

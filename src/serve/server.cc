@@ -12,6 +12,18 @@
  * worker that owns it; the lock covers every decision *about* the
  * engine (admission, preemption, eviction), never the step itself.
  *
+ * Admission: a worker turns every candidate — a queued request or a
+ * parked one — into a slab through one sequence, admitCandidate():
+ * the Admission / Resume fault point, the reuse-cache lookup, the
+ * cancel / deadline / fault recheck under the lock, the queue-time or
+ * resume accounting, and a cold, warm or parked BatchEngine::Parked.
+ * Before a step the admitted Parkeds join the engine as one burst;
+ * after it each vacated slab (finished, cancelled, timed out) is
+ * handed to the next candidate in place. Preemption, migration
+ * park-out and importMigrated all enter the parked pool through
+ * parkLocked(), and a request that leaves it without a slab is
+ * finalized through finalizeParkedLocked().
+ *
  * Time handling: every deadline and wait computation uses
  * std::chrono::steady_clock (never the wall clock — a settable clock
  * would turn an NTP step into a mass timeout), and all "base + budget"
@@ -41,26 +53,21 @@ microsBetween(std::chrono::steady_clock::time_point a,
 }
 
 /**
- * Shape a cached prefix as the park/resume transport so the engine
- * installs it through the one battle-tested join path (admitParked /
- * replaceSlotParked). The image and state bytes are copied out of the
- * immutable entry; `state.backRef` adopts the entry itself so it stays
- * alive while its copy is resident in a slab even if the cache evicts
- * it concurrently (the slot-recycle paths drop the reference). `ops`
- * stays zeroed: the warm start's whole point is that this request did
- * not execute those steps.
+ * Shape a cached prefix as a warm Parked, so the engine installs it
+ * through its one join path like any other. The image and state bytes
+ * are copied out of the immutable entry; `state.backRef` adopts the
+ * entry itself so it stays alive while its copy is resident in a slab
+ * even if the cache evicts it concurrently (the slot-recycle paths
+ * drop the reference). `ops` stays zeroed: the warm start's whole
+ * point is that this request did not execute those steps.
  */
 BatchEngine::Parked
-makeWarmParked(uint64_t id, const DenoiseRequest &req,
-               const ReuseCache::EntryPtr &entry, int steps_total)
+makeWarmParked(const CompiledModel &model, uint64_t id,
+               const DenoiseRequest &req, const ReuseCache::EntryPtr &entry)
 {
-    BatchEngine::Parked p;
-    p.id = id;
+    BatchEngine::Parked p = BatchEngine::Parked::unstarted(model, id, req);
     p.image = entry->image;
     p.stepsDone = entry->key.steps;
-    p.stepsTotal = steps_total;
-    p.ditto = req.mode != RunMode::QuantDirect;
-    p.approx = req.mode == RunMode::ApproxDitto;
     if (entry->hasState) {
         p.state = entry->state;
         p.state.backRef = entry;
@@ -162,25 +169,28 @@ DenoiseServer::queueDepthLocked() const
     return depth;
 }
 
-bool
-DenoiseServer::parkedHeldLocked(const ParkedEntry &e) const
+DenoiseServer::BestWork
+DenoiseServer::bestWorkLocked() const
 {
-    // A parked entry whose ticket has a migration pending belongs to
-    // the exporter: admission must not resume it, a worker must not
-    // count it as runnable work (else idle workers would spin on it).
-    return tickets_.at(e.state.id).migrateRequested;
-}
-
-bool
-DenoiseServer::haveWorkLocked() const
-{
-    if (queueDepthLocked() > 0)
-        return true;
-    for (const ParkedEntry &p : parked_) {
-        if (!parkedHeldLocked(p))
-            return true;
+    BestWork b;
+    for (int c = 0; c < kNumSloClasses; ++c) {
+        if (!queues_[static_cast<size_t>(c)].empty()) {
+            b.queued = c;
+            break;
+        }
     }
-    return false;
+    for (size_t i = 0; i < parked_.size(); ++i) {
+        // A parked entry whose ticket has a migration pending belongs
+        // to the exporter: admission must not resume it, a worker must
+        // not count it as runnable work (else idle workers would spin
+        // on it).
+        const Ticket &t = tickets_.at(parked_[i].id);
+        if (!t.migrateRequested && static_cast<int>(t.slo) < b.parked) {
+            b.parked = static_cast<int>(t.slo);
+            b.parkedAt = i;
+        }
+    }
+    return b;
 }
 
 void
@@ -229,7 +239,6 @@ DenoiseServer::finalizeLocked(uint64_t id, RequestStatus status,
     switch (status) {
       case RequestStatus::Done:
         ++cm.completed;
-        ++stats_.completed;
         cm.serviceUs.record(result.serviceMicros);
         cm.e2eUs.record(result.queueMicros + result.serviceMicros);
         break;
@@ -258,6 +267,25 @@ DenoiseServer::finalizeEmptyLocked(uint64_t id, RequestStatus status)
 {
     DenoiseResult r = makeResultLocked(id);
     finalizeLocked(id, status, std::move(r));
+}
+
+void
+DenoiseServer::finalizeParkedLocked(const BatchEngine::Parked &p,
+                                    RequestStatus status)
+{
+    DenoiseResult r = makeResultLocked(p.id);
+    r.steps = p.stepsDone;
+    r.dittoOps = p.ops;
+    finalizeLocked(p.id, status, std::move(r));
+}
+
+void
+DenoiseServer::parkLocked(BatchEngine::Parked p)
+{
+    tickets_.at(p.id).state = RequestStatus::Parked;
+    parked_.push_back(std::move(p));
+    metrics_.parkedPeak = std::max(metrics_.parkedPeak,
+                                   static_cast<uint64_t>(parked_.size()));
 }
 
 uint64_t
@@ -354,7 +382,6 @@ DenoiseServer::submit(const DenoiseRequest &req)
     p.req = effective;
     p.submitted = now;
     queues_[static_cast<size_t>(req.slo)].push_back(std::move(p));
-    ++stats_.submitted;
     metrics_.queueDepthPeak =
         std::max(metrics_.queueDepthPeak,
                  static_cast<uint64_t>(queueDepthLocked()));
@@ -394,13 +421,9 @@ DenoiseServer::cancel(uint64_t id)
       }
       case RequestStatus::Parked: {
         for (auto pi = parked_.begin(); pi != parked_.end(); ++pi) {
-            if (pi->state.id == id) {
-                DenoiseResult r = makeResultLocked(id);
-                r.steps = pi->state.stepsDone;
-                r.dittoOps = pi->state.ops;
+            if (pi->id == id) {
+                finalizeParkedLocked(*pi, RequestStatus::Cancelled);
                 parked_.erase(pi);
-                finalizeLocked(id, RequestStatus::Cancelled,
-                               std::move(r));
                 lock.unlock();
                 resultReady_.notify_all();
                 return true;
@@ -479,13 +502,6 @@ DenoiseServer::wait(uint64_t id)
     return out;
 }
 
-ServerStats
-DenoiseServer::stats() const
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    return stats_;
-}
-
 ServeMetrics
 DenoiseServer::metrics() const
 {
@@ -547,13 +563,9 @@ DenoiseServer::exportForMigration(uint64_t id, MigratedRequest *out,
         for (auto qi = q.begin(); qi != q.end(); ++qi) {
             if (qi->id != id)
                 continue;
-            const Ticket &t = it->second;
-            out->req = portableReq(t);
-            out->state = BatchEngine::Parked{};
-            out->state.id = id;
-            out->state.stepsTotal = effectiveSteps(t.req);
-            out->state.ditto = t.req.mode != RunMode::QuantDirect;
-            out->state.approx = t.req.mode == RunMode::ApproxDitto;
+            out->req = portableReq(it->second);
+            out->state =
+                BatchEngine::Parked::unstarted(model_, id, it->second.req);
             q.erase(qi);
             finalizeEmptyLocked(id, RequestStatus::Migrated);
             lock.unlock();
@@ -574,7 +586,7 @@ DenoiseServer::exportForMigration(uint64_t id, MigratedRequest *out,
     const Clock::time_point give_up = deadlineAfter(now, waitMicros);
     const auto parkedIt = [&] {
         for (auto pi = parked_.begin(); pi != parked_.end(); ++pi) {
-            if (pi->state.id == id)
+            if (pi->id == id)
                 return pi;
         }
         return parked_.end();
@@ -595,14 +607,10 @@ DenoiseServer::exportForMigration(uint64_t id, MigratedRequest *out,
         ti->second.state == RequestStatus::Parked) {
         auto pi = parkedIt();
         if (pi != parked_.end()) {
-            Ticket &t = ti->second;
-            out->req = portableReq(t);
-            out->state = std::move(pi->state);
+            out->req = portableReq(ti->second);
+            out->state = std::move(*pi);
             parked_.erase(pi);
-            DenoiseResult r = makeResultLocked(id);
-            r.steps = out->state.stepsDone;
-            r.dittoOps = out->state.ops;
-            finalizeLocked(id, RequestStatus::Migrated, std::move(r));
+            finalizeParkedLocked(out->state, RequestStatus::Migrated);
             ok = true;
         }
     }
@@ -633,26 +641,18 @@ DenoiseServer::importMigrated(const MigratedRequest &m)
     t.submitted = now;
     t.deadline = deadlineAfter(now, m.req.deadlineMicros);
     t.req = m.req;
-    ClassMetrics &cm = metrics_.perClass[static_cast<size_t>(m.req.slo)];
-    ++cm.submitted;
-    ++stats_.submitted;
+    ++metrics_.perClass[static_cast<size_t>(m.req.slo)].submitted;
     ++metrics_.migratedIn;
     if (has_progress) {
         // Partial progress re-enters through the parked pool exactly
-        // like a preempted local request; the next admission resumes
-        // it through the one battle-tested join path (admitParked).
-        t.state = RequestStatus::Parked;
+        // like a preempted local request, and the next admission joins
+        // it like any other Parked.
         t.admitted = now; // its queue time was spent on the exporter
         tickets_[id] = t;
-        ParkedEntry entry;
-        entry.slo = m.req.slo;
-        entry.parkedAt = now;
-        entry.state = m.state;
-        entry.state.id = id;
-        entry.state.state.backRef = nullptr; // owns its bytes outright
-        parked_.push_back(std::move(entry));
-        metrics_.parkedPeak = std::max(
-            metrics_.parkedPeak, static_cast<uint64_t>(parked_.size()));
+        BatchEngine::Parked p = m.state;
+        p.id = id;
+        p.state.backRef = nullptr; // owns its bytes outright
+        parkLocked(std::move(p));
     } else {
         // Never started: queue it normally (deliberately bypassing the
         // capacity bound — migration rebalances work that was already
@@ -672,24 +672,6 @@ DenoiseServer::importMigrated(const MigratedRequest &m)
     return id;
 }
 
-SloClass
-DenoiseServer::bestWaitingClassLocked(bool *any) const
-{
-    int best = kNumSloClasses;
-    for (int c = 0; c < kNumSloClasses; ++c) {
-        if (!queues_[static_cast<size_t>(c)].empty()) {
-            best = c;
-            break;
-        }
-    }
-    for (const ParkedEntry &p : parked_) {
-        if (!parkedHeldLocked(p))
-            best = std::min(best, static_cast<int>(p.slo));
-    }
-    *any = best < kNumSloClasses;
-    return static_cast<SloClass>(best < kNumSloClasses ? best : 0);
-}
-
 bool
 DenoiseServer::popCandidateLocked(Candidate *out)
 {
@@ -697,52 +679,28 @@ DenoiseServer::popCandidateLocked(Candidate *out)
         // Highest-priority source: strict class order; at equal class
         // a parked request (older, already admitted once) beats a
         // queued one.
-        int queued_class = kNumSloClasses;
-        for (int c = 0; c < kNumSloClasses; ++c) {
-            if (!queues_[static_cast<size_t>(c)].empty()) {
-                queued_class = c;
-                break;
-            }
-        }
-        size_t parked_at = parked_.size();
-        int parked_class = kNumSloClasses;
-        for (size_t i = 0; i < parked_.size(); ++i) {
-            if (parkedHeldLocked(parked_[i]))
-                continue; // reserved for an exporter, not for us
-            const int c = static_cast<int>(parked_[i].slo);
-            if (c < parked_class) {
-                parked_class = c;
-                parked_at = i;
-            }
-        }
-        if (queued_class == kNumSloClasses &&
-            parked_class == kNumSloClasses) {
+        const BestWork b = bestWorkLocked();
+        if (b.best() == kNumSloClasses) {
             updateShedLocked();
             return false;
         }
         const Clock::time_point now = Clock::now();
-        if (parked_class <= queued_class) {
-            ParkedEntry entry = std::move(parked_[parked_at]);
+        if (b.parked <= b.queued) {
+            BatchEngine::Parked p = std::move(parked_[b.parkedAt]);
             parked_.erase(parked_.begin() +
-                          static_cast<int64_t>(parked_at));
-            const Ticket &t = tickets_.at(entry.state.id);
+                          static_cast<int64_t>(b.parkedAt));
+            const Ticket &t = tickets_.at(p.id);
             if (t.cancelRequested || now >= t.deadline) {
-                DenoiseResult r = makeResultLocked(entry.state.id);
-                r.steps = entry.state.stepsDone;
-                r.dittoOps = entry.state.ops;
-                finalizeLocked(entry.state.id,
-                               t.cancelRequested
-                                   ? RequestStatus::Cancelled
-                                   : RequestStatus::TimedOut,
-                               std::move(r));
+                finalizeParkedLocked(p, t.cancelRequested
+                                            ? RequestStatus::Cancelled
+                                            : RequestStatus::TimedOut);
                 continue;
             }
             out->fromParked = true;
-            out->parked = std::move(entry);
+            out->parked = std::move(p);
             return true;
         }
-        std::deque<Pending> &q =
-            queues_[static_cast<size_t>(queued_class)];
+        std::deque<Pending> &q = queues_[static_cast<size_t>(b.queued)];
         Pending p = std::move(q.front());
         q.pop_front();
         updateShedLocked();
@@ -759,10 +717,78 @@ DenoiseServer::popCandidateLocked(Candidate *out)
     }
 }
 
+bool
+DenoiseServer::admitCandidate(Candidate &c, BatchEngine::Parked *out)
+{
+    const uint64_t id = c.fromParked ? c.parked.id : c.pending.id;
+    const bool fault_reject = faults::inject(
+        c.fromParked ? faults::Point::Resume : faults::Point::Admission);
+    // Inter-request reuse: look up the deepest cached prefix before the
+    // recheck (the lookup itself never blocks the server lock). A
+    // reuse_install fault forces a cold start — never an error;
+    // resumes keep their own state.
+    ReuseCache::EntryPtr warm;
+    PrefixBase base{};
+    if (!c.fromParked && cache_) {
+        const DenoiseRequest &req = c.pending.req;
+        base = makePrefixBase(model_, req.seed, req.conditioning, req.mode);
+        if (!faults::inject(faults::Point::ReuseInstall))
+            warm = cache_->lookup(base, effectiveSteps(req) - 1);
+    }
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        Ticket &t = tickets_.at(id);
+        ClassMetrics &cm = metrics_.perClass[static_cast<size_t>(t.slo)];
+        // A cancel or deadline that landed while the candidate was in
+        // flight, or an injected admission fault, drops it here.
+        const Clock::time_point now = Clock::now();
+        RequestStatus drop_as = RequestStatus::Running;
+        if (t.cancelRequested)
+            drop_as = RequestStatus::Cancelled;
+        else if (now >= t.deadline)
+            drop_as = RequestStatus::TimedOut;
+        else if (fault_reject)
+            drop_as = RequestStatus::Rejected;
+        if (drop_as != RequestStatus::Running) {
+            if (drop_as == RequestStatus::Rejected)
+                ++cm.rejectedFault;
+            if (c.fromParked)
+                finalizeParkedLocked(c.parked, drop_as);
+            else
+                finalizeEmptyLocked(id, drop_as);
+            lock.unlock();
+            resultReady_.notify_all();
+            return false;
+        }
+        if (t.state == RequestStatus::Queued) {
+            t.admitted = now;
+            ++cm.admitted;
+            cm.queueUs.record(microsBetween(t.submitted, now));
+        } else {
+            ++cm.resumed;
+        }
+        if (!c.fromParked && cache_) {
+            reuseBase_[id] = base;
+            t.reusedSteps = warm ? warm->key.steps : 0;
+        }
+        t.state = RequestStatus::Running;
+    }
+    if (c.fromParked) {
+        *out = std::move(c.parked);
+    } else if (warm) {
+        *out = makeWarmParked(model_, id, c.pending.req, warm);
+        cache_->recordInstalled(warm->key.steps);
+    } else {
+        *out = BatchEngine::Parked::cold(model_, id, c.pending.req);
+    }
+    return true;
+}
+
 void
 DenoiseServer::workerLoop()
 {
     BatchEngine engine(model_, cfg_.maxBatch);
+    std::vector<BatchEngine::Parked> joins; // one burst per join()
     // Queue pops, lifecycle decisions, timing and stats happen under
     // the lock; the engine mutations they lead to (noise generation,
     // stacked state edits, parking, the step itself) run outside it so
@@ -782,10 +808,13 @@ DenoiseServer::workerLoop()
                         static_cast<int64_t>(parks.size()));
             };
             if (engine.empty()) {
+                const auto haveWork = [&] {
+                    return bestWorkLocked().best() < kNumSloClasses;
+                };
                 workAvailable_.wait(lock, [&] {
-                    return stopping_ || haveWorkLocked();
+                    return stopping_ || haveWork();
                 });
-                if (!haveWorkLocked()) {
+                if (!haveWork()) {
                     DITTO_ASSERT(stopping_, "spurious worker wake");
                     return;
                 }
@@ -824,7 +853,6 @@ DenoiseServer::workerLoop()
                     continue;
                 }
                 formed = true;
-                ++stats_.batchesFormed;
                 ++metrics_.batchesFormed;
                 while (roomLeft() > 0 && !stopping_ &&
                        Clock::now() < window) {
@@ -843,11 +871,10 @@ DenoiseServer::workerLoop()
                 // waits and the batch is full, park the worst running
                 // slot (lowest class; ties: least progress lost, then
                 // highest index) between steps.
-                bool any = false;
-                SloClass want = bestWaitingClassLocked(&any);
-                while (any && roomLeft() <= 0) {
+                int want = bestWorkLocked().best();
+                while (want < kNumSloClasses && roomLeft() <= 0) {
                     int64_t victim = -1;
-                    int victim_class = static_cast<int>(want);
+                    int victim_class = want;
                     int victim_steps = 0;
                     for (int64_t i = 0; i < engine.active(); ++i) {
                         if (std::find(parks.begin(), parks.end(), i) !=
@@ -875,7 +902,7 @@ DenoiseServer::workerLoop()
                         break;
                     }
                     selected.push_back(std::move(c2));
-                    want = bestWaitingClassLocked(&any);
+                    want = bestWorkLocked().best();
                 }
                 std::sort(parks.rbegin(), parks.rend());
             }
@@ -890,107 +917,24 @@ DenoiseServer::workerLoop()
             {
                 std::unique_lock<std::mutex> lock(mutex_);
                 Ticket &t = tickets_.at(p.id);
-                t.state = RequestStatus::Parked;
                 ++t.preemptions;
                 ++metrics_.perClass[static_cast<size_t>(t.slo)]
                       .preempted;
-                ParkedEntry entry;
-                entry.slo = t.slo;
-                entry.parkedAt = Clock::now();
-                entry.state = std::move(p);
-                parked_.push_back(std::move(entry));
-                metrics_.parkedPeak =
-                    std::max(metrics_.parkedPeak,
-                             static_cast<uint64_t>(parked_.size()));
+                parkLocked(std::move(p));
             }
             workAvailable_.notify_one(); // another engine may resume it
         }
 
-        // Admissions and resumes, with the admission fault point and a
-        // final lifecycle recheck (cancel/timeout may have landed
-        // while the candidate was in flight).
-        std::vector<uint64_t> admit_ids;
-        std::vector<DenoiseRequest> admit_reqs;
+        // Admissions and resumes join as one burst. The burst is
+        // cleared right away: a warm entry's copy must not pin its
+        // cache entry (SlabState::backRef) beyond the slab it joined.
         for (Candidate &c : selected) {
-            const uint64_t id =
-                c.fromParked ? c.parked.state.id : c.pending.id;
-            const bool fault_reject = faults::inject(
-                c.fromParked ? faults::Point::Resume
-                             : faults::Point::Admission);
-            // Inter-request reuse: look up the deepest cached prefix
-            // before the recheck (the lookup itself never blocks the
-            // server lock). A reuse_install fault forces a cold start
-            // — never an error; resumes keep their own state.
-            ReuseCache::EntryPtr warm;
-            PrefixBase base{};
-            if (!c.fromParked && cache_) {
-                const DenoiseRequest &req = c.pending.req;
-                base = makePrefixBase(model_, req.seed,
-                                      req.conditioning, req.mode);
-                if (!faults::inject(faults::Point::ReuseInstall))
-                    warm = cache_->lookup(base,
-                                          effectiveSteps(req) - 1);
-            }
-            bool dropped = false;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                Ticket &t = tickets_.at(id);
-                const Clock::time_point now = Clock::now();
-                RequestStatus drop_as = RequestStatus::Queued;
-                if (t.cancelRequested)
-                    drop_as = RequestStatus::Cancelled;
-                else if (now >= t.deadline)
-                    drop_as = RequestStatus::TimedOut;
-                else if (fault_reject)
-                    drop_as = RequestStatus::Rejected;
-                if (drop_as != RequestStatus::Queued) {
-                    ClassMetrics &cm =
-                        metrics_.perClass[static_cast<size_t>(t.slo)];
-                    if (drop_as == RequestStatus::Rejected)
-                        ++cm.rejectedFault;
-                    DenoiseResult r = makeResultLocked(id);
-                    if (c.fromParked) {
-                        r.steps = c.parked.state.stepsDone;
-                        r.dittoOps = c.parked.state.ops;
-                    }
-                    finalizeLocked(id, drop_as, std::move(r));
-                    dropped = true;
-                } else {
-                    ClassMetrics &cm =
-                        metrics_.perClass[static_cast<size_t>(t.slo)];
-                    if (t.state == RequestStatus::Queued) {
-                        t.admitted = now;
-                        ++cm.admitted;
-                        cm.queueUs.record(
-                            microsBetween(t.submitted, now));
-                    } else {
-                        ++cm.resumed;
-                    }
-                    if (!c.fromParked && cache_) {
-                        reuseBase_[id] = base;
-                        t.reusedSteps = warm ? warm->key.steps : 0;
-                    }
-                    t.state = RequestStatus::Running;
-                }
-            }
-            if (dropped) {
-                resultReady_.notify_all();
-                continue;
-            }
-            if (c.fromParked) {
-                engine.admitParked(c.parked.state);
-            } else if (warm) {
-                engine.admitParked(
-                    makeWarmParked(id, c.pending.req, warm,
-                                   effectiveSteps(c.pending.req)));
-                cache_->recordInstalled(warm->key.steps);
-            } else {
-                admit_ids.push_back(c.pending.id);
-                admit_reqs.push_back(c.pending.req);
-            }
+            BatchEngine::Parked p;
+            if (admitCandidate(c, &p))
+                joins.push_back(std::move(p));
         }
-        if (!admit_ids.empty())
-            engine.admitBatch(admit_ids, admit_reqs);
+        engine.join(joins);
+        joins.clear();
 
         if (engine.empty())
             continue; // every candidate dropped at the recheck
@@ -1003,8 +947,8 @@ DenoiseServer::workerLoop()
 
         // Post-step bookkeeping: retire finished slots, evict
         // cancelled and expired ones, prune the parked pool, and plan
-        // replacements (the continuous-batching fast path hands a
-        // finished slab straight to the next request).
+        // handovers (the continuous-batching fast path hands a vacated
+        // slab straight to the next request).
         struct Removal
         {
             int64_t slot;
@@ -1021,18 +965,15 @@ DenoiseServer::workerLoop()
         std::vector<Checkpoint> checkpoints;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            ++stats_.steps;
             ++metrics_.steps;
-            stats_.stepRequests +=
-                static_cast<uint64_t>(engine.active());
             metrics_.stepRequests +=
                 static_cast<uint64_t>(engine.active());
             const Clock::time_point now = Clock::now();
             // Plan reuse checkpoints under the lock (key identity and
             // cancel flags live here); the state copies run outside
-            // it, before any slot is removed or replaced, so the slot
-            // indices stay valid. Finished slots checkpoint too — a
-            // completed 8-step prefix warm-starts a later 12-step
+            // it, before any slot is removed or handed over, so the
+            // slot indices stay valid. Finished slots checkpoint too —
+            // a completed 8-step prefix warm-starts a later 12-step
             // request.
             if (cache_) {
                 const int every = cache_->config().checkpointEvery;
@@ -1069,17 +1010,13 @@ DenoiseServer::workerLoop()
             // Expired or cancelled parked requests must not linger
             // until a pop considers them: prune once per step.
             for (size_t i = parked_.size(); i-- > 0;) {
-                const Ticket &t = tickets_.at(parked_[i].state.id);
+                const Ticket &t = tickets_.at(parked_[i].id);
                 if (!t.cancelRequested && now < t.deadline)
                     continue;
-                DenoiseResult r = makeResultLocked(parked_[i].state.id);
-                r.steps = parked_[i].state.stepsDone;
-                r.dittoOps = parked_[i].state.ops;
-                finalizeLocked(parked_[i].state.id,
-                               t.cancelRequested
-                                   ? RequestStatus::Cancelled
-                                   : RequestStatus::TimedOut,
-                               std::move(r));
+                finalizeParkedLocked(parked_[i],
+                                     t.cancelRequested
+                                         ? RequestStatus::Cancelled
+                                         : RequestStatus::TimedOut);
                 parked_.erase(parked_.begin() +
                               static_cast<int64_t>(i));
             }
@@ -1105,27 +1042,17 @@ DenoiseServer::workerLoop()
 
         size_t r_idx = 0;
         for (const Removal &rm : removals) {
-            bool slot_gone = false;
-            if (rm.status == RequestStatus::Parked) {
+            const bool migrating = rm.status == RequestStatus::Parked;
+            if (migrating) {
                 // Park-out for migration: capture the portable state
                 // into the parked pool, where the entry stays *held*
                 // (admission skips it) until the exporter takes it —
                 // or until the flag is cleared and it resumes here.
                 faults::inject(faults::Point::Park);
                 BatchEngine::Parked p = engine.park(rm.slot);
-                slot_gone = true;
                 {
                     std::unique_lock<std::mutex> lock(mutex_);
-                    Ticket &t = tickets_.at(rm.id);
-                    t.state = RequestStatus::Parked;
-                    ParkedEntry entry;
-                    entry.slo = t.slo;
-                    entry.parkedAt = Clock::now();
-                    entry.state = std::move(p);
-                    parked_.push_back(std::move(entry));
-                    metrics_.parkedPeak =
-                        std::max(metrics_.parkedPeak,
-                                 static_cast<uint64_t>(parked_.size()));
+                    parkLocked(std::move(p));
                 }
                 resultReady_.notify_all();   // the exporter waits here
                 workAvailable_.notify_all(); // flag may have cleared
@@ -1145,112 +1072,22 @@ DenoiseServer::workerLoop()
                 r.steps = steps_done;
                 finalizeLocked(rm.id, rm.status, std::move(r));
             }
-            // Replacement fast path: hand the slab to the next
-            // candidate instead of shrinking and regrowing the stacked
-            // state — with the same fault point and recheck as any
-            // other admission.
-            bool replaced = false;
-            if (r_idx < repl.size()) {
-                Candidate &c = repl[r_idx++];
-                const uint64_t cid =
-                    c.fromParked ? c.parked.state.id : c.pending.id;
-                const bool fault_reject = faults::inject(
-                    c.fromParked ? faults::Point::Resume
-                                 : faults::Point::Admission);
-                // Same reuse lookup as the main admission site: the
-                // replacement fast path must not cost warm starts.
-                ReuseCache::EntryPtr warm;
-                PrefixBase base{};
-                if (!c.fromParked && cache_) {
-                    const DenoiseRequest &req = c.pending.req;
-                    base = makePrefixBase(model_, req.seed,
-                                          req.conditioning, req.mode);
-                    if (!faults::inject(faults::Point::ReuseInstall))
-                        warm = cache_->lookup(
-                            base, effectiveSteps(req) - 1);
-                }
-                bool dropped = false;
-                {
-                    std::unique_lock<std::mutex> lock(mutex_);
-                    Ticket &t = tickets_.at(cid);
-                    const Clock::time_point now = Clock::now();
-                    RequestStatus drop_as = RequestStatus::Queued;
-                    if (t.cancelRequested)
-                        drop_as = RequestStatus::Cancelled;
-                    else if (now >= t.deadline)
-                        drop_as = RequestStatus::TimedOut;
-                    else if (fault_reject)
-                        drop_as = RequestStatus::Rejected;
-                    if (drop_as != RequestStatus::Queued) {
-                        ClassMetrics &cm = metrics_.perClass
-                            [static_cast<size_t>(t.slo)];
-                        if (drop_as == RequestStatus::Rejected)
-                            ++cm.rejectedFault;
-                        DenoiseResult r = makeResultLocked(cid);
-                        if (c.fromParked) {
-                            r.steps = c.parked.state.stepsDone;
-                            r.dittoOps = c.parked.state.ops;
-                        }
-                        finalizeLocked(cid, drop_as, std::move(r));
-                        dropped = true;
-                    } else {
-                        ClassMetrics &cm = metrics_.perClass
-                            [static_cast<size_t>(t.slo)];
-                        if (t.state == RequestStatus::Queued) {
-                            t.admitted = now;
-                            ++cm.admitted;
-                            cm.queueUs.record(
-                                microsBetween(t.submitted, now));
-                        } else {
-                            ++cm.resumed;
-                        }
-                        if (!c.fromParked && cache_) {
-                            reuseBase_[cid] = base;
-                            t.reusedSteps =
-                                warm ? warm->key.steps : 0;
-                        }
-                        t.state = RequestStatus::Running;
-                    }
-                }
-                if (!dropped) {
-                    if (rm.status == RequestStatus::Done) {
-                        if (c.fromParked)
-                            engine.replaceSlotParked(rm.slot,
-                                                     c.parked.state);
-                        else if (warm)
-                            engine.replaceSlotParked(
-                                rm.slot,
-                                makeWarmParked(
-                                    cid, c.pending.req, warm,
-                                    effectiveSteps(c.pending.req)));
-                        else
-                            engine.replaceSlot(rm.slot, c.pending.id,
-                                               c.pending.req);
-                    } else {
-                        // Evicted slots are mid-rollout (and a
-                        // migrate-park already removed its slot); the
-                        // in-place overwrite is reserved for finished
-                        // slabs.
-                        if (!slot_gone)
-                            engine.removeSlot(rm.slot);
-                        slot_gone = true;
-                        if (c.fromParked)
-                            engine.admitParked(c.parked.state);
-                        else if (warm)
-                            engine.admitParked(makeWarmParked(
-                                cid, c.pending.req, warm,
-                                effectiveSteps(c.pending.req)));
-                        else
-                            engine.admit(c.pending.id, c.pending.req);
-                    }
-                    if (warm)
-                        cache_->recordInstalled(warm->key.steps);
-                    replaced = true;
-                }
-            }
-            if (!replaced && !slot_gone)
+            // Handover: the next candidate takes the vacated slab in
+            // place instead of shrinking and regrowing the stacked
+            // state. park() has already removed a migrating slot, so
+            // its successor joins the appended burst instead.
+            BatchEngine::Parked p;
+            if (r_idx < repl.size() && admitCandidate(repl[r_idx++], &p)) {
+                if (migrating)
+                    joins.push_back(std::move(p));
+                else
+                    engine.joinInto(rm.slot, p);
+            } else if (!migrating) {
                 engine.removeSlot(rm.slot);
+            }
         }
+        engine.join(joins);
+        joins.clear();
         resultReady_.notify_all();
     }
 }

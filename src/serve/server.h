@@ -52,6 +52,7 @@
 #ifndef DITTO_SERVE_SERVER_H
 #define DITTO_SERVE_SERVER_H
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <condition_variable>
@@ -144,28 +145,6 @@ struct ServerConfig
     }
 };
 
-/**
- * Aggregate serving counters (monotonic since construction). The
- * richer per-class surface lives in DenoiseServer::metrics().
- */
-struct ServerStats
-{
-    uint64_t submitted = 0;    //!< requests accepted into the queue
-    uint64_t completed = 0;    //!< results delivered to the result map
-    uint64_t steps = 0;        //!< forwardBatch calls across engines
-    uint64_t stepRequests = 0; //!< sum of batch occupancy over steps
-    uint64_t batchesFormed = 0; //!< idle->running transitions
-
-    /** Mean requests per executed step. */
-    double
-    avgOccupancy() const
-    {
-        return steps ? static_cast<double>(stepRequests) /
-                           static_cast<double>(steps)
-                     : 0.0;
-    }
-};
-
 /** Asynchronous multi-request denoising server over one CompiledModel. */
 class DenoiseServer
 {
@@ -236,8 +215,6 @@ class DenoiseServer
      * destructor. Results stay retrievable afterwards.
      */
     void shutdown();
-
-    ServerStats stats() const;
 
     /** Consistent snapshot of the full metrics surface. */
     ServeMetrics metrics() const;
@@ -333,38 +310,62 @@ class DenoiseServer
         DenoiseRequest req;
     };
 
-    /** A parked (preempted) request waiting to resume. */
-    struct ParkedEntry
-    {
-        BatchEngine::Parked state;
-        SloClass slo = SloClass::Standard;
-        Clock::time_point parkedAt;
-    };
-
     /** One admission candidate popped from the queues or parked pool. */
     struct Candidate
     {
         bool fromParked = false;
-        Pending pending;    //!< valid when !fromParked
-        ParkedEntry parked; //!< valid when fromParked
+        Pending pending;            //!< valid when !fromParked
+        BatchEngine::Parked parked; //!< valid when fromParked
+    };
+
+    /**
+     * The highest-priority runnable work: the first non-empty class
+     * queue, and the best-class parked entry not held for an exporter
+     * (kNumSloClasses when there is none).
+     */
+    struct BestWork
+    {
+        int queued = kNumSloClasses;
+        int parked = kNumSloClasses;
+        size_t parkedAt = 0; //!< index into parked_, valid with `parked`
+        int best() const { return std::min(queued, parked); }
     };
 
     void workerLoop();
+
+    /**
+     * The admission sequence, run on every candidate that is about to
+     * take a slab (a join before the step, a handover after it): the
+     * Admission or Resume fault point, the reuse lookup, the cancel /
+     * deadline / fault recheck, the queue-time or resume accounting,
+     * and the cold, warm or parked Parked it joins as. False when the
+     * recheck finalized the candidate instead. Takes the lock itself.
+     */
+    bool admitCandidate(Candidate &c, BatchEngine::Parked *out);
 
     /** `base + micros`, saturating at Clock::time_point::max(). */
     static Clock::time_point deadlineAfter(Clock::time_point base,
                                            int64_t micros);
 
     // All *Locked helpers require mutex_ held.
-    bool haveWorkLocked() const;
-    bool parkedHeldLocked(const ParkedEntry &e) const;
+    BestWork bestWorkLocked() const;
     int64_t queueDepthLocked() const;
     void updateShedLocked();
-    SloClass bestWaitingClassLocked(bool *any) const;
     bool popCandidateLocked(Candidate *out);
+
+    /**
+     * Put `p` into the parked pool (its ticket turns Parked): the one
+     * way in for preemption, migration park-out and importMigrated.
+     */
+    void parkLocked(BatchEngine::Parked p);
+
     void finalizeLocked(uint64_t id, RequestStatus status,
                         DenoiseResult &&result);
     void finalizeEmptyLocked(uint64_t id, RequestStatus status);
+
+    /** Finalize a request that holds no slab, with its progress. */
+    void finalizeParkedLocked(const BatchEngine::Parked &p,
+                              RequestStatus status);
     DenoiseResult makeResultLocked(uint64_t id) const;
     int effectiveSteps(const DenoiseRequest &req) const;
 
@@ -377,7 +378,7 @@ class DenoiseServer
     std::condition_variable resultReady_;    //!< results -> waiters
     std::condition_variable spaceAvailable_; //!< queue -> blocked submits
     std::array<std::deque<Pending>, kNumSloClasses> queues_;
-    std::deque<ParkedEntry> parked_;
+    std::deque<BatchEngine::Parked> parked_;
     std::unordered_map<uint64_t, Ticket> tickets_;
     /**
      * Prefix identity of every live admitted request, registered at
@@ -387,7 +388,6 @@ class DenoiseServer
      */
     std::unordered_map<uint64_t, PrefixBase> reuseBase_;
     std::unordered_map<uint64_t, DenoiseResult> results_;
-    ServerStats stats_;
     ServeMetrics metrics_;
     uint64_t nextId_ = 1;
     bool shedding_ = false;

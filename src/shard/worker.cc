@@ -248,20 +248,12 @@ ShardWorker::handleFrame(int fd, const net::Frame &frame)
         std::string why;
         if (!decodeParked(wire.slab, &m.state, &why))
             return sendError(fd, why);
-        // Geometry screen — everything installSlab would assert on
-        // must be rejected here, at the wire.
-        if (m.state.hasState) {
-            if (static_cast<int32_t>(m.state.state.prevIn.size()) !=
-                    info_.stateInSlots ||
-                static_cast<int32_t>(m.state.state.prevOut.size()) !=
-                    info_.stateOutSlots)
-                return sendError(fd, "slab slot geometry mismatch");
-        }
-        if (m.state.image.numel() > 0 &&
-            !(m.state.image.shape() == model_.inputShape()))
-            return sendError(fd, "slab image shape mismatch");
-        if (m.state.stepsDone > 0 && m.state.image.numel() == 0)
-            return sendError(fd, "slab missing partial image");
+        // Everything a join would assert on, or read or write out of
+        // bounds for, is rejected here, at the wire.
+        if (!model_.acceptsSlab(m.state.image, m.state.stepsDone,
+                                m.state.hasState ? &m.state.state : nullptr,
+                                &why))
+            return sendError(fd, why);
         uint64_t id = 0;
         {
             std::lock_guard<std::mutex> lk(mu_);

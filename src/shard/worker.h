@@ -20,11 +20,15 @@
  *    in-process misuse, wrong for untrusted bytes. The worker screens
  *    every wire ticket against the set and answers Error frames for
  *    unknown ones, so no remote peer can abort a worker.
- *  - MigrateIn validates the slab *before* install: model identity
- *    (spec hash + calibration digest), slot geometry
- *    (CompiledModel::numStateInSlots/OutSlots), image element count
- *    and step bounds. A mismatched or corrupt slab is answered with
- *    an Error frame — never mis-installed.
+ *  - MigrateIn validates the slab before it reaches the server: the
+ *    model identity (spec hash + calibration digest), the codec's
+ *    checksum, headers and step bounds (shard/slab_codec.h), then
+ *    CompiledModel::acceptsSlab — the image shape, one tensor of the
+ *    model's single-slab shape per state slot, and skip counters that
+ *    are empty or hold one entry per node. A slab failing any check is
+ *    answered with an Error frame carrying the reason; one that passes
+ *    installs and executes within the batch's buffers
+ *    (tests/test_shard.cc ShardTier.WorkerScreensHostileTicketsAndSlabs).
  */
 #ifndef DITTO_SHARD_WORKER_H
 #define DITTO_SHARD_WORKER_H

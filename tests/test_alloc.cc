@@ -12,7 +12,9 @@
  *  - runSteps on a test-owned state of batch 1 and 4, slabs reset;
  *  - a batch-1 rollout(): at most its returned finalImage and, for
  *    ApproxDitto, its nodeSkips;
- *  - BatchEngine::step on an unchanged mixed-mode batch of 4.
+ *  - BatchEngine::step on an unchanged mixed-mode batch of 4;
+ *  - BatchEngine::join of 1 and of 3 parked requests into a primed
+ *    engine: the same count, one growth per burst.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -298,13 +301,16 @@ TEST_P(EngineSteadyState, MixedBatchStepAllocatesNothing)
     BatchEngine engine(m, 4);
     const RunMode modes[] = {RunMode::QuantDitto, RunMode::QuantDirect,
                              RunMode::ApproxDitto, RunMode::QuantDitto};
+    std::vector<BatchEngine::Parked> burst;
     for (int i = 0; i < 4; ++i) {
         DenoiseRequest req;
         req.seed = static_cast<uint64_t>(11 + i);
         req.mode = modes[i];
         req.steps = 1000; // never finishes during the test
-        engine.admit(static_cast<uint64_t>(i), req);
+        burst.push_back(
+            BatchEngine::Parked::cold(m, static_cast<uint64_t>(i), req));
     }
+    engine.join(burst);
     // Warm-up: the first step runs every slab direct, the next ones
     // prime both halves of every double-buffered slot.
     for (int t = 0; t < 3; ++t)
@@ -313,6 +319,53 @@ TEST_P(EngineSteadyState, MixedBatchStepAllocatesNothing)
     for (int t = 0; t < 4; ++t)
         engine.step();
     EXPECT_EQ(c.count(), 0) << kPresetNames[GetParam()];
+}
+
+/**
+ * One join() grows the image stack and every stacked state tensor
+ * once, whatever the burst size: joining three parked ApproxDitto
+ * requests (each with its full slab state) into a primed one-slab
+ * engine allocates exactly as often as joining one.
+ */
+TEST_P(EngineSteadyState, JoinAllocatesOncePerBurst)
+{
+    const CompiledModel &m = model(GetParam());
+    // Three parked requests with live reuse state.
+    BatchEngine source(m, 3);
+    std::vector<BatchEngine::Parked> parked;
+    for (int i = 0; i < 3; ++i) {
+        DenoiseRequest req;
+        req.seed = static_cast<uint64_t>(21 + i);
+        req.mode = RunMode::ApproxDitto;
+        req.steps = 1000;
+        parked.push_back(
+            BatchEngine::Parked::cold(m, static_cast<uint64_t>(i), req));
+    }
+    source.join(parked);
+    source.step();
+    source.step();
+    parked.clear();
+    for (int64_t i = 2; i >= 0; --i)
+        parked.push_back(source.park(i));
+
+    int64_t allocs[2] = {0, 0};
+    for (int run = 0; run < 2; ++run) {
+        BatchEngine engine(m, 4);
+        DenoiseRequest req;
+        req.seed = 31;
+        req.steps = 1000;
+        const BatchEngine::Parked first =
+            BatchEngine::Parked::cold(m, 100, req);
+        engine.join({&first, 1});
+        engine.step();
+        engine.step(); // primed: every state tensor holds one slab
+        const size_t k = run == 0 ? 1 : 3;
+        AllocCounter c;
+        engine.join(std::span<const BatchEngine::Parked>(parked).first(k));
+        allocs[run] = c.count();
+    }
+    EXPECT_EQ(allocs[0], allocs[1])
+        << kPresetNames[GetParam()] << ": joining 1 vs 3 parked requests";
 }
 
 INSTANTIATE_TEST_SUITE_P(Presets, EngineSteadyState,

@@ -1004,7 +1004,7 @@ TEST(ApproxMode, ResetSlabClearsApproxReuseState)
     step();
     // Slab 1 finishes; a new approx request takes the slot
     // mid-rollout (resetSlab also clears the approx flag — the
-    // engine re-arms it per request, as BatchEngine::replaceSlot
+    // engine re-arms it per request, as BatchEngine::joinInto
     // does).
     st.resetSlab(1);
     st.approx[1] = 1;

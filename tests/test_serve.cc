@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -69,6 +70,37 @@ expectCountsEqual(const OpCounts &a, const OpCounts &b)
     EXPECT_EQ(a.zeroSkipped, b.zeroSkipped);
     EXPECT_EQ(a.low4, b.low4);
     EXPECT_EQ(a.full8, b.full8);
+}
+
+/** Every OpCounts field, not just the lane tallies. */
+void
+expectAllCountsEqual(const OpCounts &a, const OpCounts &b)
+{
+    expectCountsEqual(a, b);
+    EXPECT_EQ(a.diffCalcElems, b.diffCalcElems);
+    EXPECT_EQ(a.summationElems, b.summationElems);
+    EXPECT_EQ(a.reusedElems, b.reusedElems);
+}
+
+/** A request for `seed` in `mode`, `steps` steps (0: the default). */
+DenoiseRequest
+request(uint64_t seed, RunMode mode = RunMode::QuantDitto, int steps = 0)
+{
+    DenoiseRequest req;
+    req.seed = seed;
+    req.mode = mode;
+    req.steps = steps;
+    return req;
+}
+
+/** `m` accepts `p` for a join (the shard worker's MigrateIn screen). */
+void
+expectJoinable(const CompiledModel &m, const BatchEngine::Parked &p)
+{
+    std::string why;
+    EXPECT_TRUE(m.acceptsSlab(p.image, p.stepsDone,
+                              p.hasState ? &p.state : nullptr, &why))
+        << why;
 }
 
 TEST(ServeParity, BatchedRolloutMatchesSequentialBitwise)
@@ -137,22 +169,18 @@ TEST(BatchEngineTest, MixedTimestepsShareABatch)
 
     // Three requests with different step counts join together ...
     const int steps[4] = {3, 5, 7, 4};
-    for (uint64_t i = 0; i < 3; ++i) {
-        DenoiseRequest req;
-        req.seed = 100 + i;
-        req.steps = steps[i];
-        engine.admit(i, req);
-    }
+    std::vector<BatchEngine::Parked> burst;
+    for (uint64_t i = 0; i < 3; ++i)
+        burst.push_back(BatchEngine::Parked::cold(
+            net, i, request(100 + i, RunMode::QuantDitto, steps[i])));
+    engine.join(burst);
     // ... and a fourth joins two steps later (continuous batching),
     // so the batch holds slabs at timesteps {2, 2, 2, 0}.
     engine.step();
     engine.step();
-    {
-        DenoiseRequest req;
-        req.seed = 103;
-        req.steps = steps[3];
-        engine.admit(3, req);
-    }
+    const BatchEngine::Parked late = BatchEngine::Parked::cold(
+        net, 3, request(103, RunMode::QuantDitto, steps[3]));
+    engine.join({&late, 1});
 
     std::vector<BatchEngine::Finished> all;
     while (!engine.empty()) {
@@ -177,12 +205,11 @@ TEST(BatchEngineTest, DirectAndDittoRequestsShareABatch)
     BatchEngine engine(net, /*max_batch=*/3);
     const RunMode modes[3] = {RunMode::QuantDitto, RunMode::QuantDirect,
                               RunMode::QuantDitto};
-    for (uint64_t i = 0; i < 3; ++i) {
-        DenoiseRequest req;
-        req.seed = 200 + i;
-        req.mode = modes[i];
-        engine.admit(i, req);
-    }
+    std::vector<BatchEngine::Parked> burst;
+    for (uint64_t i = 0; i < 3; ++i)
+        burst.push_back(
+            BatchEngine::Parked::cold(net, i, request(200 + i, modes[i])));
+    engine.join(burst);
     std::vector<BatchEngine::Finished> all;
     while (!engine.empty()) {
         engine.step();
@@ -563,13 +590,14 @@ TEST(ServerTest, CompletesBurstWithBatchFormation)
         EXPECT_GE(res.queueMicros, 0.0);
         EXPECT_GT(res.serviceMicros, 0.0);
     }
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.submitted, 8u);
-    EXPECT_EQ(stats.completed, 8u);
-    EXPECT_GE(stats.batchesFormed, 1u);
+    // Nothing is rejected, so every submit reached the queue.
+    const ServeMetrics metrics = server.metrics();
+    EXPECT_EQ(metrics.total(&ClassMetrics::submitted), 8u);
+    EXPECT_EQ(metrics.total(&ClassMetrics::completed), 8u);
+    EXPECT_GE(metrics.batchesFormed, 1u);
     // The formation window plus continuous batching must have packed
     // more than one request per step on average for an 8-burst.
-    EXPECT_GT(stats.avgOccupancy(), 1.0);
+    EXPECT_GT(metrics.avgOccupancy(), 1.0);
 }
 
 TEST(ServerTest, ZeroWaitRequestDispatchesImmediately)
@@ -648,7 +676,7 @@ TEST(ServerTest, ManyRequestsAcrossWorkersAllBitwiseCorrect)
             mode, net.requestNoise(600 + i), steps[i]);
         expectBitwiseEqual(seq.finalImage, res.image);
     }
-    EXPECT_EQ(server.stats().completed, 12u);
+    EXPECT_EQ(server.metrics().total(&ClassMetrics::completed), 12u);
 }
 
 TEST(ServerTest, JunctionSpecSlotReuseStaysBitwise)
@@ -824,14 +852,26 @@ TEST(LifecycleTest, CancelWorksInQueuedAndRunningStates)
     EXPECT_EQ(rb.serviceMicros, 0.0);
     EXPECT_FALSE(server.cancel(b)); // consumed: unknown ticket
 
+    // A request waiting behind `a` takes over its slab in place once
+    // `a` is evicted, and still finishes as its standalone rollout.
+    DenoiseRequest next;
+    next.seed = 32;
+    next.steps = 3;
+    const uint64_t c = server.submit(next);
     EXPECT_TRUE(server.cancel(a)); // running: evicted between steps
     const DenoiseResult ra = server.wait(a);
     EXPECT_EQ(ra.status, RequestStatus::Cancelled);
     EXPECT_GT(ra.steps, 0);
     EXPECT_LT(ra.steps, 400);
+    const DenoiseResult rc = server.wait(c);
+    EXPECT_EQ(rc.status, RequestStatus::Done);
+    expectBitwiseEqual(
+        net.rollout(RunMode::QuantDitto, net.requestNoise(32), 3).finalImage,
+        rc.image);
 
     const ServeMetrics m = server.metrics();
     EXPECT_EQ(m.total(&ClassMetrics::cancelled), 2u);
+    EXPECT_EQ(m.total(&ClassMetrics::completed), 1u);
 }
 
 TEST(LifecycleTest, PreemptionParksLowerClassAndParkedCancelWorks)
@@ -1372,12 +1412,11 @@ TEST(ApproxServe, MixedModesShareABatch)
     BatchEngine engine(m, /*max_batch=*/3);
     const RunMode modes[3] = {RunMode::ApproxDitto, RunMode::QuantDitto,
                               RunMode::QuantDirect};
-    for (uint64_t i = 0; i < 3; ++i) {
-        DenoiseRequest req;
-        req.seed = 700 + i;
-        req.mode = modes[i];
-        engine.admit(i, req);
-    }
+    std::vector<BatchEngine::Parked> burst;
+    for (uint64_t i = 0; i < 3; ++i)
+        burst.push_back(
+            BatchEngine::Parked::cold(m, i, request(700 + i, modes[i])));
+    engine.join(burst);
     std::vector<BatchEngine::Finished> all;
     while (!engine.empty()) {
         engine.step();
@@ -1408,7 +1447,8 @@ TEST(ApproxServe, ParkAndResumePreservesReuseStateBitwise)
     req.mode = RunMode::ApproxDitto;
 
     BatchEngine first(m, /*max_batch=*/2);
-    first.admit(1, req);
+    const BatchEngine::Parked start = BatchEngine::Parked::cold(m, 1, req);
+    first.join({&start, 1});
     // Three steps in, the request sits mid-skip-run (counters at 2 of
     // cap 3) with live cached codes and outputs.
     for (int t = 0; t < 3; ++t)
@@ -1417,15 +1457,16 @@ TEST(ApproxServe, ParkAndResumePreservesReuseStateBitwise)
     EXPECT_TRUE(p.approx);
     EXPECT_TRUE(p.hasState);
     EXPECT_EQ(p.stepsDone, 3);
+    expectJoinable(m, p);
 
     // Resume on a different engine over the same model, sharing the
-    // batch with an unrelated exact request.
+    // batch (and the join) with an unrelated exact request.
     BatchEngine second(m, /*max_batch=*/2);
-    DenoiseRequest other;
-    other.seed = 711;
-    other.steps = kSteps;
-    second.admit(2, other);
-    second.admitParked(p);
+    const std::vector<BatchEngine::Parked> burst = {
+        BatchEngine::Parked::cold(
+            m, 2, request(711, RunMode::QuantDitto, kSteps)),
+        p};
+    second.join(burst);
     while (!second.empty()) {
         second.step();
         for (const BatchEngine::Finished &f : second.retire()) {
@@ -1439,25 +1480,23 @@ TEST(ApproxServe, ParkAndResumePreservesReuseStateBitwise)
     }
 }
 
-TEST(ApproxServe, ReplaceSlotParkedRestoresState)
+TEST(ApproxServe, JoinIntoRestoresParkedState)
 {
     const CompiledModel &m = approxNet();
-    DenoiseRequest req;
-    req.seed = 720;
-    req.steps = 6;
-    req.mode = RunMode::ApproxDitto;
     BatchEngine engine(m, /*max_batch=*/1);
-    engine.admit(1, req);
+    const BatchEngine::Parked start = BatchEngine::Parked::cold(
+        m, 1, request(720, RunMode::ApproxDitto, 6));
+    engine.join({&start, 1});
     for (int t = 0; t < 3; ++t)
         engine.step();
     const BatchEngine::Parked p = engine.park(0);
+    expectJoinable(m, p);
 
     // A short request borrows the engine, finishes, and the parked
     // approx request resumes into its slot in place.
-    DenoiseRequest filler;
-    filler.seed = 721;
-    filler.steps = 2;
-    engine.admit(2, filler);
+    const BatchEngine::Parked filler = BatchEngine::Parked::cold(
+        m, 2, request(721, RunMode::QuantDitto, 2));
+    engine.join({&filler, 1});
     engine.step();
     engine.step();
     ASSERT_TRUE(engine.slotFinished(0));
@@ -1465,7 +1504,7 @@ TEST(ApproxServe, ReplaceSlotParkedRestoresState)
         m.rollout(RunMode::QuantDitto, m.requestNoise(721), 2)
             .finalImage,
         engine.extract(0).image);
-    engine.replaceSlotParked(0, p);
+    engine.joinInto(0, p);
     while (!engine.empty()) {
         engine.step();
         for (const BatchEngine::Finished &f : engine.retire())
@@ -1476,26 +1515,21 @@ TEST(ApproxServe, ReplaceSlotParkedRestoresState)
     }
 }
 
-TEST(ApproxServe, ReplaceSlotClearsPriorApproxState)
+TEST(ApproxServe, JoinIntoClearsPriorApproxState)
 {
     // Regression companion to ApproxMode.ResetSlabClearsApproxReuseState:
     // through the engine surface, a slot that served an approx request
     // must hand a fresh request (approx or exact) a clean slate.
     const CompiledModel &m = approxNet();
     BatchEngine engine(m, /*max_batch=*/1);
-    DenoiseRequest a;
-    a.seed = 730;
-    a.steps = 5;
-    a.mode = RunMode::ApproxDitto;
-    engine.admit(1, a);
+    const BatchEngine::Parked a = BatchEngine::Parked::cold(
+        m, 1, request(730, RunMode::ApproxDitto, 5));
+    engine.join({&a, 1});
     while (engine.finishedSlots().empty())
         engine.step();
 
-    DenoiseRequest b;
-    b.seed = 731;
-    b.steps = 5;
-    b.mode = RunMode::ApproxDitto;
-    engine.replaceSlot(0, 2, b);
+    engine.joinInto(0, BatchEngine::Parked::cold(
+                           m, 2, request(731, RunMode::ApproxDitto, 5)));
     while (engine.finishedSlots().empty())
         engine.step();
     expectBitwiseEqual(
@@ -1503,11 +1537,9 @@ TEST(ApproxServe, ReplaceSlotClearsPriorApproxState)
             .finalImage,
         engine.extract(0).image);
 
-    DenoiseRequest c;
-    c.seed = 732;
-    c.steps = 5;
-    c.mode = RunMode::QuantDitto; // exact after approx: no reuse leaks
-    engine.replaceSlot(0, 3, c);
+    // Exact after approx: no reuse leaks.
+    engine.joinInto(0, BatchEngine::Parked::cold(
+                           m, 3, request(732, RunMode::QuantDitto, 5)));
     while (engine.finishedSlots().empty())
         engine.step();
     const BatchEngine::Finished f = engine.extract(0);
@@ -1516,6 +1548,115 @@ TEST(ApproxServe, ReplaceSlotClearsPriorApproxState)
         m.rollout(RunMode::QuantDitto, m.requestNoise(732), 5)
             .finalImage,
         f.image);
+}
+
+TEST(BatchEngineTest, OneJoinCarriesColdWarmAndParkedRequests)
+{
+    // The one way into a batch: a cold request, a warm one from a
+    // snapshot() and a parked ApproxDitto one join a running engine in
+    // a single join(), and each finishes as its standalone rollout.
+    const CompiledModel &m = approxNet();
+    const int kSteps = 6;
+    BatchEngine source(m, /*max_batch=*/2);
+    const std::vector<BatchEngine::Parked> starts = {
+        BatchEngine::Parked::cold(
+            m, 1, request(750, RunMode::QuantDitto, kSteps)),
+        BatchEngine::Parked::cold(
+            m, 2, request(751, RunMode::ApproxDitto, kSteps))};
+    source.join(starts);
+    source.step();
+    source.step();
+    BatchEngine::Parked warm = source.snapshot(0);
+    EXPECT_TRUE(warm.hasState);
+    expectJoinable(m, warm);
+    warm.id = 11; // a new request warm-starting from request 1's prefix
+    source.step(); // the approx request is now mid skip-run
+    const BatchEngine::Parked parked = source.park(1);
+    EXPECT_TRUE(parked.hasState);
+    expectJoinable(m, parked);
+
+    BatchEngine engine(m, /*max_batch=*/4);
+    const BatchEngine::Parked running = BatchEngine::Parked::cold(
+        m, 20, request(752, RunMode::QuantDitto, kSteps));
+    engine.join({&running, 1});
+    engine.step();
+    const std::vector<BatchEngine::Parked> burst = {
+        BatchEngine::Parked::cold(
+            m, 10, request(753, RunMode::QuantDitto, kSteps)),
+        warm, parked};
+    engine.join(burst);
+    EXPECT_EQ(engine.active(), 4);
+    std::map<uint64_t, BatchEngine::Finished> done;
+    while (!engine.empty()) {
+        engine.step();
+        for (BatchEngine::Finished &f : engine.retire())
+            done[f.id] = std::move(f);
+    }
+    ASSERT_EQ(done.size(), 4u);
+    const RolloutResult cold =
+        m.rollout(RunMode::QuantDitto, m.requestNoise(753), kSteps);
+    expectBitwiseEqual(cold.finalImage, done[10].image);
+    expectAllCountsEqual(cold.dittoOps, done[10].ops);
+    expectBitwiseEqual(
+        m.rollout(RunMode::QuantDitto, m.requestNoise(750), kSteps)
+            .finalImage,
+        done[11].image);
+    expectBitwiseEqual(
+        m.rollout(RunMode::ApproxDitto, m.requestNoise(751), kSteps)
+            .finalImage,
+        done[2].image);
+    expectBitwiseEqual(
+        m.rollout(RunMode::QuantDitto, m.requestNoise(752), kSteps)
+            .finalImage,
+        done[20].image);
+}
+
+TEST(BatchEngineTest, JoinIntoHandsOverACancelledSlot)
+{
+    // A slab abandoned mid-rollout (cancelled or timed out) is handed
+    // over in place like a finished one: its occupant's cached state,
+    // skip counters and reuse-cache pin must not reach the next
+    // request.
+    const CompiledModel &m = approxNet();
+    BatchEngine source(m, /*max_batch=*/1);
+    const BatchEngine::Parked start = BatchEngine::Parked::cold(
+        m, 1, request(760, RunMode::ApproxDitto, 6));
+    source.join({&start, 1});
+    source.step();
+    source.step();
+    BatchEngine::Parked warm = source.snapshot(0);
+    auto pin = std::make_shared<int>(0);
+    warm.state.backRef = pin;
+
+    BatchEngine engine(m, /*max_batch=*/2);
+    std::vector<BatchEngine::Parked> burst;
+    burst.push_back(std::move(warm));
+    burst.push_back(BatchEngine::Parked::cold(
+        m, 2, request(761, RunMode::QuantDitto, 6)));
+    engine.join(burst);
+    burst.clear();
+    engine.step();
+    ASSERT_FALSE(engine.slotFinished(0));
+    EXPECT_EQ(pin.use_count(), 2); // the test's and slab 0's
+
+    // Request 1 is cancelled; request 3 takes its slab in place.
+    engine.joinInto(0, BatchEngine::Parked::cold(
+                           m, 3, request(762, RunMode::ApproxDitto, 6)));
+    EXPECT_EQ(pin.use_count(), 1) << "the handed-over slab kept the pin";
+    std::map<uint64_t, BatchEngine::Finished> done;
+    while (!engine.empty()) {
+        engine.step();
+        for (BatchEngine::Finished &f : engine.retire())
+            done[f.id] = std::move(f);
+    }
+    ASSERT_EQ(done.size(), 2u);
+    const RolloutResult fresh =
+        m.rollout(RunMode::ApproxDitto, m.requestNoise(762), 6);
+    expectBitwiseEqual(fresh.finalImage, done[3].image);
+    expectAllCountsEqual(fresh.dittoOps, done[3].ops);
+    expectBitwiseEqual(
+        m.rollout(RunMode::QuantDitto, m.requestNoise(761), 6).finalImage,
+        done[2].image);
 }
 
 TEST(ApproxServe, ExplicitApproxRequestServedBitwise)

@@ -388,6 +388,12 @@ TEST(SlabCodec, GoldenFixturesBitwiseStable)
             expectParkedEqual(decoded, fixture);
             EXPECT_EQ(decoded.state.backRef, nullptr);
             EXPECT_EQ(shard::encodeParked(decoded), golden);
+            // ... and the model accepts them for a join.
+            EXPECT_TRUE(m.acceptsSlab(decoded.image, decoded.stepsDone,
+                                      decoded.hasState ? &decoded.state
+                                                       : nullptr,
+                                      &why))
+                << why;
         }
     }
 }
@@ -911,30 +917,97 @@ TEST(ShardTier, WorkerScreensHostileTicketsAndSlabs)
         << c.lastError();
     wire.specHash = c.info().specHash;
 
-    // Wrong slot geometry (hasState with empty slot vectors) never
-    // installs.
-    BatchEngine::Parked geo = makeFixture(m, RunMode::QuantDitto, 6);
-    geo.state.prevIn.clear();
-    shard::MigratedWire geoWire = wire;
-    geoWire.slab = shard::encodeParked(geo);
-    EXPECT_FALSE(c.migrateIn(geoWire, &nid));
-    EXPECT_NE(c.lastError().find("geometry"), std::string::npos)
-        << c.lastError();
-
-    // A *valid* cold slab adopts and runs to the bitwise result —
-    // the worker is still fully healthy after all of the abuse.
-    EXPECT_TRUE(c.migrateIn(wire, &nid));
-    for (;;) {
-        ASSERT_TRUE(c.poll(nid, &ready, &res));
-        if (ready)
-            break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    // Checksummed slabs whose contents would abort the worker, or
+    // read or write out of bounds, once joined: each is answered with
+    // an Error frame naming the reason. `expect` is a fragment of it.
+    struct Hostile
+    {
+        const char *what;
+        const char *expect;
+        BatchEngine::Parked slab;
+    };
+    std::vector<Hostile> hostile;
+    hostile.push_back({"slot vectors missing", "geometry",
+                       makeFixture(m, RunMode::QuantDitto, 6)});
+    hostile.back().slab.state.prevIn.clear();
+    hostile.push_back({"state without an image", "image",
+                       makeFixture(m, RunMode::ApproxDitto, 7)});
+    hostile.back().slab.stepsDone = 0;
+    hostile.back().slab.image = FloatTensor();
+    hostile.push_back({"skips longer than consec", "skip counters",
+                       makeFixture(m, RunMode::ApproxDitto, 8)});
+    hostile.back().slab.state.skips.push_back(1);
+    hostile.push_back({"code slot of rank 3", "code slot 0",
+                       makeFixture(m, RunMode::QuantDitto, 9)});
+    hostile.back().slab.state.prevIn[0] = Int8Tensor(Shape{1, 2, 3});
+    hostile.push_back({"primed one-element code slot", "code slot 0",
+                       makeFixture(m, RunMode::ApproxDitto, 10)});
+    hostile.back().slab.state.prevIn[0] = Int8Tensor(Shape{1});
+    hostile.push_back({"primed empty code slot", "code slot 0",
+                       makeFixture(m, RunMode::ApproxDitto, 11)});
+    hostile.back().slab.state.prevIn[0] = Int8Tensor();
+    hostile.push_back({"output slot reshaped", "output slot 0",
+                       makeFixture(m, RunMode::QuantDitto, 12)});
+    {
+        Int32Tensor &out = hostile.back().slab.state.prevOut[0];
+        out = Int32Tensor(Shape{out.numel()});
     }
+    for (const Hostile &h : hostile) {
+        SCOPED_TRACE(h.what);
+        shard::MigratedWire hw = wire;
+        hw.req.mode = h.slab.approx ? RunMode::ApproxDitto
+                                    : RunMode::QuantDitto;
+        hw.slab = shard::encodeParked(h.slab);
+        EXPECT_FALSE(c.migrateIn(hw, &nid));
+        EXPECT_TRUE(c.connected());
+        EXPECT_NE(c.lastError().find(h.expect), std::string::npos)
+            << c.lastError();
+    }
+
+    // *Valid* slabs adopt and run to the bitwise result — the worker
+    // is still fully healthy after all of the abuse: a cold one, and
+    // one parked mid-rollout with its ApproxDitto reuse state.
+    const auto runToEnd = [&](const shard::MigratedWire &w) {
+        DenoiseResult out;
+        if (!c.migrateIn(w, &nid)) {
+            ADD_FAILURE() << "valid slab refused: " << c.lastError();
+            return out;
+        }
+        for (;;) {
+            bool done = false;
+            if (!c.poll(nid, &done, &out)) {
+                ADD_FAILURE() << "poll: " << c.lastError();
+                return out;
+            }
+            if (done)
+                return out;
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    };
+    res = runToEnd(wire);
     ASSERT_EQ(res.status, RequestStatus::Done);
     const RolloutResult ref = m.rollout(
         RunMode::QuantDitto, m.requestNoise(11), m.defaultSteps());
     expectBitwiseEqual(res.image, ref.finalImage);
-    EXPECT_GE(worker.server().metrics().migratedIn, 1u);
+
+    const DenoiseRequest approx =
+        identityRequest(13, 22, RunMode::ApproxDitto, m.defaultSteps());
+    BatchEngine engine(m, 1);
+    const BatchEngine::Parked start =
+        BatchEngine::Parked::cold(m, 1, approx);
+    engine.join({&start, 1});
+    engine.step();
+    engine.step();
+    shard::MigratedWire warm = wire;
+    warm.req = approx;
+    warm.slab = shard::encodeParked(engine.park(0));
+    res = runToEnd(warm);
+    ASSERT_EQ(res.status, RequestStatus::Done);
+    expectBitwiseEqual(res.image,
+                       m.rollout(RunMode::ApproxDitto, m.requestNoise(13),
+                                 m.defaultSteps())
+                           .finalImage);
+    EXPECT_GE(worker.server().metrics().migratedIn, 2u);
 }
 
 TEST(ShardTier, DrainWaitsForAnInFlightSubmit)
