@@ -4,8 +4,6 @@
  */
 #include "shard/router.h"
 
-#include <sys/socket.h>
-
 #include <cctype>
 #include <chrono>
 #include <thread>
@@ -84,11 +82,6 @@ RouterConfig::fromEnv()
 }
 
 ShardRouter::ShardRouter(RouterConfig cfg) : cfg_(cfg) {}
-
-ShardRouter::~ShardRouter()
-{
-    stopServing();
-}
 
 bool
 ShardRouter::addWorker(const std::string &socketPath, std::string *why,
@@ -191,6 +184,36 @@ ShardRouter::resolveLocked(uint64_t gid, Route &rt, DenoiseResult &&res)
 }
 
 void
+ShardRouter::placeLocked(uint64_t gid, Route &rt, bool resubmit)
+{
+    for (;;) {
+        const int idx = pickWorkerLocked(rt.req);
+        if (idx < 0) {
+            DenoiseResult res;
+            res.status = RequestStatus::Rejected;
+            res.slo = rt.req.slo;
+            resolveLocked(gid, rt, std::move(res));
+            return;
+        }
+        Worker &w = workers_[static_cast<size_t>(idx)];
+        uint64_t remoteId = 0;
+        if (w.client->submit(rt.req, &remoteId)) {
+            rt.worker = idx;
+            rt.remoteId = remoteId;
+            ++w.outstanding;
+            resubmitted_ += resubmit ? 1 : 0;
+            return;
+        }
+        // Refused (drained) or dead — either way stop routing to it; a
+        // dead worker additionally places its own routes again.
+        if (w.client->connected())
+            w.healthy = false;
+        else
+            markDeadLocked(idx);
+    }
+}
+
+void
 ShardRouter::markDeadLocked(int idx)
 {
     Worker &w = workers_[static_cast<size_t>(idx)];
@@ -202,7 +225,9 @@ ShardRouter::markDeadLocked(int idx)
 
     // Cold-resubmit every outstanding route of the dead worker: a
     // request's trajectory is a pure function of (model, seed, mode,
-    // steps), so a from-scratch rerun yields the identical image.
+    // steps), so a from-scratch rerun yields the identical image. A
+    // worker that dies while they are placed is retired the same way,
+    // recursively; `dead` is set first, so none is retired twice.
     std::vector<uint64_t> orphans;
     for (auto &[gid, rt] : routes_) {
         if (!rt.done && rt.worker == idx) {
@@ -211,42 +236,8 @@ ShardRouter::markDeadLocked(int idx)
             orphans.push_back(gid);
         }
     }
-    for (size_t n = 0; n < orphans.size(); ++n) {
-        const uint64_t gid = orphans[n];
-        Route &rt = routes_.at(gid);
-        for (;;) {
-            const int target = pickWorkerLocked(rt.req);
-            if (target < 0) {
-                DenoiseResult res;
-                res.status = RequestStatus::Rejected;
-                res.slo = rt.req.slo;
-                resolveLocked(gid, rt, std::move(res));
-                break;
-            }
-            Worker &tw = workers_[static_cast<size_t>(target)];
-            uint64_t remoteId = 0;
-            if (tw.client->submit(rt.req, &remoteId)) {
-                rt.worker = target;
-                rt.remoteId = remoteId;
-                ++tw.outstanding;
-                ++resubmitted_;
-                break;
-            }
-            tw.healthy = false;
-            if (!tw.client->connected() && !tw.dead) {
-                // This worker died too: orphan its routes as well.
-                tw.dead = true;
-                ++failovers_;
-                for (auto &[ogid, ort] : routes_) {
-                    if (!ort.done && ort.worker == target) {
-                        ort.worker = -1;
-                        --tw.outstanding;
-                        orphans.push_back(ogid);
-                    }
-                }
-            }
-        }
-    }
+    for (uint64_t gid : orphans)
+        placeLocked(gid, routes_.at(gid), true);
 }
 
 uint64_t
@@ -254,43 +245,11 @@ ShardRouter::submit(const DenoiseRequest &req)
 {
     std::lock_guard<std::mutex> lk(mu_);
     const uint64_t gid = nextGid_++;
-    Route rt;
-    rt.req = req;
     ++submitted_;
-    for (;;) {
-        const int idx = pickWorkerLocked(req);
-        if (idx < 0) {
-            DenoiseResult res;
-            res.status = RequestStatus::Rejected;
-            res.slo = req.slo;
-            auto [it, ok] = routes_.emplace(gid, std::move(rt));
-            DITTO_ASSERT(ok, "duplicate gid");
-            resolveLocked(gid, it->second, std::move(res));
-            return gid;
-        }
-        Worker &w = workers_[static_cast<size_t>(idx)];
-        uint64_t remoteId = 0;
-        if (w.client->submit(req, &remoteId)) {
-            rt.worker = idx;
-            rt.remoteId = remoteId;
-            ++w.outstanding;
-            routes_.emplace(gid, std::move(rt));
-            return gid;
-        }
-        // Refused (drained) or dead — either way stop routing to it;
-        // a dead worker additionally orphans its outstanding routes.
-        if (w.client->connected())
-            w.healthy = false;
-        else
-            markDeadLocked(idx);
-    }
-}
-
-bool
-ShardRouter::knows(uint64_t gid) const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return routes_.count(gid) != 0;
+    Route &rt = routes_[gid];
+    rt.req = req;
+    placeLocked(gid, rt, false);
+    return gid;
 }
 
 int
@@ -298,8 +257,7 @@ ShardRouter::routeWorker(uint64_t gid) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = routes_.find(gid);
-    return it == routes_.end() || it->second.done ? -1
-                                                  : it->second.worker;
+    return it == routes_.end() ? -1 : it->second.worker;
 }
 
 bool
@@ -307,53 +265,24 @@ ShardRouter::pollRouteLocked(uint64_t gid, Route &rt)
 {
     if (rt.done)
         return true;
-    if (rt.worker < 0)
-        return false;
     Worker &w = workers_[static_cast<size_t>(rt.worker)];
     bool ready = false;
     DenoiseResult res;
     if (w.client->poll(rt.remoteId, &ready, &res)) {
         if (ready)
             resolveLocked(gid, rt, std::move(res));
-        return rt.done;
+    } else if (!w.client->connected()) {
+        markDeadLocked(rt.worker); // places this route again
+    } else {
+        // Protocol refusal on a ticket we thought live (e.g. the worker
+        // restarted behind the same socket): stop routing to the worker
+        // and place the route again cold.
+        --w.outstanding;
+        w.healthy = false;
+        rt.worker = -1;
+        placeLocked(gid, rt, true);
     }
-    if (!w.client->connected()) {
-        markDeadLocked(rt.worker); // rehomes (or rejects) this route
-        return rt.done;
-    }
-    // Protocol refusal on a ticket we thought live (e.g. the worker
-    // restarted behind the same socket): treat the route as lost and
-    // resubmit it cold through the failover machinery.
-    const int idx = rt.worker;
-    rt.worker = -1;
-    --w.outstanding;
-    w.healthy = false;
-    (void)idx;
-    for (;;) {
-        const int target = pickWorkerLocked(rt.req);
-        if (target < 0) {
-            DenoiseResult rej;
-            rej.status = RequestStatus::Rejected;
-            rej.slo = rt.req.slo;
-            resolveLocked(gid, rt, std::move(rej));
-            return true;
-        }
-        Worker &tw = workers_[static_cast<size_t>(target)];
-        uint64_t remoteId = 0;
-        if (tw.client->submit(rt.req, &remoteId)) {
-            rt.worker = target;
-            rt.remoteId = remoteId;
-            ++tw.outstanding;
-            ++resubmitted_;
-            return false;
-        }
-        if (tw.client->connected())
-            tw.healthy = false;
-        else
-            markDeadLocked(target);
-        if (rt.done)
-            return true;
-    }
+    return rt.done;
 }
 
 bool
@@ -373,22 +302,11 @@ ShardRouter::poll(uint64_t gid, DenoiseResult *out)
 DenoiseResult
 ShardRouter::wait(uint64_t gid)
 {
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            auto it = routes_.find(gid);
-            if (it == routes_.end())
-                DITTO_FATAL("ShardRouter::wait on unknown/consumed gid "
-                            << gid);
-            if (pollRouteLocked(gid, it->second)) {
-                DenoiseResult res = std::move(it->second.result);
-                routes_.erase(it);
-                return res;
-            }
-        }
+    DenoiseResult res;
+    while (!poll(gid, &res))
         std::this_thread::sleep_for(
             std::chrono::microseconds(cfg_.pollMicros));
-    }
+    return res;
 }
 
 bool
@@ -396,7 +314,7 @@ ShardRouter::cancel(uint64_t gid)
 {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = routes_.find(gid);
-    if (it == routes_.end() || it->second.done || it->second.worker < 0)
+    if (it == routes_.end() || it->second.done)
         return false;
     Route &rt = it->second;
     Worker &w = workers_[static_cast<size_t>(rt.worker)];
@@ -420,8 +338,6 @@ ShardRouter::queryState(uint64_t gid)
     Route &rt = it->second;
     if (rt.done)
         return rt.result.status;
-    if (rt.worker < 0)
-        return RequestStatus::Queued; // mid-rehome limbo
     Worker &w = workers_[static_cast<size_t>(rt.worker)];
     RequestStatus st = RequestStatus::Queued;
     if (w.client->queryState(rt.remoteId, &st))
@@ -441,7 +357,7 @@ ShardRouter::migrate(uint64_t gid, int target)
     if (it == routes_.end())
         return false;
     Route &rt = it->second;
-    if (rt.done || rt.worker < 0 || rt.worker == target)
+    if (rt.done || rt.worker == target)
         return false;
     if (target < 0 || target >= static_cast<int>(workers_.size()) ||
         !workers_[static_cast<size_t>(target)].healthy)
@@ -452,24 +368,16 @@ ShardRouter::migrate(uint64_t gid, int target)
     MigratedWire wire;
     if (!sw.client->migrateOut(rt.remoteId, &wire)) {
         if (!sw.client->connected())
-            markDeadLocked(src); // rehomes this route cold
+            markDeadLocked(src); // places this route again cold
         return false; // declined: the request stays/finishes on src
     }
     --sw.outstanding;
     rt.worker = -1;
 
-    // Adopt the state on the requested target, falling back to any
-    // healthy worker; as a last resort resubmit cold from the
-    // portable request (progress lost, correctness kept).
-    for (int attempt = 0; attempt < static_cast<int>(workers_.size()) + 1;
-         ++attempt) {
-        const int idx = attempt == 0
-                            ? target
-                            : leastLoadedLocked();
-        if (idx < 0)
-            break;
-        if (attempt > 0 && idx == target)
-            break; // wrapped around
+    // Adopt the state on the requested target, falling back to the
+    // least-loaded healthy worker; a worker that fails to adopt is no
+    // longer healthy, so each is tried at most once.
+    for (int idx = target; idx >= 0; idx = leastLoadedLocked()) {
         Worker &tw = workers_[static_cast<size_t>(idx)];
         uint64_t remoteId = 0;
         if (tw.client->migrateIn(wire, &remoteId)) {
@@ -479,41 +387,17 @@ ShardRouter::migrate(uint64_t gid, int target)
             ++migrations_;
             return idx == target;
         }
-        if (!tw.client->connected())
-            markDeadLocked(idx);
-        else
-            tw.healthy = false;
-        if (rt.done)
-            return false;
-    }
-    // No adopter: continue the request cold (wire.req is the portable
-    // effective request with its deadline re-expressed as a budget).
-    rt.req = wire.req;
-    for (;;) {
-        const int idx = pickWorkerLocked(rt.req);
-        if (idx < 0) {
-            DenoiseResult rej;
-            rej.status = RequestStatus::Rejected;
-            rej.slo = rt.req.slo;
-            resolveLocked(gid, rt, std::move(rej));
-            return false;
-        }
-        Worker &tw = workers_[static_cast<size_t>(idx)];
-        uint64_t remoteId = 0;
-        if (tw.client->submit(rt.req, &remoteId)) {
-            rt.worker = idx;
-            rt.remoteId = remoteId;
-            ++tw.outstanding;
-            ++resubmitted_;
-            return false;
-        }
         if (tw.client->connected())
             tw.healthy = false;
         else
             markDeadLocked(idx);
-        if (rt.done)
-            return false;
     }
+    // No adopter: continue the request cold from the portable request
+    // (its deadline re-expressed as a budget); progress is lost,
+    // correctness kept.
+    rt.req = wire.req;
+    placeLocked(gid, rt, true);
+    return false;
 }
 
 void
@@ -619,156 +503,27 @@ ShardRouter::metricsJson()
 bool
 ShardRouter::serve(const std::string &socketPath, std::string *why)
 {
-    if (!frontDoor_.listen(socketPath, why))
-        return false;
-    frontStopping_.store(false);
-    frontThread_ = std::thread([this] { frontDoorLoop(); });
-    return true;
+    Endpoint::Handlers h;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        h.info = info_;
+    }
+    h.submit = [this](const DenoiseRequest &req) { return submit(req); };
+    h.poll = [this](uint64_t gid, DenoiseResult *out) {
+        return poll(gid, out);
+    };
+    h.cancel = [this](uint64_t gid) { return cancel(gid); };
+    h.queryState = [this](uint64_t gid) { return queryState(gid); };
+    h.metrics = [this] { return metricsJson(); };
+    h.drain = [this] { drainAll(); };
+    frontDoor_ = std::make_unique<Endpoint>(std::move(h));
+    return frontDoor_->start(socketPath, why);
 }
 
 void
 ShardRouter::stopServing()
 {
-    if (frontStopping_.exchange(true))
-        return;
-    frontDoor_.close();
-    if (frontThread_.joinable())
-        frontThread_.join();
-    std::vector<std::thread> conns;
-    {
-        std::lock_guard<std::mutex> lk(connMu_);
-        for (int fd : frontFds_)
-            ::shutdown(fd, SHUT_RDWR);
-        conns = std::move(frontConns_);
-        frontConns_.clear();
-    }
-    for (auto &t : conns)
-        if (t.joinable())
-            t.join();
-}
-
-void
-ShardRouter::frontDoorLoop()
-{
-    while (!frontStopping_.load()) {
-        const int fd = frontDoor_.accept();
-        if (fd < 0)
-            return;
-        std::lock_guard<std::mutex> lk(connMu_);
-        if (frontStopping_.load()) {
-            net::closeFd(fd);
-            return;
-        }
-        frontFds_.push_back(fd);
-        frontConns_.emplace_back([this, fd] { serveFrontConnection(fd); });
-    }
-}
-
-void
-ShardRouter::serveFrontConnection(int fd)
-{
-    auto sendError = [fd](const std::string &why) {
-        ByteWriter w;
-        w.str(why);
-        return net::sendFrame(fd, static_cast<uint32_t>(Msg::Error),
-                              w.take());
-    };
-
-    net::Frame frame;
-    while (!frontStopping_.load() && net::recvFrame(fd, &frame)) {
-        ByteReader r(frame.payload.data(), frame.payload.size());
-        bool ok = true;
-        switch (static_cast<Msg>(frame.type)) {
-          case Msg::Ping:
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::PingOk), {});
-            break;
-          case Msg::Info: {
-            ByteWriter w;
-            putInfo(w, info_);
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::InfoRe),
-                                w.take());
-            break;
-          }
-          case Msg::Submit: {
-            DenoiseRequest req;
-            if (!getRequest(r, &req) || r.remaining() != 0) {
-                ok = sendError("malformed submit");
-                break;
-            }
-            ByteWriter w;
-            w.u64(submit(req));
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::SubmitOk),
-                                w.take());
-            break;
-          }
-          case Msg::Poll: {
-            uint64_t gid = 0;
-            if (!r.u64(&gid) || !knows(gid)) {
-                ok = sendError("unknown ticket");
-                break;
-            }
-            ByteWriter w;
-            DenoiseResult res;
-            if (poll(gid, &res)) {
-                w.u8(1);
-                putResult(w, res);
-            } else {
-                w.u8(0);
-            }
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::PollRe),
-                                w.take());
-            break;
-          }
-          case Msg::Cancel: {
-            uint64_t gid = 0;
-            if (!r.u64(&gid) || !knows(gid)) {
-                ok = sendError("unknown ticket");
-                break;
-            }
-            ByteWriter w;
-            w.u8(cancel(gid) ? 1 : 0);
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::CancelRe),
-                                w.take());
-            break;
-          }
-          case Msg::QueryState: {
-            uint64_t gid = 0;
-            if (!r.u64(&gid) || !knows(gid)) {
-                ok = sendError("unknown ticket");
-                break;
-            }
-            ByteWriter w;
-            w.u8(static_cast<uint8_t>(queryState(gid)));
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::StateRe),
-                                w.take());
-            break;
-          }
-          case Msg::Metrics: {
-            ByteWriter w;
-            w.str(metricsJson());
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::MetricsRe),
-                                w.take());
-            break;
-          }
-          case Msg::Drain:
-            drainAll();
-            ok = net::sendFrame(fd, static_cast<uint32_t>(Msg::DrainRe), {});
-            break;
-          default:
-            ok = sendError("unsupported at the front door");
-            break;
-        }
-        if (!ok)
-            break;
-    }
-    net::closeFd(fd);
-    std::lock_guard<std::mutex> lk(connMu_);
-    for (auto it = frontFds_.begin(); it != frontFds_.end(); ++it) {
-        if (*it == fd) {
-            frontFds_.erase(it);
-            break;
-        }
-    }
+    frontDoor_.reset();
 }
 
 } // namespace shard

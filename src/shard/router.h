@@ -15,11 +15,14 @@
  *    — then deadline pressure wins over cache warmth.
  *  - Failure detection + cold resubmission: any transport failure
  *    marks the worker dead and every outstanding route on it is
- *    resubmitted to a healthy worker from step 0. That is bitwise-safe
- *    by the determinism contract — a request's trajectory is a pure
- *    function of (model, seed, mode, steps), so a cold rerun produces
- *    the identical image. With no healthy worker left, the route
- *    fails with RequestStatus::Rejected.
+ *    placed again from step 0. That is bitwise-safe by the determinism
+ *    contract — a request's trajectory is a pure function of (model,
+ *    seed, mode, steps), so a cold rerun produces the identical image.
+ *    Every placement — a new request, a dead worker's routes, a ticket
+ *    the worker no longer knows, a migration nobody adopts — goes
+ *    through one helper, which passes over refusing and dead workers
+ *    and resolves the route as RequestStatus::Rejected when no healthy
+ *    worker is left.
  *  - Explicit migration: migrate(gid, worker) relocates a request's
  *    partial progress (MigrateOut -> MigrateIn) for rebalancing and
  *    drain-ahead-of-maintenance; resumed results stay bitwise
@@ -36,22 +39,24 @@
  * The router can additionally serve the shard protocol itself
  * (serve()): a front-door socket speaking Submit/Poll/Cancel/
  * QueryState/Metrics/Drain with gids for tickets, so load generators
- * talk to a 4-worker tier exactly as they talk to one worker.
+ * talk to a 4-worker tier exactly as they talk to one worker. The
+ * front door is a shard::Endpoint (src/shard/endpoint.h), the same one
+ * a worker serves through, with the router's operations as handlers
+ * and no migration handlers: it screens gids by the same rules, so no
+ * wire peer reaches poll()'s or queryState()'s loud failure.
  */
 #ifndef DITTO_SHARD_ROUTER_H
 #define DITTO_SHARD_ROUTER_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/net.h"
 #include "shard/client.h"
+#include "shard/endpoint.h"
 
 namespace ditto {
 namespace shard {
@@ -77,7 +82,6 @@ class ShardRouter
 {
   public:
     explicit ShardRouter(RouterConfig cfg = RouterConfig::fromEnv());
-    ~ShardRouter();
 
     ShardRouter(const ShardRouter &) = delete;
     ShardRouter &operator=(const ShardRouter &) = delete;
@@ -101,13 +105,10 @@ class ShardRouter
      */
     uint64_t submit(const DenoiseRequest &req);
 
-    /** True while `gid` is known (issued and not yet consumed). */
-    bool knows(uint64_t gid) const;
-
     /**
      * Index of the worker currently serving `gid`; -1 when the route
-     * already resolved (or is mid-rehome). Observability for tests
-     * and rebalancers picking migration targets.
+     * already resolved. Observability for tests and rebalancers
+     * picking migration targets.
      */
     int routeWorker(uint64_t gid) const;
 
@@ -145,8 +146,13 @@ class ShardRouter
      */
     std::string metricsJson();
 
-    /** Serve the shard protocol on a front-door socket. */
+    /**
+     * Serve the shard protocol on a front-door socket (after the
+     * workers are added: Info answers with the tier's identity).
+     */
     bool serve(const std::string &socketPath, std::string *why = nullptr);
+
+    /** Close the front door; the destructor does too. */
     void stopServing();
 
   private:
@@ -170,11 +176,14 @@ class ShardRouter
         uint64_t baseSaved = 0;
     };
 
-    /** One routed request, alive until its result is consumed. */
+    /**
+     * One routed request, alive until its result is consumed. Outside
+     * mu_ a route is either done or owned by a worker.
+     */
     struct Route
     {
         DenoiseRequest req; //!< for cold resubmission after failure
-        int worker = -1;    //!< current owner (-1 once resolved)
+        int worker = -1;    //!< owner; -1 while being placed and once done
         uint64_t remoteId = 0;
         bool done = false;
         DenoiseResult result; //!< valid when done
@@ -183,13 +192,20 @@ class ShardRouter
     // All *Locked methods require mu_ held.
     int pickWorkerLocked(const DenoiseRequest &req) const;
     int leastLoadedLocked() const;
+
+    /**
+     * Put `rt` (worker -1, not done) on a worker: the affinity pick,
+     * passing over a worker that refuses (no longer healthy) or has
+     * died (markDeadLocked); resolved Rejected when none is left.
+     * `resubmit` counts it as a cold rerun.
+     */
+    void placeLocked(uint64_t gid, Route &rt, bool resubmit);
+
+    /** Retire a dead worker and place each of its routes again. */
     void markDeadLocked(int idx);
     void resolveLocked(uint64_t gid, Route &rt, DenoiseResult &&res);
     bool pollRouteLocked(uint64_t gid, Route &rt);
     void scrapeReuseLocked(Worker &w, const std::string &json);
-
-    void frontDoorLoop();
-    void serveFrontConnection(int fd);
 
     const RouterConfig cfg_;
     mutable std::mutex mu_;
@@ -206,13 +222,8 @@ class ShardRouter
     uint64_t migrations_ = 0;
     uint64_t failovers_ = 0; //!< workers marked dead
 
-    // Front-door serving state.
-    net::UnixListener frontDoor_;
-    std::thread frontThread_;
-    std::mutex connMu_;
-    std::vector<std::thread> frontConns_;
-    std::vector<int> frontFds_;
-    std::atomic<bool> frontStopping_{false};
+    /** Last: its threads call into the router until it is destroyed. */
+    std::unique_ptr<Endpoint> frontDoor_;
 };
 
 } // namespace shard

@@ -11,15 +11,14 @@
  * process.
  *
  * Design points:
- *  - Thread-per-connection, sequential frames per connection. The
- *    DenoiseServer underneath is already fully thread-safe, so
- *    handlers call straight into it; the worker only guards its own
- *    connection list and live-ticket set.
- *  - The live-ticket set exists because DenoiseServer::poll fails
- *    loudly (DITTO_FATAL) on unknown/consumed tickets — correct for
- *    in-process misuse, wrong for untrusted bytes. The worker screens
- *    every wire ticket against the set and answers Error frames for
- *    unknown ones, so no remote peer can abort a worker.
+ *  - The socket, its threads, the frame decoder and the ticket screen
+ *    are a shard::Endpoint (src/shard/endpoint.h), the same one the
+ *    router's front door serves through. The worker passes its
+ *    DenoiseServer's operations in as handlers, plus the two
+ *    migration handlers only a worker has.
+ *  - The endpoint answers unknown or delivered tickets with Error
+ *    frames, so no remote peer reaches DenoiseServer::poll's loud
+ *    failure, and it refuses Submit/MigrateIn after a Drain.
  *  - MigrateIn validates the slab before it reaches the server: the
  *    model identity (spec hash + calibration digest), the codec's
  *    checksum, headers and step bounds (shard/slab_codec.h), then
@@ -33,17 +32,12 @@
 #ifndef DITTO_SHARD_WORKER_H
 #define DITTO_SHARD_WORKER_H
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
-#include "common/net.h"
 #include "serve/server.h"
-#include "shard/protocol.h"
+#include "shard/endpoint.h"
 
 namespace ditto {
 namespace shard {
@@ -67,64 +61,42 @@ class ShardWorker
                 ServerConfig cfg = ServerConfig::fromEnv(),
                 std::shared_ptr<ReuseCache> cache = nullptr);
 
-    /** stop()s; in-flight work is finished by the server destructor. */
-    ~ShardWorker();
-
     ShardWorker(const ShardWorker &) = delete;
     ShardWorker &operator=(const ShardWorker &) = delete;
 
     /** Bind the socket and start accepting. False (with why) on error. */
-    bool start(std::string *why = nullptr);
+    bool start(std::string *why = nullptr)
+    {
+        return endpoint_.start(socketPath_, why);
+    }
 
     /**
      * Stop accepting and close every connection, then join the
      * connection threads. Does NOT drain the server — an abrupt stop
      * models a dying worker (the router's failover path); a graceful
-     * exit drains first (Drain RPC or server().shutdown()).
+     * exit drains first (Drain RPC or server().shutdown()). The
+     * destructor stops; in-flight work is then finished by the server
+     * destructor.
      */
-    void stop();
+    void stop() { endpoint_.stop(); }
 
-    /** True once a Drain RPC has completed the server's shutdown. */
-    bool drained() const { return drained_.load(); }
+    /** True once a Drain RPC has arrived (Submit/MigrateIn refused). */
+    bool drained() const { return endpoint_.drained(); }
 
     const std::string &socketPath() const { return socketPath_; }
     const WorkerInfo &info() const { return info_; }
     DenoiseServer &server() { return server_; }
 
   private:
-    void acceptLoop();
-    void serveConnection(int fd);
-
-    /** Handle one frame; false closes the connection (drain/EOF). */
-    bool handleFrame(int fd, const net::Frame &frame);
-
-    bool sendError(int fd, const std::string &why);
+    Endpoint::Handlers handlers();
+    bool migrateOut(uint64_t id, MigratedWire *out, std::string *why);
+    bool migrateIn(const MigratedWire &wire, uint64_t *id, std::string *why);
 
     const CompiledModel &model_;
     const std::string socketPath_;
-    WorkerInfo info_;
+    const WorkerInfo info_;
     DenoiseServer server_;
-    net::UnixListener listener_;
-    std::thread acceptThread_;
-
-    /**
-     * Guards conns_, connFds_ and live_, and orders drained_ against
-     * the handlers that admit work: Drain sets the flag under it, and
-     * Submit/MigrateIn check it under it before reaching the server.
-     */
-    std::mutex mu_;
-    std::vector<std::thread> conns_;
-    std::vector<int> connFds_;
-
-    /**
-     * Tickets issued over the wire whose results have not yet been
-     * delivered — the screen that keeps hostile ticket ids away from
-     * the server's fail-loudly accessors.
-     */
-    std::unordered_set<uint64_t> live_;
-
-    std::atomic<bool> stopping_{false};
-    std::atomic<bool> drained_{false};
+    Endpoint endpoint_; //!< last: its threads call into the members above
 };
 
 } // namespace shard

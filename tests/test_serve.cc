@@ -887,11 +887,20 @@ TEST(LifecycleTest, PreemptionParksLowerClassAndParkedCancelWorks)
         return server.queryState(a) == RequestStatus::Running;
     }));
 
+    // The Interactive request holds the only slot for as many steps as
+    // `a` has, so `a` stays parked until it is cancelled. The wait is on
+    // the monotonic preemption counter, which no polling gap can miss;
+    // it times out if preemption never happens.
     DenoiseRequest high;
     high.seed = 36;
-    high.steps = 3;
+    high.steps = 400;
     high.slo = SloClass::Interactive;
     const uint64_t i = server.submit(high);
+    ASSERT_TRUE(spinUntil([&] {
+        return server.metrics()
+                   .perClass[static_cast<size_t>(SloClass::BestEffort)]
+                   .preempted >= 1;
+    }));
     ASSERT_TRUE(spinUntil([&] {
         return server.queryState(a) == RequestStatus::Parked;
     }));
@@ -905,7 +914,7 @@ TEST(LifecycleTest, PreemptionParksLowerClassAndParkedCancelWorks)
 
     const DenoiseResult ri = server.wait(i);
     EXPECT_EQ(ri.status, RequestStatus::Done);
-    expectBitwiseEqual(referenceImage(RunMode::QuantDitto, 36, 3),
+    expectBitwiseEqual(referenceImage(RunMode::QuantDitto, 36, 400),
                        ri.image);
 
     const ServeMetrics m = server.metrics();

@@ -203,6 +203,20 @@ scrapeU64(const std::string &json, const std::string &key)
     return v;
 }
 
+/** Poll `id` until its result arrives; false on a refusal (lastError). */
+bool
+pollToEnd(shard::ShardClient &c, uint64_t id, DenoiseResult *out)
+{
+    for (;;) {
+        bool ready = false;
+        if (!c.poll(id, &ready, out))
+            return false;
+        if (ready)
+            return true;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Slab-codec fixtures.
 // ---------------------------------------------------------------------------
@@ -1061,6 +1075,66 @@ TEST(ShardTier, DrainWaitsForAnInFlightSubmit)
         << submitter.lastError();
 }
 
+TEST(ShardTier, PollIsNotHeldBehindASlowSubmit)
+{
+    // A Submit held inside DenoiseServer::submit (here by an armed
+    // delay; in service by a wait for queue space) must not hold up
+    // other connections: a Poll on a second connection is answered
+    // while the Submit still waits. The Submit cannot be answered
+    // before its delay runs out, so a Poll answered sooner was not
+    // held behind it.
+    constexpr int64_t kDelayUs = 500000;
+    const CompiledModel &m = presetModel(0);
+    shard::ShardWorker worker(m, uniqueSocketPath(), tierConfig());
+    std::string why;
+    ASSERT_TRUE(worker.start(&why)) << why;
+    shard::ShardClient submitter;
+    shard::ShardClient poller;
+    ASSERT_TRUE(submitter.connect(worker.socketPath(), &why)) << why;
+    ASSERT_TRUE(poller.connect(worker.socketPath(), &why)) << why;
+    uint64_t first = 0;
+    ASSERT_TRUE(poller.submit(identityRequest(81, 82, RunMode::QuantDitto, 0),
+                              &first))
+        << poller.lastError();
+
+    faults::configure("submit:delay:every=1:" + std::to_string(kDelayUs));
+    const auto sent = std::chrono::steady_clock::now();
+    std::atomic<bool> slowAnswered{false};
+    uint64_t id = 0;
+    bool submitted = false;
+    std::thread slow([&] {
+        submitted = submitter.submit(
+            identityRequest(83, 84, RunMode::QuantDitto, 0), &id);
+        slowAnswered.store(true);
+    });
+    while (faults::hitCount(faults::Point::Submit) == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    bool ready = false;
+    DenoiseResult res;
+    const bool polled = poller.poll(first, &ready, &res);
+    const auto answered = std::chrono::steady_clock::now() - sent;
+    const bool submitPending = !slowAnswered.load();
+    slow.join();
+    faults::reset();
+    ASSERT_TRUE(polled) << poller.lastError();
+    EXPECT_TRUE(submitPending) << "the Poll was answered after the Submit";
+    EXPECT_LT(answered, std::chrono::microseconds(kDelayUs))
+        << "the Poll waited out the Submit's delay";
+    ASSERT_TRUE(submitted) << submitter.lastError();
+
+    // Both requests still finish with their bitwise results.
+    if (!ready) {
+        ASSERT_TRUE(pollToEnd(poller, first, &res)) << poller.lastError();
+    }
+    ASSERT_EQ(res.status, RequestStatus::Done);
+    expectBitwiseEqual(
+        res.image, m.rollout(RunMode::QuantDitto, m.requestNoise(81)).finalImage);
+    ASSERT_TRUE(pollToEnd(submitter, id, &res)) << submitter.lastError();
+    ASSERT_EQ(res.status, RequestStatus::Done);
+    expectBitwiseEqual(
+        res.image, m.rollout(RunMode::QuantDitto, m.requestNoise(83)).finalImage);
+}
+
 TEST(ShardTier, FrontDoorServesTheShardProtocol)
 {
     const CompiledModel &m = presetModel(0);
@@ -1110,6 +1184,166 @@ TEST(ShardTier, FrontDoorServesTheShardProtocol)
     EXPECT_TRUE(tier.workers[0]->drained());
     EXPECT_TRUE(tier.workers[1]->drained());
     tier.router.stopServing();
+}
+
+TEST(ShardTier, FrontDoorSurvivesRacingPollsOnOneTicket)
+{
+    // Two front-door connections poll one finished gid at the same
+    // time, or one polls while the other queries it. Operations on one
+    // ticket run one at a time: exactly one Poll gets the result, the
+    // other connection is answered "unknown ticket" (or, for a query
+    // that ran first, Done), and the router keeps serving.
+    constexpr int kRounds = 40;
+    constexpr int kBatch = 16;
+    const CompiledModel &m = presetModel(0);
+    Tier tier(m, 2, tierConfig());
+    const std::string front = uniqueSocketPath();
+    std::string why;
+    ASSERT_TRUE(tier.router.serve(front, &why)) << why;
+    shard::ShardClient a;
+    shard::ShardClient b;
+    ASSERT_TRUE(a.connect(front, &why)) << why;
+    ASSERT_TRUE(b.connect(front, &why)) << why;
+
+    for (int round = 0; round < kRounds; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const bool query = round % 2 == 1;
+        std::vector<uint64_t> gids(kBatch);
+        for (int i = 0; i < kBatch; ++i)
+            ASSERT_TRUE(a.submit(
+                identityRequest(static_cast<uint64_t>(round * kBatch + i),
+                                5, RunMode::QuantDitto, 1),
+                &gids[static_cast<size_t>(i)]))
+                << a.lastError();
+        for (uint64_t gid : gids) {
+            RequestStatus st = RequestStatus::Queued;
+            while (a.queryState(gid, &st) && !isTerminal(st))
+                std::this_thread::sleep_for(std::chrono::microseconds(100));
+            ASSERT_EQ(st, RequestStatus::Done) << a.lastError();
+        }
+
+        // got[c][i]: connection c received gid i's result (or, for a
+        // query, its Done state); err[c][i]: the Error it got instead.
+        std::vector<int> got[2] = {std::vector<int>(kBatch, 0),
+                                   std::vector<int>(kBatch, 0)};
+        std::vector<std::string> err[2] = {
+            std::vector<std::string>(kBatch), std::vector<std::string>(kBatch)};
+        // Both connections send their frames for gid i together.
+        std::atomic<int> arrived{0};
+        const auto race = [&](int c, shard::ShardClient &client,
+                              bool asQuery) {
+            for (size_t i = 0; i < gids.size(); ++i) {
+                const int due = 2 * static_cast<int>(i + 1);
+                arrived.fetch_add(1);
+                while (arrived.load() < due) {
+                }
+                bool ok = false;
+                if (asQuery) {
+                    RequestStatus st = RequestStatus::Queued;
+                    ok = client.queryState(gids[i], &st);
+                    got[c][i] = ok && st == RequestStatus::Done ? 1 : 0;
+                } else {
+                    bool done = false;
+                    DenoiseResult res;
+                    ok = client.poll(gids[i], &done, &res);
+                    got[c][i] = ok && done && res.id == gids[i] ? 1 : 0;
+                }
+                if (!ok)
+                    err[c][i] = client.lastError();
+            }
+        };
+        std::thread tb([&] { race(1, b, query); });
+        race(0, a, false);
+        tb.join();
+
+        for (size_t i = 0; i < gids.size(); ++i) {
+            SCOPED_TRACE("gid " + std::to_string(gids[i]));
+            if (query) {
+                EXPECT_EQ(got[0][i], 1) << err[0][i];
+                if (!got[1][i]) {
+                    EXPECT_NE(err[1][i].find("unknown ticket"),
+                              std::string::npos)
+                        << err[1][i];
+                }
+            } else {
+                EXPECT_EQ(got[0][i] + got[1][i], 1);
+                const int loser = got[0][i] ? 1 : 0;
+                EXPECT_NE(err[loser][i].find("unknown ticket"),
+                          std::string::npos)
+                    << err[loser][i];
+            }
+        }
+        ASSERT_TRUE(a.connected());
+        ASSERT_TRUE(b.connected());
+    }
+
+    // Still serving: a fresh request runs to its bitwise result.
+    uint64_t gid = 0;
+    ASSERT_TRUE(b.submit(identityRequest(99, 5, RunMode::QuantDitto, 0),
+                         &gid));
+    DenoiseResult res;
+    ASSERT_TRUE(pollToEnd(b, gid, &res)) << b.lastError();
+    ASSERT_EQ(res.status, RequestStatus::Done);
+    expectBitwiseEqual(
+        res.image, m.rollout(RunMode::QuantDitto, m.requestNoise(99)).finalImage);
+}
+
+TEST(ShardTier, FrontDoorAndWorkerScreenFramesAlike)
+{
+    // Both endpoints follow one set of rules: a ticket frame is exactly
+    // one u64, an unknown ticket is answered "unknown ticket", and a
+    // Submit after a Drain is refused with an Error.
+    const CompiledModel &m = presetModel(0);
+    Tier tier(m, 1, tierConfig());
+    const std::string front = uniqueSocketPath();
+    std::string why;
+    ASSERT_TRUE(tier.router.serve(front, &why)) << why;
+    const std::string paths[2] = {tier.workers[0]->socketPath(), front};
+    shard::ShardClient clients[2];
+    for (int e = 0; e < 2; ++e) {
+        SCOPED_TRACE(e == 0 ? "worker" : "front door");
+        shard::ShardClient &c = clients[e];
+        ASSERT_TRUE(c.connect(paths[e], &why)) << why;
+        uint64_t id = 0;
+        ASSERT_TRUE(c.submit(identityRequest(61 + static_cast<uint64_t>(e),
+                                             62, RunMode::QuantDitto, 0),
+                             &id))
+            << c.lastError();
+
+        // A live ticket followed by one stray byte is refused.
+        const int fd = net::connectUnix(paths[e], 1000, &why);
+        ASSERT_GE(fd, 0) << why;
+        ByteWriter w;
+        w.u64(id);
+        w.u8(0);
+        net::Frame reply;
+        ASSERT_TRUE(net::sendFrame(fd, static_cast<uint32_t>(shard::Msg::Poll),
+                                   w.take()));
+        ASSERT_TRUE(net::recvFrame(fd, &reply));
+        net::closeFd(fd);
+        EXPECT_EQ(reply.type, static_cast<uint32_t>(shard::Msg::Error));
+
+        bool ready = false;
+        DenoiseResult res;
+        EXPECT_FALSE(c.poll(id + 1000, &ready, &res));
+        EXPECT_NE(c.lastError().find("unknown ticket"), std::string::npos)
+            << c.lastError();
+        ASSERT_TRUE(pollToEnd(c, id, &res)) << c.lastError();
+        EXPECT_EQ(res.status, RequestStatus::Done);
+    }
+
+    // Draining the front door drains the worker behind it; each
+    // endpoint then refuses a Submit with a reason.
+    ASSERT_TRUE(clients[1].drain()) << clients[1].lastError();
+    for (int e = 0; e < 2; ++e) {
+        SCOPED_TRACE(e == 0 ? "worker" : "front door");
+        uint64_t late = 0;
+        EXPECT_FALSE(clients[e].submit(
+            identityRequest(63, 64, RunMode::QuantDitto, 0), &late));
+        EXPECT_TRUE(clients[e].connected());
+        EXPECT_NE(clients[e].lastError().find("drained"), std::string::npos)
+            << clients[e].lastError();
+    }
 }
 
 TEST(ShardTier, RouterRejectsMismatchedWorker)
