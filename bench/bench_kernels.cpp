@@ -310,7 +310,6 @@ BENCHMARK(BM_DiffGemmEncode)->Args({90, 9})->Args({70, 25});
 void
 BM_MiniUnetRollout(benchmark::State &state)
 {
-    setenv("DITTO_NO_CACHE", "1", 0); // keep bench runs hermetic
     MiniUnetConfig cfg;
     cfg.channels = 32;
     cfg.resolution = 16;
@@ -331,7 +330,6 @@ const CompiledModel &
 servingNet()
 {
     static const CompiledModel *net = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         MiniUnetConfig cfg;
         cfg.channels = 16;
         cfg.resolution = 8;
@@ -686,7 +684,6 @@ compiledSpec(int which)
 {
     static const CompiledModel *models[5] = {};
     if (!models[which]) {
-        setenv("DITTO_NO_CACHE", "1", 0);
         switch (which) {
           case 0: {
             MiniUnetConfig cfg;
@@ -766,7 +763,7 @@ BENCHMARK(BM_CompiledRollout)
  * the speed-vs-fidelity trade against the exact QuantDitto rows of
  * BM_CompiledRollout above (same specs, same shapes). Arg 0 selects
  * the spec as in BM_CompiledRollout; Arg 1 is the skip threshold in
- * percent (50 = the DITTO_APPROX_SKIP_THRESH default). Each row
+ * percent (50 = the setApproxPolicy default). Each row
  * records end-to-end fidelity against the exact rollout — psnr_db
  * (clamped to 99 so exact matches stay finite in the JSON), cosine —
  * plus the block skips taken and the fraction of output elements

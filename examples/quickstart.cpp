@@ -41,8 +41,8 @@ main()
     using namespace ditto;
 
     // Large enough that the linear layers dominate the step cost (the
-    // regime the paper's speedup claim is about); calibration results
-    // are disk-cached, so repeated runs skip the FP32 rollout.
+    // regime the paper's speedup claim is about); compile() calibrates
+    // the activation scales with one FP32 rollout.
     MiniUnetConfig cfg;
     cfg.channels = 32;
     cfg.resolution = 16;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Byte-slab serialization primitives: a growable little-endian writer
- * and a bounds-checked reader.
+ * and a bounds-checked reader, plus the repo's two FNV-1a hashes
+ * (fnv1a over a byte range, hashMix folding one 64-bit word).
  *
  * These back every wire format in the repo — the shard protocol frames
  * (src/shard/protocol.h) and the relocatable DittoState slab codec
@@ -264,6 +265,22 @@ fnv1a(const uint8_t *p, size_t n, uint64_t seed = 0xcbf29ce484222325ull)
     uint64_t h = seed;
     for (size_t i = 0; i < n; ++i) {
         h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * Fold the eight little-endian bytes of `value` into an FNV-1a
+ * accumulator: the combiner behind spec content hashes, calibration
+ * digests and reuse-cache prefix keys. The explicit shifts keep every
+ * value identical on any host.
+ */
+inline uint64_t
+hashMix(uint64_t h, uint64_t value)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (value >> (i * 8)) & 0xFF;
         h *= 0x100000001b3ull;
     }
     return h;

@@ -29,16 +29,9 @@ constexpr Knob kKnobs[] = {
      "SIMD kernel dispatch level: auto, generic, neon, avx2 or "
      "avx512. Levels the host cannot execute fall back to auto with a "
      "note on stderr."},
-    {"DITTO_CACHE_DIR", ".ditto-cache (in the working directory)",
-     "src/trace/calibrate.cc",
-     "Directory of the calibrated-scale disk cache."},
-    {"DITTO_NO_CACHE", "unset", "src/trace/calibrate.cc",
-     "Any non-empty value other than 0 disables the calibration cache "
-     "entirely (no loads, no stores)."},
-    {"DITTO_DIFF_MAC_PENALTY", "probed at first use",
-     "src/core/diff_linear.cc",
+    {"DITTO_DIFF_MAC_PENALTY", "2.2,8", "src/core/diff_linear.cc",
      "Software Defo cost-model penalties as wide[,narrow]; overrides "
-     "the startup micro-probe."},
+     "the built-in 2.2 / 8.0."},
     {"DITTO_SERVE_MAX_BATCH", "8", "src/serve/server.cc",
      "Capacity of each worker's BatchEngine. Range 1..4096."},
     {"DITTO_SERVE_MAX_WAIT_US", "2000", "src/serve/server.cc",
@@ -64,14 +57,6 @@ constexpr Knob kKnobs[] = {
      "src/serve/server.cc",
      "Queue depth at which overload shedding releases (hysteresis "
      "band up to DITTO_SERVE_SHED_HIGH). Range 0..1000000."},
-    {"DITTO_APPROX_SKIP_THRESH", "0.5", "src/runtime/compiled.cc",
-     "ApproxDitto stability threshold: a block is skipped when the "
-     "activity fraction of its Defo probe ((0.5*low4 + full8)/total) "
-     "is at or below this value. 0 skips only bitwise-identical "
-     "steps. Range 0..1."},
-    {"DITTO_APPROX_MAX_CONSEC", "3", "src/runtime/compiled.cc",
-     "Most consecutive steps ApproxDitto may skip one block before "
-     "forcing it to execute. Range 1..4096."},
     {"DITTO_REUSE_CAP_BYTES", "0 (reuse disabled)",
      "src/serve/reuse_cache.cc",
      "Byte budget of the inter-request reuse cache "
@@ -88,9 +73,6 @@ constexpr Knob kKnobs[] = {
     {"DITTO_FAULT_SEED", "0", "src/serve/faultpoints.cc",
      "Seed for probabilistic fault schedules (prob=P clauses); "
      "every point draws an independent deterministic stream."},
-    {"DITTO_SHARD_SOCKET_DIR", "/tmp", "src/shard/worker.cc",
-     "Directory for shard-tier Unix-domain sockets. Keep it short: "
-     "AF_UNIX paths cap at ~107 bytes."},
     {"DITTO_SHARD_CONNECT_TIMEOUT_MS", "5000", "src/shard/client.cc",
      "How long a ShardClient retries connecting to a worker socket "
      "that does not exist yet / refuses (the worker-startup race), in "

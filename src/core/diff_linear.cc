@@ -11,7 +11,6 @@
 #include "core/diff_linear.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,7 +19,6 @@
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "common/rng.h"
 #include "quant/encoder.h"
 #include "tensor/kernels.h"
 
@@ -79,71 +77,26 @@ namespace {
 
 /**
  * Per-MAC penalties of the sparse diff path relative to the dense
- * blocked GEMM, for wide (>= 64) and narrow accumulation rows. The
- * historic baked-in constants (1.3 / 3.0) remain the fallback when a
- * host cannot be probed.
+ * blocked GEMM, for wide (>= 64) and narrow accumulation rows. Timing
+ * both arms of DiffFcEngine::runBatchInto on a 50%-dense low-4
+ * difference stream at one thread of a 4-core AVX-512 host gave wide
+ * 2.1-2.4 and narrow 6.9-8.0 (8 was the timing's clamp). Constants
+ * rather than a per-process timing, so every process makes the same
+ * reversion decisions; the repo benchmark runs with these values.
  */
 struct PenaltyModel
 {
-    double wide = 1.3;
-    double narrow = 3.0;
+    double wide = 2.2;
+    double narrow = 8.0;
 };
 
 /**
- * Measure the penalty for one accumulation-row width: time the direct
- * and sparse-diff arms of the weight-stationary body serving runs
- * (DiffFcEngine::runBatchInto, one slab unprimed vs primed) on a
- * 50%-dense low-4 difference stream. The probe is a few hundred
- * thousand MACs — microseconds on any host. It runs inside the
- * process's first diffWorthIt call, which may sit in an engine body
- * already using the calling thread's scratch, so it keeps its own.
- */
-double
-measuredPenalty(int64_t out_features)
-{
-    using Clock = std::chrono::steady_clock;
-    const int64_t m = 48, k = 96;
-    const double density = 0.5;
-    Rng rng = Rng::fromKeys(0xD1FF'9EAA, static_cast<uint64_t>(out_features));
-    Int8Tensor prev(Shape{m, k});
-    prev.fillUniformInt(rng, -90, 90);
-    Int8Tensor cur = prev;
-    for (int64_t i = 0; i < cur.numel(); i += 2)
-        cur.at(i) = static_cast<int8_t>(
-            std::clamp<int>(cur.at(i) + 3, -127, 127));
-    Int8Tensor w(Shape{out_features, k});
-    w.fillUniformInt(rng, -90, 90);
-    const DiffFcEngine eng(std::move(w));
-    const DiffOperand op{cur.data().data(), prev.data().data(), nullptr};
-    std::vector<int32_t> out(static_cast<size_t>(m * out_features));
-    EngineScratch scratch;
-
-    auto bestOf = [&](uint8_t primed) {
-        double best = 1e300;
-        for (int rep = 0; rep < 7; ++rep) {
-            const auto t0 = Clock::now();
-            eng.runBatchInto(op, m, 1, &primed, out.data(), nullptr,
-                             DiffPolicy::ForceDiff, &scratch);
-            const auto t1 = Clock::now();
-            best = std::min(
-                best, std::chrono::duration<double>(t1 - t0).count());
-        }
-        return best;
-    };
-    const double dense_s = bestOf(0);
-    const double diff_s = bestOf(1);
-    if (dense_s <= 0.0 || diff_s <= 0.0)
-        return 0.0; // degenerate clock: caller falls back to constants
-    return std::clamp(diff_s / (density * dense_s), 1.05, 8.0);
-}
-
-/**
- * Resolve the penalty model once per process: the
- * DITTO_DIFF_MAC_PENALTY override ("wide" or "wide,narrow") wins,
- * otherwise the startup micro-probe calibrates both widths on this
- * host. The decision the model feeds (Defo reversion) is bitwise
- * neutral — diff and direct execution produce identical results — so
- * host-dependent penalties change wall-clock only.
+ * Resolve the penalty model once per process: the defaults, or the
+ * DITTO_DIFF_MAC_PENALTY override ("wide" or "wide,narrow"). The
+ * decision the model feeds (Defo reversion) is bitwise neutral —
+ * diff and direct execution produce identical results — so the
+ * penalties change wall-clock only, and every process with the same
+ * environment makes the same decisions.
  */
 const PenaltyModel &
 penaltyModel()
@@ -152,44 +105,32 @@ penaltyModel()
         PenaltyModel m;
         const std::string s =
             env::readString("DITTO_DIFF_MAC_PENALTY", "");
-        if (!s.empty()) {
-            char *end = nullptr;
-            const double wide = std::strtod(s.c_str(), &end);
-            bool ok = end != s.c_str() && wide >= 1.0;
-            double narrow = wide;
-            if (ok && *end == ',') {
-                const char *rest = end + 1;
-                narrow = std::strtod(rest, &end);
-                ok = end != rest && *end == '\0' && narrow >= 1.0;
-            } else if (ok) {
-                ok = *end == '\0';
-            }
-            if (ok) {
-                m.wide = wide;
-                m.narrow = narrow;
-                std::fprintf(stderr,
-                             "[ditto] diff MAC penalty: wide=%.2f "
-                             "narrow=%.2f (DITTO_DIFF_MAC_PENALTY)\n",
-                             m.wide, m.narrow);
-                return m;
-            }
+        if (s.empty())
+            return m;
+        char *end = nullptr;
+        const double wide = std::strtod(s.c_str(), &end);
+        bool ok = end != s.c_str() && wide >= 1.0;
+        double narrow = wide;
+        if (ok && *end == ',') {
+            const char *rest = end + 1;
+            narrow = std::strtod(rest, &end);
+            ok = end != rest && *end == '\0' && narrow >= 1.0;
+        } else if (ok) {
+            ok = *end == '\0';
+        }
+        if (!ok) {
             std::fprintf(
                 stderr,
                 "[ditto] ignoring invalid DITTO_DIFF_MAC_PENALTY=\"%s\"\n",
                 s.c_str());
+            return m;
         }
-        const double wide = measuredPenalty(128);
-        const double narrow = measuredPenalty(16);
-        const bool probed = wide > 0.0 && narrow > 0.0;
-        if (probed) {
-            m.wide = wide;
-            m.narrow = std::max(narrow, wide);
-        }
+        m.wide = wide;
+        m.narrow = narrow;
         std::fprintf(stderr,
                      "[ditto] diff MAC penalty: wide=%.2f narrow=%.2f "
-                     "(%s)\n",
-                     m.wide, m.narrow,
-                     probed ? "micro-probe" : "default constants");
+                     "(DITTO_DIFF_MAC_PENALTY)\n",
+                     m.wide, m.narrow);
         return m;
     }();
     return model;

@@ -105,11 +105,9 @@ struct OpCounts
  *  - Auto: revert to direct execution when the probe predicts the
  *    diff path is more expensive. Results are bitwise identical either
  *    way (the distributive identity is exact), so reversion changes
- *    wall-clock only. The decision weighs the codes' class counts
- *    against diffMacPenalty, which is DITTO_DIFF_MAC_PENALTY when set
- *    and otherwise a start-up timing probe's measurement — so without
- *    the override it can differ between hosts, processes and pool
- *    sizes.
+ *    wall-clock only. The decision is a pure function of the codes'
+ *    class counts and diffMacPenalty, so it is the same in every
+ *    process, at any pool size.
  *  - ForceDiff: always run the sparse plan path (parity tests,
  *    kernel benchmarks).
  */
@@ -122,10 +120,8 @@ enum class DiffPolicy
 /**
  * Software Defo cost model: per-MAC penalty of the sparse diff path
  * relative to the dense blocked GEMM, as a function of the
- * accumulation row width n (wide: n >= 64). DITTO_DIFF_MAC_PENALTY
- * sets it; otherwise the first call times the direct and diff arms of
- * DiffFcEngine::runBatchInto at both widths, falling back to 1.3x /
- * 3x when the clock is degenerate.
+ * accumulation row width n (wide: n >= 64): 2.2 wide and 8.0 narrow,
+ * unless DITTO_DIFF_MAC_PENALTY overrides them.
  * Predicted sparse cost = nonzero_fraction * penalty * dense cost.
  */
 double diffMacPenalty(int64_t n);

@@ -11,7 +11,6 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "trace/calibrate.h"
 
 namespace ditto {
 
@@ -202,25 +201,6 @@ HandWiredMiniUnet::HandWiredMiniUnet(MiniUnetConfig cfg) : cfg_(cfg)
 void
 HandWiredMiniUnet::calibrateActScales()
 {
-    // The calibration result is a pure function of the configuration
-    // (weights, noise and trajectory all derive from cfg_.seed), so a
-    // config-keyed disk cache lets repeated bench/test runs skip the
-    // FP32 rollout. The leading salt versions the calibration
-    // algorithm itself.
-    // Salt 3: the fast vectorized expf changed softmax/SiLU numerics,
-    // so scales calibrated by older builds must be recomputed.
-    uint64_t key = hashMix(0xD1770ACC, 3);
-    key = hashMix(key, static_cast<uint64_t>(cfg_.channels));
-    key = hashMix(key, static_cast<uint64_t>(cfg_.resolution));
-    key = hashMix(key, static_cast<uint64_t>(cfg_.inChannels));
-    key = hashMix(key, static_cast<uint64_t>(cfg_.ctxTokens));
-    key = hashMix(key, static_cast<uint64_t>(cfg_.ctxDim));
-    key = hashMix(key, static_cast<uint64_t>(cfg_.steps));
-    key = hashMix(key, cfg_.seed);
-    key = hashMix(key, static_cast<uint64_t>(kNumActScales));
-    if (loadCachedScales(key, kNumActScales, &actScale_))
-        return;
-
     // Offline calibration: FP32 rollout, record max-abs at every
     // quantization point across all steps (Q-Diffusion style, one
     // static scale per point), with a 10% safety margin.
@@ -248,7 +228,6 @@ HandWiredMiniUnet::calibrateActScales()
     actScale_.resize(kNumActScales);
     for (int i = 0; i < kNumActScales; ++i)
         actScale_[i] = std::max(maxabs[i], 1e-6f) * 1.1f / 127.0f;
-    storeCachedScales(key, actScale_);
 }
 
 FloatTensor

@@ -20,7 +20,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/env.h"
+#include "common/bytes.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "quant/encoder.h"
@@ -28,7 +28,6 @@
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/slab.h"
-#include "trace/calibrate.h"
 
 namespace ditto {
 
@@ -1696,18 +1695,6 @@ scalesDigest(const std::vector<float> &scales)
 void
 CompiledModel::calibrate()
 {
-    // Keyed on the spec content hash: two structurally identical specs
-    // share the entry, any geometry/seed/steps change misses. The salt
-    // versions the runtime calibration algorithm itself.
-    uint64_t key = hashMix(0xC0D1'770A, 1);
-    key = hashMix(key, spec_.hash());
-    key = hashMix(key, static_cast<uint64_t>(spec_.numScales));
-    if (loadCachedScales(key, static_cast<size_t>(spec_.numScales),
-                         &actScale_)) {
-        calibDigest_ = scalesDigest(actScale_);
-        return;
-    }
-
     // Offline calibration: FP32 rollout, max-abs at every quantization
     // point across all steps, 10% safety margin (Q-Diffusion style).
     std::vector<float> maxabs(static_cast<size_t>(spec_.numScales), 0.0f);
@@ -1732,7 +1719,6 @@ CompiledModel::calibrate()
         actScale_[static_cast<size_t>(i)] =
             std::max(maxabs[static_cast<size_t>(i)], 1e-6f) * 1.1f /
             127.0f;
-    storeCachedScales(key, actScale_);
     calibDigest_ = scalesDigest(actScale_);
 }
 
@@ -1745,20 +1731,6 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
     CompiledModel m;
     m.spec_ = spec;
     m.opts_ = opts;
-
-    // ApproxDitto skip policy: explicit options win, otherwise the
-    // environment knobs (docs/approx_reuse.md). Resolved once here so
-    // every forward of this model sees one consistent policy.
-    m.approxThresh_ =
-        opts.approxSkipThresh >= 0.0
-            ? std::clamp(opts.approxSkipThresh, 0.0, 1.0)
-            : env::readDouble("DITTO_APPROX_SKIP_THRESH", 0.5, 0.0,
-                              1.0);
-    m.approxCap_ =
-        opts.approxMaxConsec > 0
-            ? opts.approxMaxConsec
-            : static_cast<int>(env::readInt64("DITTO_APPROX_MAX_CONSEC",
-                                              3, 1, 4096));
 
     std::vector<int> n2l;
     m.graph_ = spec.toGraph(&n2l);

@@ -52,8 +52,7 @@
  * one (DittoState is a one-slab BatchDittoState, forward() is
  * forwardBatch on it), and one step loop (runSteps) carries rollouts
  * and the serving engine alike. Activation scales are calibrated by an
- * FP32 rollout and disk-cached keyed on the spec's content hash
- * (src/trace/calibrate.h).
+ * FP32 rollout at every compile().
  *
  * Both executors run allocation-free in steady state: compile() also
  * derives a buffer plan from the nodes' output shapes — every transient
@@ -99,21 +98,6 @@ struct CompileOptions
 
     /** Engine policy: Auto (Defo reversion) or ForceDiff (tests). */
     DiffPolicy policy = DiffPolicy::Auto;
-
-    /**
-     * RunMode::ApproxDitto stability threshold: a block is skipped
-     * when the activity fraction of its Defo probe,
-     * (0.5*low4 + full8)/total, is at or below this value. 0 skips
-     * only bitwise-identical steps (ApproxDitto == QuantDitto);
-     * negative resolves DITTO_APPROX_SKIP_THRESH at compile().
-     */
-    double approxSkipThresh = -1.0;
-
-    /**
-     * Most consecutive ApproxDitto skips of one block before it must
-     * execute; <= 0 resolves DITTO_APPROX_MAX_CONSEC at compile().
-     */
-    int approxMaxConsec = 0;
 };
 
 /** A ModelSpec compiled into an executable engine program. */
@@ -429,14 +413,19 @@ class CompiledModel
                                       const FloatTensor &noise,
                                       int steps = 0) const;
 
-    /** The resolved ApproxDitto skip threshold / consecutive cap. */
+    /** The ApproxDitto skip threshold / consecutive-skip cap. */
     double approxSkipThresh() const { return approxThresh_; }
     int approxMaxConsec() const { return approxCap_; }
 
     /**
-     * Override the resolved ApproxDitto skip policy after compile()
-     * (benches sweep the threshold without recompiling; calibration
-     * is threshold-independent). Clamps to [0, 1] and >= 1.
+     * Set the RunMode::ApproxDitto skip policy; a compiled model
+     * starts at threshold 0.5 and cap 3 (docs/approx_reuse.md). A
+     * block is skipped when the activity fraction of its Defo probe,
+     * (0.5*low4 + full8)/total, is at or below `thresh` (0 skips only
+     * bitwise-identical steps, so ApproxDitto == QuantDitto), at most
+     * `max_consec` steps in a row. Calibration is policy-independent,
+     * so benches sweep the threshold without recompiling. Clamps to
+     * [0, 1] and >= 1.
      */
     void setApproxPolicy(double thresh, int max_consec);
 
@@ -645,8 +634,8 @@ class CompiledModel
     int numBypass_ = 0;
     int numSumSkip_ = 0;
     int64_t macsPerStep_ = 0;
-    double approxThresh_ = 0.0;
-    int approxCap_ = 1;
+    double approxThresh_ = 0.5;
+    int approxCap_ = 3;
     uint64_t calibDigest_ = 0;
     int64_t arenaSlabBytes_ = 0;
     std::vector<Shape> inSlotShape_;  //!< single-slab code slot shapes
@@ -656,8 +645,7 @@ class CompiledModel
 /**
  * Compile a ModelSpec into a runnable program: draw the weight
  * program, lower to the layer IR, run the dependency analysis, build
- * the engines and calibrate activation scales (disk-cached on the
- * spec's content hash).
+ * the engines and calibrate activation scales with an FP32 rollout.
  */
 CompiledModel compile(const ModelSpec &spec,
                       const CompileOptions &opts = {});

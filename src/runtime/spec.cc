@@ -6,8 +6,8 @@
 
 #include <bit>
 
+#include "common/bytes.h"
 #include "common/logging.h"
-#include "trace/calibrate.h"
 
 namespace ditto {
 

@@ -122,9 +122,9 @@ struct ModelSpec
     /**
      * Content hash over everything that determines execution: node
      * topology and geometry, weight program, seed, steps and input
-     * shape. Keys the calibrated-scale disk cache
-     * (src/trace/calibrate.h) so two structurally identical specs
-     * share a calibration entry and any change invalidates it.
+     * shape. With the calibration digest it names a compiled model:
+     * workers behind one router must match on both, and reuse-cache
+     * prefix keys fold both in.
      */
     uint64_t hash() const;
 

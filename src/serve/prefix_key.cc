@@ -6,8 +6,8 @@
 
 #include <cstring>
 
+#include "common/bytes.h"
 #include "runtime/compiled.h"
-#include "trace/calibrate.h"
 
 namespace ditto {
 

@@ -221,7 +221,10 @@ ShardRouter::markDeadLocked(int idx)
         return;
     w.dead = true;
     w.healthy = false;
-    ++failovers_;
+    // A drained worker exits once its work is done; losing its
+    // transport then is the graceful path, not a failure.
+    if (!w.drained)
+        ++failovers_;
 
     // Cold-resubmit every outstanding route of the dead worker: a
     // request's trajectory is a pure function of (model, seed, mode,
@@ -408,10 +411,11 @@ ShardRouter::drainAll()
         Worker &w = workers_[i];
         if (!w.client->connected())
             continue;
-        if (!w.client->drain() && !w.client->connected())
+        if (w.client->drain())
+            w.drained = true;
+        else if (!w.client->connected())
             markDeadLocked(static_cast<int>(i));
-        else
-            w.healthy = false; // drained workers accept no new work
+        w.healthy = false; // drained workers accept no new work
     }
 }
 

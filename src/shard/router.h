@@ -161,6 +161,7 @@ class ShardRouter
         std::unique_ptr<ShardClient> client;
         bool healthy = false; //!< eligible for new routes
         bool dead = false;    //!< transport lost; routes were rehomed
+        bool drained = false; //!< drained; its exit is not a failover
         int64_t outstanding = 0;
 
         /**
@@ -220,7 +221,7 @@ class ShardRouter
     uint64_t completed_ = 0;
     uint64_t resubmitted_ = 0;
     uint64_t migrations_ = 0;
-    uint64_t failovers_ = 0; //!< workers marked dead
+    uint64_t failovers_ = 0; //!< undrained workers marked dead
 
     /** Last: its threads call into the router until it is destroyed. */
     std::unique_ptr<Endpoint> frontDoor_;

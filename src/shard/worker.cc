@@ -6,7 +6,6 @@
 
 #include <utility>
 
-#include "common/env.h"
 #include "common/logging.h"
 #include "shard/slab_codec.h"
 
@@ -28,12 +27,6 @@ modelInfo(const CompiledModel &model)
 }
 
 } // namespace
-
-std::string
-defaultSocketDir()
-{
-    return env::readString("DITTO_SHARD_SOCKET_DIR", "/tmp");
-}
 
 ShardWorker::ShardWorker(const CompiledModel &model, std::string socketPath,
                          ServerConfig cfg, std::shared_ptr<ReuseCache> cache)

@@ -42,12 +42,6 @@
 namespace ditto {
 namespace shard {
 
-/**
- * Directory for shard sockets (DITTO_SHARD_SOCKET_DIR, default
- * $TMPDIR or /tmp). Kept short: AF_UNIX paths cap at ~107 bytes.
- */
-std::string defaultSocketDir();
-
 /** One serving replica: DenoiseServer + protocol endpoint. */
 class ShardWorker
 {

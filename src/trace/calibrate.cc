@@ -6,14 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <map>
 
 #include "common/bisect.h"
-#include "common/env.h"
 #include "common/logging.h"
 
 namespace ditto {
@@ -161,108 +156,6 @@ calibratedParams(ModelId id)
     if (it == cache.end())
         it = cache.emplace(id, calibrateToTargets(statTargets(id))).first;
     return it->second;
-}
-
-//
-// Disk cache for calibrated quantizer scales.
-//
-
-namespace {
-
-constexpr const char *kScaleCacheMagic = "ditto-scales";
-constexpr int kScaleCacheVersion = 1;
-
-std::string
-scaleCachePath(const std::string &dir, uint64_t key)
-{
-    char name[64];
-    std::snprintf(name, sizeof(name), "scales-%016llx.txt",
-                  static_cast<unsigned long long>(key));
-    return dir + "/" + name;
-}
-
-} // namespace
-
-uint64_t
-hashMix(uint64_t h, uint64_t value)
-{
-    // Fold each byte of `value` into an FNV-1a accumulator.
-    constexpr uint64_t kPrime = 1099511628211ull;
-    for (int i = 0; i < 8; ++i) {
-        h ^= (value >> (i * 8)) & 0xFF;
-        h *= kPrime;
-    }
-    return h;
-}
-
-std::string
-calibrationCacheDir()
-{
-    if (env::readFlag("DITTO_NO_CACHE"))
-        return {};
-    return env::readString("DITTO_CACHE_DIR", ".ditto-cache");
-}
-
-bool
-loadCachedScales(uint64_t key, size_t expected_count,
-                 std::vector<float> *out)
-{
-    const std::string dir = calibrationCacheDir();
-    if (dir.empty())
-        return false;
-    std::FILE *f = std::fopen(scaleCachePath(dir, key).c_str(), "r");
-    if (!f)
-        return false;
-    char magic[32] = {};
-    int version = 0;
-    unsigned long long count = 0;
-    bool ok = std::fscanf(f, "%31s %d %llu", magic, &version, &count) == 3 &&
-              std::strcmp(magic, kScaleCacheMagic) == 0 &&
-              version == kScaleCacheVersion && count == expected_count;
-    std::vector<float> scales;
-    if (ok) {
-        scales.reserve(expected_count);
-        for (size_t i = 0; i < expected_count; ++i) {
-            // Hexfloat as written by storeCachedScales: exact round-trip.
-            double v = 0.0;
-            if (std::fscanf(f, "%la", &v) != 1) {
-                ok = false;
-                break;
-            }
-            scales.push_back(static_cast<float>(v));
-        }
-    }
-    std::fclose(f);
-    if (ok)
-        *out = std::move(scales);
-    return ok;
-}
-
-void
-storeCachedScales(uint64_t key, const std::vector<float> &scales)
-{
-    const std::string dir = calibrationCacheDir();
-    if (dir.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return; // best-effort: an unwritable cache is a cache miss
-    const std::string path = scaleCachePath(dir, key);
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f)
-        return;
-    std::fprintf(f, "%s %d %llu\n", kScaleCacheMagic, kScaleCacheVersion,
-                 static_cast<unsigned long long>(scales.size()));
-    for (float s : scales)
-        std::fprintf(f, "%a\n", static_cast<double>(s));
-    const bool ok = std::fflush(f) == 0;
-    std::fclose(f);
-    if (ok)
-        std::filesystem::rename(tmp, path, ec); // atomic publish
-    if (!ok || ec)
-        std::filesystem::remove(tmp, ec);
 }
 
 } // namespace ditto

@@ -19,10 +19,6 @@
 #ifndef DITTO_TRACE_CALIBRATE_H
 #define DITTO_TRACE_CALIBRATE_H
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "model/zoo.h"
 #include "trace/mixture.h"
 #include "trace/targets.h"
@@ -34,40 +30,6 @@ MixtureParams calibrateToTargets(const StatTargets &targets);
 
 /** Cached calibration for one zoo model. */
 const MixtureParams &calibratedParams(ModelId id);
-
-/**
- * @name Disk cache for calibrated quantizer scales
- *
- * Offline calibration (e.g. MiniUnet's FP32 rollout that records
- * max-abs at every quantization point) is deterministic in the model /
- * trace configuration, so its result can be keyed on a hash of that
- * configuration and reused across processes: repeated bench and test
- * runs skip the FP32 rollout entirely.
- *
- * Storage is one small text file per key under the cache directory
- * (DITTO_CACHE_DIR, default ".ditto-cache" in the working directory),
- * written atomically via rename; floats round-trip exactly through
- * hexfloat formatting. Set DITTO_NO_CACHE=1 to disable both load and
- * store. Corrupt, truncated or size-mismatched files are treated as
- * misses. Callers must fold an algorithm-version salt into the key so
- * stale entries die with the code that wrote them.
- * @{
- */
-
-/** FNV-1a-style 64-bit hash combiner for cache keys. */
-uint64_t hashMix(uint64_t h, uint64_t value);
-
-/** Resolved cache directory, or empty when caching is disabled. */
-std::string calibrationCacheDir();
-
-/** Load a cached scale vector. False on miss/mismatch/disabled. */
-bool loadCachedScales(uint64_t key, size_t expected_count,
-                      std::vector<float> *out);
-
-/** Persist a scale vector under `key` (best-effort, atomic). */
-void storeCachedScales(uint64_t key, const std::vector<float> &scales);
-
-/** @} */
 
 } // namespace ditto
 

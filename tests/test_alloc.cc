@@ -195,12 +195,8 @@ model(int preset)
 {
     static std::unique_ptr<CompiledModel> models[kPresets];
     if (!models[preset]) {
-        setenv("DITTO_NO_CACHE", "1", 0);
-        CompileOptions opts;
-        opts.approxSkipThresh = 0.5;
-        opts.approxMaxConsec = 3;
-        models[preset] = std::make_unique<CompiledModel>(
-            compile(presetSpec(preset), opts));
+        models[preset] =
+            std::make_unique<CompiledModel>(compile(presetSpec(preset)));
     }
     return *models[preset];
 }

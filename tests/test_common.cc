@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for src/common: RNG, math utilities, bisection.
+ * Unit tests for src/common: RNG, math utilities, bisection, hashing.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/bisect.h"
+#include "common/bytes.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 
@@ -199,6 +200,14 @@ TEST(Bisect, NonlinearTarget)
     const double x = bisectMonotone(
         [](double v) { return std::exp(v); }, 5.0, 0.0, 3.0);
     EXPECT_NEAR(x, std::log(5.0), 1e-9);
+}
+
+TEST(Bytes, HashMixSeparatesConfigs)
+{
+    const uint64_t base = hashMix(0xD1770ACC, 1);
+    EXPECT_NE(hashMix(base, 8), hashMix(base, 16));
+    EXPECT_NE(hashMix(hashMix(base, 8), 16),
+              hashMix(hashMix(base, 16), 8));
 }
 
 } // namespace

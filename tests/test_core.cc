@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "core/attention_diff.h"
 #include "core/bops.h"
@@ -340,6 +341,19 @@ TEST(Defo, PolicyNamesStable)
     EXPECT_STREQ(flowPolicyName(FlowPolicy::Defo), "Defo");
     EXPECT_STREQ(flowPolicyName(FlowPolicy::DefoPlus), "Defo+");
     EXPECT_STREQ(flowPolicyName(FlowPolicy::Ideal), "Ideal");
+}
+
+// ---- Software Defo cost model ---------------------------------------------
+
+TEST(SoftwareDefo, PenaltiesAreFixedUnlessOverridden)
+{
+    // Constants, not a timing probe: every process makes the same
+    // reversion decisions unless DITTO_DIFF_MAC_PENALTY overrides them.
+    if (!env::readString("DITTO_DIFF_MAC_PENALTY", "").empty())
+        GTEST_SKIP() << "DITTO_DIFF_MAC_PENALTY is set";
+    EXPECT_DOUBLE_EQ(diffMacPenalty(128), 2.2);
+    EXPECT_DOUBLE_EQ(diffMacPenalty(64), 2.2);
+    EXPECT_DOUBLE_EQ(diffMacPenalty(16), 8.0);
 }
 
 // ---- Functional pipeline (Table II proxy) -------------------------------

@@ -40,7 +40,6 @@ const CompiledModel &
 testModel()
 {
     static const CompiledModel *m = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         return new CompiledModel(compile(miniUnetSpec(smallConfig())));
     }();
     return *m;
@@ -107,7 +106,6 @@ TEST(PrefixKeyTest, IdentityAndPolicySensitivity)
 
     // A different model (different weights -> different spec hash)
     // never shares identity.
-    setenv("DITTO_NO_CACHE", "1", 0);
     MiniUnetConfig other = smallConfig();
     other.seed = 4242;
     const CompiledModel m2 = compile(miniUnetSpec(other));
@@ -209,7 +207,6 @@ TEST(ReuseCacheTest, EvictionUnderBytePressure)
 void
 runWarmColdParity(const ModelSpec &spec, RunMode mode, int steps)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     const CompiledModel model = compile(spec);
     const uint64_t seed = 31, cond = 77;
     const RolloutResult ref =
@@ -297,7 +294,6 @@ TEST(WarmColdParity, ApproxDittoCarriesSkipState)
     // Aggressive skip policy: the warm start must replay the cold
     // trajectory's skip decisions exactly, which requires the cached
     // slab state (codes, outputs, consecutive-skip counters).
-    setenv("DITTO_NO_CACHE", "1", 0);
     CompiledModel model = compile(miniUnetSpec(smallConfig()));
     model.setApproxPolicy(1.0, 3);
     const uint64_t seed = 57, cond = 3;
@@ -363,7 +359,6 @@ TEST(ReuseServer, SharedCacheNeverCrossesModels)
     // Two different models share one cache object; the prefix key's
     // model digest keeps their entries apart — a spec or calibration
     // change can never serve a stale prefix.
-    setenv("DITTO_NO_CACHE", "1", 0);
     const CompiledModel m1 = compile(miniUnetSpec(smallConfig()));
     MiniUnetConfig other = smallConfig();
     other.seed = 4242;

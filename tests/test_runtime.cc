@@ -31,7 +31,6 @@ namespace {
 MiniUnetConfig
 parityConfig()
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     MiniUnetConfig cfg;
     cfg.channels = 8;
     cfg.resolution = 8;
@@ -213,7 +212,6 @@ TEST(DependencySkip, VerdictsOnTransparentChain)
 
 TEST(DependencySkip, ProvablySkipsEncodeAndSummationWork)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     const ModelSpec spec = fcChainSpec();
     CompileOptions with;
     with.policy = DiffPolicy::ForceDiff;
@@ -254,7 +252,6 @@ TEST(DependencySkip, ProvablySkipsEncodeAndSummationWork)
 
 TEST(DependencySkip, BatchedChainMatchesSequential)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     CompileOptions opts;
     opts.policy = DiffPolicy::ForceDiff;
     const CompiledModel model = compile(fcChainSpec(), opts);
@@ -296,7 +293,6 @@ reportOf(const CompiledModel &m, const std::string &name)
 std::pair<RolloutResult, RolloutResult>
 expectJunctionBitwise(const ModelSpec &spec)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     CompileOptions with;
     with.policy = DiffPolicy::ForceDiff;
     CompileOptions without = with;
@@ -365,7 +361,6 @@ TEST(JunctionAlgebra, MismatchedProducerScalesOnAdd)
     const ModelSpec spec = addJunctionSpec();
     auto [a, n] = expectJunctionBitwise(spec);
 
-    setenv("DITTO_NO_CACHE", "1", 0);
     const CompiledModel m = compile(spec);
     const CompiledModel::NodeReport convC = reportOf(m, "convC");
     EXPECT_TRUE(convC.junction);
@@ -408,7 +403,6 @@ TEST(JunctionAlgebra, ConcatWithOddPanelBoundarySplit)
 {
     const ModelSpec spec = concatJunctionSpec();
     expectJunctionBitwise(spec);
-    setenv("DITTO_NO_CACHE", "1", 0);
     const CompiledModel m = compile(spec);
     EXPECT_TRUE(reportOf(m, "convC").junction);
     EXPECT_TRUE(reportOf(m, "convA").sumSkip);
@@ -439,7 +433,6 @@ TEST(JunctionAlgebra, JunctionFeedsSummationSkippableConsumer)
 {
     const ModelSpec spec = chainedJunctionSpec();
     expectJunctionBitwise(spec);
-    setenv("DITTO_NO_CACHE", "1", 0);
     const CompiledModel m = compile(spec);
     const CompiledModel::NodeReport convC = reportOf(m, "convC");
     // convC folds the junction AND hands its own output to convD
@@ -452,7 +445,6 @@ TEST(JunctionAlgebra, JunctionFeedsSummationSkippableConsumer)
 
 TEST(JunctionAlgebra, ThreadCountInvariance)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     CompileOptions opts;
     opts.policy = DiffPolicy::ForceDiff;
     const CompiledModel m = compile(concatJunctionSpec(), opts);
@@ -491,7 +483,6 @@ TEST(JunctionAlgebra, LongAddChainFoldsEverySource)
 {
     const ModelSpec spec = longAddChainSpec();
     expectJunctionBitwise(spec);
-    setenv("DITTO_NO_CACHE", "1", 0);
     CompileOptions opts;
     opts.policy = DiffPolicy::ForceDiff;
     const CompiledModel m = compile(spec, opts);
@@ -507,7 +498,6 @@ const CompiledModel &
 deepUnet()
 {
     static const CompiledModel *m = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         DeepUnetConfig cfg;
         cfg.resolution = 8;
         cfg.baseChannels = 8;
@@ -521,7 +511,6 @@ const CompiledModel &
 ditBlock()
 {
     static const CompiledModel *m = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         DitBlockConfig cfg;
         cfg.resolution = 8;
         cfg.embedDim = 16;
@@ -663,7 +652,6 @@ const CompiledModel &
 mhsaBlock()
 {
     static const CompiledModel *m = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         MhsaBlockConfig cfg;
         cfg.resolution = 8;
         cfg.embedDim = 16;
@@ -678,7 +666,6 @@ const CompiledModel &
 ditAdaLn()
 {
     static const CompiledModel *m = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         DitAdaLnConfig cfg;
         cfg.resolution = 8;
         cfg.embedDim = 16;
@@ -797,7 +784,6 @@ TEST(NewSpecs, DitAdaLnServesThroughDenoiseServer)
 std::vector<ModelSpec>
 approxPresetSpecs()
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     std::vector<ModelSpec> specs;
     specs.push_back(miniUnetSpec(parityConfig()));
     DeepUnetConfig du;
@@ -842,7 +828,6 @@ TEST(ApproxMode, ThresholdZeroBitwiseIdenticalOnEveryPreset)
 
 TEST(ApproxMode, SkipDecisionsDeterministicAcrossThreadCounts)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig du;
     du.resolution = 8;
     du.baseChannels = 8;
@@ -869,7 +854,6 @@ TEST(ApproxMode, BatchedSkipDecisionsMatchSequential)
     // Threshold 1.0 skips every slab alike; 0.5 splits the batch, and a
     // slab skipped beside an executing batch-mate still runs the engine
     // over a zeroed region — its tallies must not leak into the request.
-    setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig du;
     du.resolution = 8;
     du.baseChannels = 8;
@@ -912,7 +896,6 @@ TEST(ApproxMode, BatchedSkipDecisionsMatchSequential)
 
 TEST(ApproxMode, ReusedElemsMatchesPerNodeSkipLog)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig du;
     du.resolution = 8;
     du.baseChannels = 8;
@@ -935,7 +918,6 @@ TEST(ApproxMode, ReusedElemsMatchesPerNodeSkipLog)
 
 TEST(ApproxMode, FidelityMonotoneNonImprovingInThreshold)
 {
-    setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig du;
     du.resolution = 8;
     du.baseChannels = 8;
@@ -972,7 +954,6 @@ TEST(ApproxMode, ResetSlabClearsApproxReuseState)
     // consecutive-skip run from the previous occupant would force the
     // new request's first primed step to execute where a fresh
     // rollout skips — different bits.
-    setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig du;
     du.resolution = 8;
     du.baseChannels = 8;
@@ -1115,19 +1096,20 @@ TEST(EnvRegistry, TypedReadersApplyFallbacksAndRanges)
     unsetenv("DITTO_SERVE_MAX_BATCH");
     EXPECT_EQ(env::readInt64("DITTO_SERVE_MAX_BATCH", 8, 1, 4096), 8);
 
-    unsetenv("DITTO_NO_CACHE");
-    EXPECT_FALSE(env::readFlag("DITTO_NO_CACHE"));
-    setenv("DITTO_NO_CACHE", "0", 1);
-    EXPECT_FALSE(env::readFlag("DITTO_NO_CACHE"));
-    setenv("DITTO_NO_CACHE", "1", 1);
-    EXPECT_TRUE(env::readFlag("DITTO_NO_CACHE"));
+    unsetenv("DITTO_WRITE_GOLDENS");
+    EXPECT_FALSE(env::readFlag("DITTO_WRITE_GOLDENS"));
+    setenv("DITTO_WRITE_GOLDENS", "0", 1);
+    EXPECT_FALSE(env::readFlag("DITTO_WRITE_GOLDENS"));
+    setenv("DITTO_WRITE_GOLDENS", "1", 1);
+    EXPECT_TRUE(env::readFlag("DITTO_WRITE_GOLDENS"));
 
-    setenv("DITTO_CACHE_DIR", "", 1);
-    EXPECT_EQ(env::readString("DITTO_CACHE_DIR", "fallback"),
+    setenv("DITTO_WRITE_GOLDENS", "", 1);
+    EXPECT_EQ(env::readString("DITTO_WRITE_GOLDENS", "fallback"),
               "fallback");
-    setenv("DITTO_CACHE_DIR", "/tmp/x", 1);
-    EXPECT_EQ(env::readString("DITTO_CACHE_DIR", "fallback"), "/tmp/x");
-    unsetenv("DITTO_CACHE_DIR");
+    setenv("DITTO_WRITE_GOLDENS", "regen", 1);
+    EXPECT_EQ(env::readString("DITTO_WRITE_GOLDENS", "fallback"),
+              "regen");
+    unsetenv("DITTO_WRITE_GOLDENS");
 }
 
 TEST(EnvRegistry, UnregisteredKnobFailsLoudly)

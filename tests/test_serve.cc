@@ -51,7 +51,6 @@ const CompiledModel &
 testNet()
 {
     static const CompiledModel *net = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         return new CompiledModel(compile(miniUnetSpec(smallConfig())));
     }();
     return *net;
@@ -146,7 +145,6 @@ TEST(ServeParity, OddResolutionFallbackPaths)
 {
     // resolution 6 -> 36 pixels: exercises non-multiple-of-panel
     // shapes through the whole batched stack.
-    setenv("DITTO_NO_CACHE", "1", 0);
     MiniUnetConfig cfg = smallConfig();
     cfg.resolution = 6;
     const CompiledModel net = compile(miniUnetSpec(cfg));
@@ -686,7 +684,6 @@ TEST(ServerTest, JunctionSpecSlotReuseStaysBitwise)
     // batch slots exercises continuous batching's slot reuse against
     // the junction code caches (a reset slab re-primes its fold from
     // scratch while its neighbors keep their diff streams).
-    setenv("DITTO_NO_CACHE", "1", 0);
     DeepUnetConfig dcfg;
     dcfg.resolution = 8;
     dcfg.baseChannels = 8;
@@ -1404,7 +1401,6 @@ const CompiledModel &
 approxNet()
 {
     static const CompiledModel *m = [] {
-        setenv("DITTO_NO_CACHE", "1", 0);
         auto *model =
             new CompiledModel(compile(miniUnetSpec(smallConfig())));
         // Skip whenever the refresh cap allows: every primed step

@@ -116,7 +116,6 @@ presetModel(int i)
 {
     static std::unique_ptr<CompiledModel> models[kNumPresets];
     if (!models[i]) {
-        setenv("DITTO_NO_CACHE", "1", 0);
         auto m = std::make_unique<CompiledModel>(compile(presetSpec(i)));
         m->setApproxPolicy(0.5, 3);
         models[i] = std::move(m);
@@ -877,6 +876,28 @@ TEST(ShardTier, WorkerDeathTriggersColdResubmissionBitwise)
                   static_cast<uint64_t>(1));
         EXPECT_EQ(scrapeU64(json, "healthy"), 1u);
     }
+}
+
+TEST(ShardTier, DrainedWorkerExitIsNotAFailover)
+{
+    // A drained worker exits once its work is done (shard_worker
+    // returns 0 after a Drain). The router then loses its transport on
+    // the next RPC; that is the graceful path, not a failover.
+    const CompiledModel &m = presetModel(0);
+    Tier tier(m, 2, tierConfig());
+    std::vector<uint64_t> gids;
+    for (int i = 0; i < 4; ++i)
+        gids.push_back(tier.router.submit(identityRequest(
+            500 + static_cast<uint64_t>(i), 23, RunMode::QuantDitto, 6)));
+    for (uint64_t gid : gids)
+        ASSERT_EQ(tier.router.wait(gid).status, RequestStatus::Done);
+
+    tier.router.drainAll();
+    for (auto &w : tier.workers)
+        w->stop();
+    const std::string json = tier.router.metricsJson();
+    EXPECT_EQ(scrapeU64(json, "failovers"), 0u);
+    EXPECT_EQ(scrapeU64(json, "resubmitted"), 0u);
 }
 
 TEST(ShardTier, WorkerScreensHostileTicketsAndSlabs)

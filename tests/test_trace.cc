@@ -6,9 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "model/zoo.h"
@@ -186,59 +183,6 @@ TEST(Calibration, SevenModelAveragesMatchPaperHeadlines)
     EXPECT_NEAR(zero_t, 0.4448, 0.03); // Sec. III-B
     EXPECT_NEAR(le4_t, 0.9601, 0.02);  // Sec. III-B
     EXPECT_NEAR(ratio, 8.96, 0.45);    // Sec. III-A
-}
-
-// ---- Scale cache --------------------------------------------------------
-
-TEST(ScaleCache, RoundTripsExactlyAndRejectsMismatch)
-{
-    char tmpl[] = "/tmp/ditto-cache-test-XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-    setenv("DITTO_CACHE_DIR", tmpl, 1);
-    unsetenv("DITTO_NO_CACHE");
-
-    const uint64_t key = hashMix(hashMix(0x5EED, 1), 42);
-    const std::vector<float> scales = {1.25f, 3.0e-7f, 0.1f, 127.0f,
-                                       5.960464e-08f};
-    std::vector<float> loaded;
-    EXPECT_FALSE(loadCachedScales(key, scales.size(), &loaded));
-    storeCachedScales(key, scales);
-    ASSERT_TRUE(loadCachedScales(key, scales.size(), &loaded));
-    // Hexfloat serialization must round-trip bit-exactly: cached and
-    // freshly calibrated models would otherwise diverge.
-    ASSERT_EQ(loaded.size(), scales.size());
-    for (size_t i = 0; i < scales.size(); ++i)
-        EXPECT_EQ(loaded[i], scales[i]);
-
-    // Count mismatch and unknown keys are misses, not errors.
-    EXPECT_FALSE(loadCachedScales(key, scales.size() + 1, &loaded));
-    EXPECT_FALSE(loadCachedScales(key + 1, scales.size(), &loaded));
-
-    // A corrupt file is a miss.
-    const std::string dir(tmpl);
-    char name[64];
-    std::snprintf(name, sizeof(name), "scales-%016llx.txt",
-                  static_cast<unsigned long long>(key));
-    FILE *f = fopen((dir + "/" + name).c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("garbage\n", f);
-    fclose(f);
-    EXPECT_FALSE(loadCachedScales(key, scales.size(), &loaded));
-
-    // DITTO_NO_CACHE disables everything.
-    setenv("DITTO_NO_CACHE", "1", 1);
-    storeCachedScales(key, scales);
-    EXPECT_FALSE(loadCachedScales(key, scales.size(), &loaded));
-    unsetenv("DITTO_NO_CACHE");
-    unsetenv("DITTO_CACHE_DIR");
-}
-
-TEST(ScaleCache, HashMixSeparatesConfigs)
-{
-    const uint64_t base = hashMix(0xD1770ACC, 1);
-    EXPECT_NE(hashMix(base, 8), hashMix(base, 16));
-    EXPECT_NE(hashMix(hashMix(base, 8), 16),
-              hashMix(hashMix(base, 16), 8));
 }
 
 // ---- Sampler structure -------------------------------------------------
