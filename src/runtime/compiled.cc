@@ -1973,9 +1973,6 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
             plan.slabElems = off;
             DITTO_ASSERT(off == in0.outShape.numel(),
                          "junction plan does not tile the operand");
-            for (const CompiledModel::JunctionRegion &r : plan.regions)
-                for (int src : r.sources)
-                    m.nodes_[static_cast<size_t>(src)].keepAcc = true;
             nd.junction = std::move(plan);
             nd.diffBypass = true;
             ++m.numBypass_;

@@ -529,9 +529,6 @@ class CompiledModel
                                   //!< for a hand-over consumer
         int emitScale = -1;   //!< the consumer's quantization point
         bool fLive = true;    //!< quant modes materialize float output
-        bool keepAcc = false; //!< junction source: accumulator kept in
-                              //!< the value table for QuantDirect
-                              //!< passes (no persistent state there)
         bool skipExec = false; //!< plan-covered structural node
         std::optional<JunctionPlan> junction; //!< operand fold
         int emitSlot = -1; //!< code cache of the emitted payload: the

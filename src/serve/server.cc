@@ -305,8 +305,7 @@ DenoiseServer::submit(const DenoiseRequest &req)
     if (req.deadlineMicros < -1)
         DITTO_FATAL("submit: malformed deadlineMicros "
                     << req.deadlineMicros << " (want -1, 0 or a budget)");
-    if (static_cast<int>(req.slo) < 0 ||
-        static_cast<int>(req.slo) >= kNumSloClasses)
+    if (static_cast<int>(req.slo) >= kNumSloClasses)
         DITTO_FATAL("submit: unknown SLO class "
                     << static_cast<int>(req.slo));
 

@@ -11,61 +11,62 @@ namespace shard {
 
 namespace {
 
-/** Largest accepted image payload (elements); rejects hostile dims. */
-constexpr int64_t kMaxImageElems = int64_t{1} << 32;
+/** Largest accepted tensor payload (elements); rejects hostile dims. */
+constexpr int64_t kMaxTensorElems = int64_t{1} << 32;
 
-void
-putImage(ByteWriter &w, const FloatTensor &t)
-{
-    const Shape &s = t.shape();
-    w.u8(static_cast<uint8_t>(s.rank())); // 0: empty image
-    for (int i = 0; i < s.rank(); ++i)
-        w.i64(s[i]);
-    w.span(std::span<const float>(t.data()));
-}
+} // namespace
 
 bool
-getImage(ByteReader &r, FloatTensor *out)
+getTensorShape(ByteReader &r, size_t elemBytes, Shape *shape,
+               std::string *why)
 {
     uint8_t rank = 0;
-    if (!r.u8(&rank) || rank > Shape::kMaxRank)
+    if (!r.u8(&rank)) {
+        *why = "truncated tensor header";
         return false;
-    if (rank == 0) {
-        *out = FloatTensor();
-        return true;
+    }
+    if (rank > Shape::kMaxRank) {
+        *why = "tensor rank out of range";
+        return false;
     }
     int64_t dims[Shape::kMaxRank] = {};
     int64_t numel = 1;
     for (int i = 0; i < rank; ++i) {
-        if (!r.i64(&dims[i]) || dims[i] <= 0)
+        if (!r.i64(&dims[i])) {
+            *why = "truncated tensor header";
             return false;
+        }
+        // Checked before the multiply, so the count never overflows.
+        if (dims[i] <= 0 || dims[i] > kMaxTensorElems / numel) {
+            *why = "tensor dimension or element count out of range";
+            return false;
+        }
         numel *= dims[i];
-        if (numel > kMaxImageElems)
-            return false;
     }
-    Shape shape;
+    if (rank > 0 &&
+        static_cast<uint64_t>(numel) * elemBytes > r.remaining()) {
+        *why = "truncated tensor payload";
+        return false;
+    }
     switch (rank) {
+      case 0:
+        *shape = Shape{};
+        break;
       case 1:
-        shape = Shape{dims[0]};
+        *shape = Shape{dims[0]};
         break;
       case 2:
-        shape = Shape{dims[0], dims[1]};
+        *shape = Shape{dims[0], dims[1]};
         break;
       case 3:
-        shape = Shape{dims[0], dims[1], dims[2]};
+        *shape = Shape{dims[0], dims[1], dims[2]};
         break;
       default:
-        shape = Shape{dims[0], dims[1], dims[2], dims[3]};
+        *shape = Shape{dims[0], dims[1], dims[2], dims[3]};
         break;
     }
-    FloatTensor t(shape);
-    if (!r.span(t.data()))
-        return false;
-    *out = std::move(t);
     return true;
 }
-
-} // namespace
 
 void
 putRequest(ByteWriter &w, const DenoiseRequest &req)
@@ -124,7 +125,7 @@ putResult(ByteWriter &w, const DenoiseResult &res)
     w.i64(res.dittoOps.diffCalcElems);
     w.i64(res.dittoOps.summationElems);
     w.i64(res.dittoOps.reusedElems);
-    putImage(w, res.image);
+    putTensor(w, res.image);
 }
 
 bool
@@ -155,7 +156,8 @@ getResult(ByteReader &r, DenoiseResult *out)
     res.status = static_cast<RequestStatus>(status);
     res.slo = static_cast<SloClass>(slo);
     res.degraded = degraded != 0;
-    if (!getImage(r, &res.image))
+    std::string why;
+    if (!getTensor(r, &res.image, &why))
         return false;
     *out = std::move(res);
     return true;

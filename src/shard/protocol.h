@@ -22,6 +22,7 @@
 
 #include "common/bytes.h"
 #include "serve/request.h"
+#include "tensor/tensor.h"
 
 namespace ditto {
 namespace shard {
@@ -82,6 +83,46 @@ struct MigratedWire
     DenoiseRequest req;
     std::vector<uint8_t> slab;
 };
+
+/**
+ * Tensor section, shared by the result image and the slab codec:
+ * u8 rank, i64 dims[rank], then the raw little-endian elements. Rank 0
+ * is an empty tensor with no elements.
+ */
+template <typename T>
+void
+putTensor(ByteWriter &w, const Tensor<T> &t)
+{
+    const Shape &s = t.shape();
+    w.u8(static_cast<uint8_t>(s.rank()));
+    for (int i = 0; i < s.rank(); ++i)
+        w.i64(s[i]);
+    w.span(std::span<const T>(t.data()));
+}
+
+/**
+ * Read a tensor section's rank and dims from a peer. False with `*why`
+ * set on a truncated header, a rank above Shape::kMaxRank, a dimension
+ * below 1, more than 2^32 elements, or a payload of `elemBytes`-sized
+ * elements longer than the bytes left in `r`. It checks all of that
+ * before the caller allocates anything.
+ */
+bool getTensorShape(ByteReader &r, size_t elemBytes, Shape *shape,
+                    std::string *why);
+
+/** Decode a tensor section; `*out` is written only on success. */
+template <typename T>
+bool
+getTensor(ByteReader &r, Tensor<T> *out, std::string *why)
+{
+    Shape shape;
+    if (!getTensorShape(r, sizeof(T), &shape, why))
+        return false;
+    Tensor<T> t(shape);
+    r.span(t.data()); // getTensorShape checked that the payload is there
+    *out = std::move(t);
+    return true;
+}
 
 // Payload section codecs. Encoders append to the writer; decoders
 // return false on malformed/truncated input (reader failure latches).

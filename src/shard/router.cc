@@ -422,25 +422,12 @@ ShardRouter::drainAll()
 void
 ShardRouter::scrapeReuseLocked(Worker &w, const std::string &json)
 {
-    uint64_t gen = 0, hits = 0, misses = 0, stores = 0, saved = 0;
-    if (!scrapeU64(json, "generation", &gen) ||
-        !scrapeU64(json, "hits", &hits) ||
+    uint64_t hits = 0, misses = 0, stores = 0, saved = 0;
+    if (!scrapeU64(json, "hits", &hits) ||
         !scrapeU64(json, "misses", &misses) ||
         !scrapeU64(json, "stores", &stores) ||
         !scrapeU64(json, "steps_saved", &saved))
         return;
-    // A worker restart resets both the generation and the counters; a
-    // cache clear() bumps the generation but counters survive. Either
-    // counter running backwards, or the generation running backwards,
-    // therefore means "new process": bank the previous epoch's totals
-    // so the tier-wide sums never double-count and never lose history.
-    if (gen < w.lastGen || hits < w.lastHits || misses < w.lastMisses) {
-        w.baseHits += w.lastHits;
-        w.baseMisses += w.lastMisses;
-        w.baseStores += w.lastStores;
-        w.baseSaved += w.lastSaved;
-    }
-    w.lastGen = gen;
     w.lastHits = hits;
     w.lastMisses = misses;
     w.lastStores = stores;
@@ -469,10 +456,10 @@ ShardRouter::metricsJson()
     uint64_t hits = 0, misses = 0, stores = 0, saved = 0;
     int healthy = 0;
     for (const Worker &w : workers_) {
-        hits += w.baseHits + w.lastHits;
-        misses += w.baseMisses + w.lastMisses;
-        stores += w.baseStores + w.lastStores;
-        saved += w.baseSaved + w.lastSaved;
+        hits += w.lastHits;
+        misses += w.lastMisses;
+        stores += w.lastStores;
+        saved += w.lastSaved;
         healthy += w.healthy ? 1 : 0;
     }
     const double rate =

@@ -28,10 +28,9 @@
  *    drain-ahead-of-maintenance; resumed results stay bitwise
  *    identical for exact modes.
  *  - Merged metrics: metricsJson() embeds every worker's export and
- *    rolls up reuse counters across workers, using the cache
- *    generation to disambiguate a worker restart (counters reset; add
- *    absolute values) from a cache clear (counters survive; add
- *    deltas) so aggregate hit counts never double-count.
+ *    rolls up reuse counters across workers by summing each worker's
+ *    last scraped counters; a worker's counters never decrease (a
+ *    cache clear keeps them), so the sums never double-count.
  *
  * All workers must serve the same compiled model — identity
  * ((spec hash, calibration digest)) is checked at addWorker.
@@ -165,16 +164,13 @@ class ShardRouter
         int64_t outstanding = 0;
 
         /**
-         * Reuse roll-up state: the counters last scraped from this
-         * worker's metrics export, and the totals it contributed from
-         * *previous* cache epochs (restarts). Current epoch counters
-         * are added on top at merge time.
+         * The reuse counters last scraped from this worker's metrics
+         * export. One entry is one connection to one process, whose
+         * counters never decrease (ReuseCache::clear() keeps them), so
+         * the roll-up sums each worker's last scrape.
          */
-        uint64_t lastGen = 0;
         uint64_t lastHits = 0, lastMisses = 0, lastStores = 0;
         uint64_t lastSaved = 0;
-        uint64_t baseHits = 0, baseMisses = 0, baseStores = 0;
-        uint64_t baseSaved = 0;
     };
 
     /**

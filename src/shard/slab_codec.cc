@@ -5,6 +5,7 @@
 #include "shard/slab_codec.h"
 
 #include "common/bytes.h"
+#include "shard/protocol.h"
 
 namespace ditto {
 namespace shard {
@@ -24,29 +25,24 @@ enum Dtype : uint8_t
     kI32 = 3,
 };
 
-/** Hard bounds a hostile slab cannot talk its way past. */
+/** Hard bound a hostile slab cannot talk its way past. */
 constexpr uint32_t kMaxSlots = 1u << 20;
-constexpr int64_t kMaxDim = int64_t{1} << 32;
 
+/** A slab tensor: u8 dtype, then the shared tensor section. */
 template <typename T>
 void
-putTensor(ByteWriter &w, const Tensor<T> &t, Dtype dtype)
+putTyped(ByteWriter &w, const Tensor<T> &t, Dtype dtype)
 {
     w.u8(dtype);
-    const Shape &s = t.shape();
-    w.u8(static_cast<uint8_t>(s.rank()));
-    for (int i = 0; i < s.rank(); ++i)
-        w.i64(s[i]);
-    w.span(std::span<const T>(t.data()));
+    putTensor(w, t);
 }
 
 template <typename T>
 bool
-getTensor(ByteReader &r, Tensor<T> *out, Dtype want, std::string *why)
+getTyped(ByteReader &r, Tensor<T> *out, Dtype want, std::string *why)
 {
     uint8_t dtype = 0;
-    uint8_t rank = 0;
-    if (!r.u8(&dtype) || !r.u8(&rank)) {
+    if (!r.u8(&dtype)) {
         *why = "truncated tensor header";
         return false;
     }
@@ -54,50 +50,9 @@ getTensor(ByteReader &r, Tensor<T> *out, Dtype want, std::string *why)
         *why = "tensor dtype mismatch";
         return false;
     }
-    if (rank > Shape::kMaxRank) {
-        *why = "tensor rank out of range";
-        return false;
-    }
-    int64_t dims[Shape::kMaxRank] = {};
-    for (int i = 0; i < rank; ++i) {
-        if (!r.i64(&dims[i]) || dims[i] <= 0 || dims[i] > kMaxDim) {
-            *why = "tensor dimension out of range";
-            return false;
-        }
-    }
     // Rank 0 is a legitimately empty tensor: a never-started (cold)
     // migrated request carries no partial image yet.
-    Shape shape;
-    switch (rank) {
-      case 0:
-        shape = Shape{};
-        break;
-      case 1:
-        shape = Shape{dims[0]};
-        break;
-      case 2:
-        shape = Shape{dims[0], dims[1]};
-        break;
-      case 3:
-        shape = Shape{dims[0], dims[1], dims[2]};
-        break;
-      default:
-        shape = Shape{dims[0], dims[1], dims[2], dims[3]};
-        break;
-    }
-    const uint64_t payload =
-        static_cast<uint64_t>(shape.numel()) * sizeof(T);
-    if (payload > r.remaining()) {
-        *why = "truncated tensor payload";
-        return false;
-    }
-    Tensor<T> t(shape);
-    if (!r.span(t.data())) {
-        *why = "truncated tensor payload";
-        return false;
-    }
-    *out = std::move(t);
-    return true;
+    return getTensor(r, out, why);
 }
 
 template <typename T, typename Put>
@@ -143,7 +98,7 @@ encodeParked(const BatchEngine::Parked &p)
     w.i64(p.ops.diffCalcElems);
     w.i64(p.ops.summationElems);
     w.i64(p.ops.reusedElems);
-    putTensor(w, p.image, kF32);
+    putTyped(w, p.image, kF32);
     if (p.hasState) {
         // backRef is process-local and intentionally severed here: a
         // relocated slab must own its bytes, not pin a cache entry in
@@ -153,10 +108,10 @@ encodeParked(const BatchEngine::Parked &p)
         w.u8(s.approx);
         w.u32(static_cast<uint32_t>(s.prevIn.size()));
         for (const auto &t : s.prevIn)
-            putTensor(w, t, kI8);
+            putTyped(w, t, kI8);
         w.u32(static_cast<uint32_t>(s.prevOut.size()));
         for (const auto &t : s.prevOut)
-            putTensor(w, t, kI32);
+            putTyped(w, t, kI32);
         w.u32(static_cast<uint32_t>(s.consec.size()));
         w.span(std::span<const int32_t>(s.consec));
         w.u32(static_cast<uint32_t>(s.skips.size()));
@@ -224,7 +179,7 @@ decodeParked(std::span<const uint8_t> bytes, BatchEngine::Parked *out,
         *why = "slab step counters out of range";
         return false;
     }
-    if (!getTensor(r, &p.image, kF32, why))
+    if (!getTyped(r, &p.image, kF32, why))
         return false;
     if (p.hasState) {
         auto &s = p.state;
@@ -233,10 +188,10 @@ decodeParked(std::span<const uint8_t> bytes, BatchEngine::Parked *out,
             return false;
         }
         auto getI8 = [](ByteReader &rr, Int8Tensor *t, std::string *w) {
-            return getTensor(rr, t, kI8, w);
+            return getTyped(rr, t, kI8, w);
         };
         auto getI32T = [](ByteReader &rr, Int32Tensor *t, std::string *w) {
-            return getTensor(rr, t, kI32, w);
+            return getTyped(rr, t, kI32, w);
         };
         auto getI32 = [](ByteReader &rr, int32_t *v, std::string *w) {
             if (rr.i32(v))

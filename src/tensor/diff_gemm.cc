@@ -180,11 +180,11 @@ diffGemmBatch(std::span<const DiffGemmBatchItem> items, int64_t n)
         return;
 
     // One dispatch over the union of all items' rows. A global row is
-    // owned by exactly one task and its item-local execution is
-    // identical to diffGemm's, so the batch is bitwise equal to
-    // per-item calls at any thread count. Row bases are the caller's
-    // thread-local scratch (workers see the pointer), sized once per
-    // batch size.
+    // owned by exactly one task and runs its K reduction serially in
+    // plan order, so the batch is bitwise equal to per-item calls at
+    // any thread count. Rows whose panels are all zero keep their base
+    // values untouched. Row bases are the caller's thread-local
+    // scratch (workers see the pointer), sized once per batch size.
     thread_local std::vector<int64_t> rb_scratch;
     rb_scratch.resize(static_cast<size_t>(count + 1));
     int64_t *rb = rb_scratch.data();
@@ -203,42 +203,6 @@ diffGemmBatch(std::span<const DiffGemmBatchItem> items, int64_t n)
                           items[it].out + row * n);
         }
     });
-}
-
-Int32Tensor
-diffGemm(const DiffGemmPlan &plan, const int8_t *b, int64_t n,
-         bool transpose_b, const Int32Tensor *prev)
-{
-    const int64_t m = plan.rows;
-    const int64_t k = plan.cols;
-    DITTO_ASSERT(n > 0, "diffGemm needs a positive column count");
-
-    // De-transpose B once (tiled for cache-friendliness) so the axpy
-    // always reads contiguous rows. O(k*n) packing against
-    // O(nonzero*n) accumulation; weight-stationary engines avoid even
-    // this by caching the transposed weight across steps.
-    const int8_t *bmat = b;
-    thread_local std::vector<int8_t> bt; // k x n, sized once per shape
-    if (transpose_b) {
-        bt.resize(static_cast<size_t>(k * n));
-        transposeInt8Into(b, n, k, bt.data());
-        bmat = bt.data();
-    }
-
-    Int32Tensor out = prev ? *prev : Int32Tensor(Shape{m, n});
-    DITTO_ASSERT(out.shape() == Shape({m, n}),
-                 "diffGemm previous-output shape mismatch");
-    int32_t *out_data = out.data().data();
-
-    // Row-parallel: each output row is owned by exactly one task and
-    // its K reduction runs serially in plan order, so results are
-    // bitwise identical at any thread count. Rows whose panels are all
-    // zero keep their copy-initialized prev values untouched.
-    parallelFor(0, m, [&](int64_t lo, int64_t hi) {
-        for (int64_t row = lo; row < hi; ++row)
-            accumulateRow(plan, row, bmat, n, out_data + row * n);
-    });
-    return out;
 }
 
 namespace {
@@ -436,47 +400,6 @@ convDiffScatterBatch(std::span<const ConvScatterBatchItem> items,
             g += yhi - ylo;
         }
     });
-}
-
-Int8Tensor
-transposeInt8(const Int8Tensor &m)
-{
-    DITTO_ASSERT(m.shape().rank() == 2, "transposeInt8 expects a matrix");
-    const int64_t rows = m.shape()[0];
-    const int64_t cols = m.shape()[1];
-    Int8Tensor out(Shape{cols, rows});
-    transposeInt8Into(m.data().data(), rows, cols, out.data().data());
-    return out;
-}
-
-Int32Tensor
-addTransposedInt32(const Int32Tensor &prev, const Int32Tensor &delta)
-{
-    DITTO_ASSERT(prev.shape().rank() == 2 && delta.shape().rank() == 2,
-                 "addTransposedInt32 expects matrices");
-    const int64_t m = prev.shape()[0];
-    const int64_t n = prev.shape()[1];
-    DITTO_ASSERT(delta.shape() == Shape({n, m}),
-                 "addTransposedInt32 operand shape mismatch");
-    Int32Tensor out(prev.shape());
-    const int32_t *DITTO_RESTRICT sp = prev.data().data();
-    const int32_t *DITTO_RESTRICT sd = delta.data().data();
-    int32_t *DITTO_RESTRICT so = out.data().data();
-    // Tiled so the strided reads of delta stay cache-resident.
-    const int64_t rtiles = (m + kTransposeTile - 1) / kTransposeTile;
-    parallelFor(0, rtiles, [&](int64_t lo, int64_t hi) {
-        for (int64_t rt = lo; rt < hi; ++rt) {
-            const int64_t r0 = rt * kTransposeTile;
-            const int64_t r1 = std::min(m, r0 + kTransposeTile);
-            for (int64_t c0 = 0; c0 < n; c0 += kTransposeTile) {
-                const int64_t c1 = std::min(n, c0 + kTransposeTile);
-                for (int64_t r = r0; r < r1; ++r)
-                    for (int64_t c = c0; c < c1; ++c)
-                        so[r * n + c] = sp[r * n + c] + sd[c * m + r];
-            }
-        }
-    });
-    return out;
 }
 
 void

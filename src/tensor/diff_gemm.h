@@ -23,11 +23,13 @@
  * streams too, so the executed multiply count equals the nonzero count
  * exactly — the same population the paper's OpCounts tally describes.
  *
- * diffGemm() walks the plan row by row in fixed K order and accumulates
- * into (a copy of) the previous step's int32 output. Work is divided at
- * (row, column-strip) granularity with parallelFor; the K reduction is
+ * diffGemmBatch() walks each plan row by row in fixed K order and
+ * accumulates into the previous step's int32 output in place. Work is
+ * divided at row granularity with parallelFor; the K reduction is
  * never split, so results are bitwise identical to the dense path at
- * any thread count. See docs/diff_exec.md.
+ * any thread count. Every entry point here works on raw buffers; the
+ * Tensor forms (matmulDiffPlan, ...) are shims in tensor/ops.h. See
+ * docs/diff_exec.md.
  */
 #ifndef DITTO_TENSOR_DIFF_GEMM_H
 #define DITTO_TENSOR_DIFF_GEMM_H
@@ -35,8 +37,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "tensor/tensor.h"
 
 namespace ditto {
 
@@ -131,19 +131,6 @@ struct DiffGemmPlan
 namespace kernels {
 
 /**
- * Plan-driven sparse difference GEMM.
- *
- * Computes prev + D * op(B) where D is the difference operand described
- * by `plan` ([m, k]) and op(B) is B ([k, n], row-major) or B^T for
- * B:[n, k] when transpose_b. `b` points at the row-major element data;
- * `n` is the output column count. When prev is null the delta alone is
- * returned. Bitwise identical to the dense int16 path at any thread
- * count.
- */
-Int32Tensor diffGemm(const DiffGemmPlan &plan, const int8_t *b, int64_t n,
-                     bool transpose_b, const Int32Tensor *prev);
-
-/**
  * @name Batched plan execution (serving substrate)
  *
  * The batched denoising path carries one encoding plan per request;
@@ -219,16 +206,9 @@ void addTransposedInt32InPlace(int32_t *acc, const int32_t *delta,
                                int64_t m, int64_t n);
 /** @} */
 
-/** Transposed copy of an int8 matrix (tiled, parallel). */
-Int8Tensor transposeInt8(const Int8Tensor &m);
-
 /** dst[c, r] = src[r, c] for src:[rows, cols] (tiled, parallel). */
 void transposeInt8Into(const int8_t *src, int64_t rows, int64_t cols,
                        int8_t *dst);
-
-/** out = prev + delta^T for prev:[m, n], delta:[n, m]. */
-Int32Tensor addTransposedInt32(const Int32Tensor &prev,
-                               const Int32Tensor &delta);
 
 /**
  * In-place conv delta fold for the flipped Ditto state: the

@@ -65,20 +65,6 @@ geluScalar(float v)
     return 0.5f * v * (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
 }
 
-float
-applyActivation(float v, Activation act)
-{
-    switch (act) {
-      case Activation::kNone:
-        return v;
-      case Activation::kSiLU:
-        return siluScalar(v);
-      case Activation::kGELU:
-        return geluScalar(v);
-    }
-    DITTO_PANIC("unknown Activation");
-}
-
 /**
  * Per-thread packed-B scratch of the GEMM drivers, one per element
  * type: at most kNc x kKc elements, sized once per shape like apack.
@@ -320,19 +306,14 @@ gemmDriverPairs(const TA *a, int64_t lda, const TB *b, int64_t ldb,
 }
 
 /**
- * Blocked GEMM on raw row-major buffers: C += A * op(B), with an
- * optional fused bias/activation epilogue for float accumulators.
- *
- * C must be zero-initialized (freshly constructed tensors are).
- * When bias_per_row is false the bias indexes columns (fully-connected
- * convention); when true it indexes rows (conv output channels).
+ * Blocked GEMM on raw row-major buffers: C += A * op(B). C holds the
+ * accumulation base (zeros for a plain product).
  */
 template <typename TA, typename TB, typename TAcc>
 void
 gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
            bool trans_b, TAcc *c, int64_t ldc, int64_t m, int64_t n,
-           int64_t k, const float *bias = nullptr,
-           bool bias_per_row = false, Activation act = Activation::kNone)
+           int64_t k)
 {
     // Integer products route through the dispatched pair micro-kernel
     // when the active SIMD level provides one; the generic level keeps
@@ -342,8 +323,7 @@ gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
     // accumulation order is part of the output contract.
     if constexpr (std::is_integral_v<TA> && std::is_integral_v<TB> &&
                   std::is_same_v<TAcc, int32_t>) {
-        if (auto *micro = simd::active().gemmMicroPairs;
-            micro && !bias && act == Activation::kNone) {
+        if (auto *micro = simd::active().gemmMicroPairs) {
             gemmDriverPairs<TA, TB>(a, lda, b, ldb, trans_b, c, ldc, m, n,
                                     k, micro);
             return;
@@ -356,7 +336,6 @@ gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
         const int64_t col_panels = ceilDiv(ncs, kNr);
         for (int64_t kc = 0; kc < k; kc += kKc) {
             const int64_t kcs = std::min(kKc, k - kc);
-            const bool last_kc = kc + kcs == k;
             bpack.resize(static_cast<size_t>(col_panels * kNr * kcs));
             TAcc *bpack_data = bpack.data();
             parallelFor(0, col_panels, [&](int64_t lo, int64_t hi) {
@@ -383,52 +362,12 @@ gemmDriver(const TA *a, int64_t lda, const TB *b, int64_t ldb,
                             TAcc *crow = c + (row0 + r) * ldc + col0;
                             for (int64_t j = 0; j < cols; ++j)
                                 crow[j] += acc[r * kNr + j];
-                            if constexpr (std::is_same_v<TAcc, float>) {
-                                // Fused epilogue once the K reduction
-                                // for these columns is complete.
-                                if (last_kc &&
-                                    (bias || act != Activation::kNone)) {
-                                    for (int64_t j = 0; j < cols; ++j) {
-                                        float v = crow[j];
-                                        if (bias)
-                                            v += bias_per_row
-                                                     ? bias[row0 + r]
-                                                     : bias[col0 + j];
-                                        crow[j] = applyActivation(v, act);
-                                    }
-                                }
-                            }
                         }
                     }
                 }
             });
         }
     }
-}
-
-/** Shape checks + driver dispatch for the matrix entry points. */
-template <typename TA, typename TB, typename TAcc>
-Tensor<TAcc>
-gemmTensor(const Tensor<TA> &a, const Tensor<TB> &b, bool trans_b,
-           const FloatTensor *bias = nullptr,
-           Activation act = Activation::kNone)
-{
-    DITTO_ASSERT(a.shape().rank() == 2 && b.shape().rank() == 2,
-                 "gemm operands must be matrices");
-    const int64_t m = a.shape()[0];
-    const int64_t k = a.shape()[1];
-    const int64_t n = trans_b ? b.shape()[0] : b.shape()[1];
-    const int64_t inner = trans_b ? b.shape()[1] : b.shape()[0];
-    DITTO_ASSERT(inner == k, "gemm inner dimensions mismatch");
-    if (bias)
-        DITTO_ASSERT(bias->numel() == n, "gemm bias size mismatch");
-    Tensor<TAcc> c(Shape{m, n});
-    gemmDriver<TA, TB, TAcc>(a.data().data(), k, b.data().data(),
-                             trans_b ? k : n, trans_b, c.data().data(), n,
-                             m, n, k,
-                             bias ? bias->data().data() : nullptr,
-                             /*bias_per_row=*/false, act);
-    return c;
 }
 
 /**
@@ -502,8 +441,8 @@ im2col(const TIn *DITTO_RESTRICT in, int64_t h, int64_t w, int64_t cin,
 template <typename TIn, typename TW, typename TAcc>
 void
 convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
-               int64_t w, const TW *wmat, const float *bias_data,
-               const Conv2dParams &p, Activation act, TAcc *out0)
+               int64_t w, const TW *wmat, const Conv2dParams &p,
+               TAcc *out0)
 {
     const int64_t oh = p.outExtent(h);
     const int64_t ow = p.outExtent(w);
@@ -530,9 +469,7 @@ convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
             // B = input slab [cin, pix] row-major, not transposed.
             gemmDriver<TW, TIn, TAcc>(wmat, patch, in_slab, pix,
                                       /*trans_b=*/false, out_slab, pix,
-                                      p.outChannels, pix, patch,
-                                      bias_data, /*bias_per_row=*/true,
-                                      act);
+                                      p.outChannels, pix, patch);
         } else {
             std::vector<TIn> &col = colScratch<TIn>();
             col.resize(static_cast<size_t>(pix * patch));
@@ -540,9 +477,7 @@ convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
             // B = col [pix, patch] row-major, transposed product.
             gemmDriver<TW, TIn, TAcc>(wmat, patch, col.data(), patch,
                                       /*trans_b=*/true, out_slab, pix,
-                                      p.outChannels, pix, patch,
-                                      bias_data, /*bias_per_row=*/true,
-                                      act);
+                                      p.outChannels, pix, patch);
         }
     };
     // Pick the parallel level by shape: enough batches to occupy the
@@ -562,37 +497,17 @@ convBlockedRaw(const TIn *in0, int64_t batches, int64_t cin, int64_t h,
     }
 }
 
-/** Shape checks + convBlockedRaw for the Tensor entry points. */
+/** Weight check + convBlockedRaw for the conv2d*Into entry points. */
 template <typename TIn, typename TW, typename TAcc>
-Tensor<TAcc>
-convBlocked(const Tensor<TIn> &input, const Tensor<TW> &weight,
-            const FloatTensor *bias, const Conv2dParams &p,
-            Activation act = Activation::kNone)
+void
+convInto(const TIn *input, int64_t batches, int64_t h, int64_t w,
+         const Tensor<TW> &weight, const Conv2dParams &p, TAcc *out)
 {
-    DITTO_ASSERT(input.shape().rank() == 4, "conv input must be NCHW");
-    DITTO_ASSERT(weight.shape().rank() == 4, "conv weight must be OIHW");
-    const int64_t batches = input.shape()[0];
-    const int64_t cin = input.shape()[1];
-    const int64_t h = input.shape()[2];
-    const int64_t w = input.shape()[3];
-    DITTO_ASSERT(cin == p.inChannels, "conv input channels mismatch");
-    DITTO_ASSERT(weight.shape()[0] == p.outChannels &&
-                 weight.shape()[1] == p.inChannels &&
-                 weight.shape()[2] == p.kernel &&
-                 weight.shape()[3] == p.kernel,
+    DITTO_ASSERT(weight.shape() == Shape({p.outChannels, p.inChannels,
+                                          p.kernel, p.kernel}),
                  "conv weight shape mismatch");
-    const int64_t oh = p.outExtent(h);
-    const int64_t ow = p.outExtent(w);
-    DITTO_ASSERT(oh > 0 && ow > 0, "conv output would be empty");
-    if (bias)
-        DITTO_ASSERT(bias->numel() == p.outChannels,
-                     "conv bias size mismatch");
-    Tensor<TAcc> out(Shape{batches, p.outChannels, oh, ow});
-    convBlockedRaw<TIn, TW, TAcc>(input.data().data(), batches, cin, h, w,
-                                  weight.data().data(),
-                                  bias ? bias->data().data() : nullptr, p,
-                                  act, out.data().data());
-    return out;
+    convBlockedRaw<TIn, TW, TAcc>(input, batches, p.inChannels, h, w,
+                                  weight.data().data(), p, out);
 }
 
 /**
@@ -610,18 +525,6 @@ zipWithInto(const T *sa, const T *sb, int64_t n, T *so, Fn fn)
     });
 }
 
-/** Parallel elementwise binary kernel. */
-template <typename T, typename Fn>
-Tensor<T>
-zipWithParallel(const Tensor<T> &a, const Tensor<T> &b, Fn fn)
-{
-    DITTO_ASSERT(a.shape() == b.shape(), "elementwise shape mismatch");
-    Tensor<T> out(a.shape());
-    zipWithInto(a.data().data(), b.data().data(), a.numel(),
-                out.data().data(), fn);
-    return out;
-}
-
 /** Parallel elementwise unary kernel on raw buffers (may alias). */
 template <typename T, typename Fn>
 void
@@ -631,16 +534,6 @@ mapInto(const T *sx, int64_t n, T *so, Fn fn)
         for (int64_t i = lo; i < hi; ++i)
             so[i] = fn(sx[i]);
     });
-}
-
-/** Parallel elementwise unary kernel. */
-template <typename T, typename Fn>
-Tensor<T>
-mapParallel(const Tensor<T> &x, Fn fn)
-{
-    Tensor<T> out(x.shape());
-    mapInto(x.data().data(), x.numel(), out.data().data(), fn);
-    return out;
 }
 
 /**
@@ -669,39 +562,12 @@ normalizeSpan(const float *DITTO_RESTRICT src, float *DITTO_RESTRICT dst,
 
 } // namespace
 
-FloatTensor
-gemm(const FloatTensor &a, const FloatTensor &b, bool transpose_b,
-     const FloatTensor *bias, Activation act)
+void
+gemmInto(const float *a, int64_t m, int64_t k, const float *b, int64_t n,
+         bool trans_b, float *c)
 {
-    return gemmTensor<float, float, float>(a, b, transpose_b, bias, act);
-}
-
-Int32Tensor
-gemmInt8(const Int8Tensor &a, const Int8Tensor &b, bool transpose_b)
-{
-    return gemmTensor<int8_t, int8_t, int32_t>(a, b, transpose_b);
-}
-
-Int32Tensor
-gemmDiffInt16(const Int16Tensor &a, const Int8Tensor &b, bool transpose_b)
-{
-    return gemmTensor<int16_t, int8_t, int32_t>(a, b, transpose_b);
-}
-
-FloatTensor
-conv2d(const FloatTensor &input, const FloatTensor &weight,
-       const FloatTensor *bias, const Conv2dParams &params, Activation act)
-{
-    return convBlocked<float, float, float>(input, weight, bias, params,
-                                            act);
-}
-
-Int32Tensor
-conv2dInt8(const Int8Tensor &input, const Int8Tensor &weight,
-           const Conv2dParams &params)
-{
-    return convBlocked<int8_t, int8_t, int32_t>(input, weight, nullptr,
-                                                params);
+    gemmDriver<float, float, float>(a, k, b, trans_b ? k : n, trans_b, c, n,
+                                    m, n, k);
 }
 
 void
@@ -713,17 +579,35 @@ gemmInt8Into(const int8_t *a, int64_t m, int64_t k, const int8_t *b,
 }
 
 void
+gemmDiffInt16Into(const int16_t *a, int64_t m, int64_t k, const int8_t *b,
+                  int64_t n, bool trans_b, int32_t *c)
+{
+    gemmDriver<int16_t, int8_t, int32_t>(a, k, b, trans_b ? k : n, trans_b,
+                                         c, n, m, n, k);
+}
+
+void
+conv2dInto(const float *input, int64_t batches, int64_t h, int64_t w,
+           const FloatTensor &weight, const Conv2dParams &params,
+           float *out)
+{
+    convInto(input, batches, h, w, weight, params, out);
+}
+
+void
 conv2dInt8Into(const int8_t *input, int64_t batches, int64_t h, int64_t w,
                const Int8Tensor &weight, const Conv2dParams &params,
                int32_t *out)
 {
-    DITTO_ASSERT(weight.shape() == Shape({params.outChannels,
-                                          params.inChannels, params.kernel,
-                                          params.kernel}),
-                 "conv weight shape mismatch");
-    convBlockedRaw<int8_t, int8_t, int32_t>(
-        input, batches, params.inChannels, h, w, weight.data().data(),
-        nullptr, params, Activation::kNone, out);
+    convInto(input, batches, h, w, weight, params, out);
+}
+
+void
+conv2dDiffInt16Into(const int16_t *input, int64_t batches, int64_t h,
+                    int64_t w, const Int8Tensor &weight,
+                    const Conv2dParams &params, int32_t *out)
+{
+    convInto(input, batches, h, w, weight, params, out);
 }
 
 void
@@ -734,49 +618,10 @@ releaseFloatScratch()
 }
 
 void
-gemmInto(const float *a, int64_t m, int64_t k, const float *b, int64_t n,
-         bool trans_b, float *c)
-{
-    gemmDriver<float, float, float>(a, k, b, trans_b ? k : n, trans_b, c, n,
-                                    m, n, k);
-}
-
-void
-conv2dInto(const float *input, int64_t batches, int64_t h, int64_t w,
-           const FloatTensor &weight, const Conv2dParams &params,
-           float *out)
-{
-    DITTO_ASSERT(weight.shape() == Shape({params.outChannels,
-                                          params.inChannels, params.kernel,
-                                          params.kernel}),
-                 "conv weight shape mismatch");
-    convBlockedRaw<float, float, float>(input, batches, params.inChannels,
-                                        h, w, weight.data().data(), nullptr,
-                                        params, Activation::kNone, out);
-}
-
-Int32Tensor
-conv2dDiffInt16(const Int16Tensor &input, const Int8Tensor &weight,
-                const Conv2dParams &params)
-{
-    return convBlocked<int16_t, int8_t, int32_t>(input, weight, nullptr,
-                                                 params);
-}
-
-namespace {
-
-float
-addOp(float x, float y)
-{
-    return x + y;
-}
-
-} // namespace
-
-void
 addInto(const float *a, const float *b, int64_t n, float *out)
 {
-    zipWithInto<float>(a, b, n, out, addOp);
+    zipWithInto<float>(a, b, n, out,
+                       [](float x, float y) { return x + y; });
 }
 
 void
@@ -796,56 +641,6 @@ void
 geluInto(const float *x, int64_t n, float *out)
 {
     mapInto<float>(x, n, out, geluScalar);
-}
-
-FloatTensor
-add(const FloatTensor &a, const FloatTensor &b)
-{
-    return zipWithParallel<float>(a, b, addOp);
-}
-
-FloatTensor
-subtract(const FloatTensor &a, const FloatTensor &b)
-{
-    return zipWithParallel<float>(a, b,
-                                  [](float x, float y) { return x - y; });
-}
-
-FloatTensor
-multiply(const FloatTensor &a, const FloatTensor &b)
-{
-    return zipWithParallel<float>(a, b,
-                                  [](float x, float y) { return x * y; });
-}
-
-FloatTensor
-affine(const FloatTensor &x, float scale, float shift)
-{
-    FloatTensor out(x.shape());
-    affineInto(x.data().data(), x.numel(), scale, shift, out.data().data());
-    return out;
-}
-
-FloatTensor
-silu(const FloatTensor &x)
-{
-    return mapParallel<float>(x, siluScalar);
-}
-
-FloatTensor
-gelu(const FloatTensor &x)
-{
-    return mapParallel<float>(x, geluScalar);
-}
-
-FloatTensor
-softmaxRows(const FloatTensor &x)
-{
-    DITTO_ASSERT(x.shape().rank() == 2, "softmaxRows expects a matrix");
-    FloatTensor out(x.shape());
-    softmaxRowsInto(x.data().data(), x.shape()[0], x.shape()[1],
-                    out.data().data());
-    return out;
 }
 
 void
@@ -870,22 +665,6 @@ softmaxRowsInto(const float *sx, int64_t n, int64_t d, float *so)
     });
 }
 
-FloatTensor
-groupNorm(const FloatTensor &x, int64_t groups, float eps)
-{
-    DITTO_ASSERT(x.shape().rank() == 4, "groupNorm expects NCHW");
-    const int64_t n = x.shape()[0];
-    const int64_t c = x.shape()[1];
-    const int64_t h = x.shape()[2];
-    const int64_t w = x.shape()[3];
-    DITTO_ASSERT(groups > 0 && c % groups == 0,
-                 "groups must divide channel count");
-    FloatTensor out(x.shape());
-    groupNormInto(x.data().data(), n, c, h * w, groups, eps,
-                  out.data().data());
-    return out;
-}
-
 void
 groupNormInto(const float *sx, int64_t n, int64_t c, int64_t hw,
               int64_t groups, float eps, float *so)
@@ -897,16 +676,6 @@ groupNormInto(const float *sx, int64_t n, int64_t c, int64_t hw,
     });
 }
 
-FloatTensor
-layerNorm(const FloatTensor &x, float eps)
-{
-    DITTO_ASSERT(x.shape().rank() == 2, "layerNorm expects a matrix");
-    FloatTensor out(x.shape());
-    layerNormInto(x.data().data(), x.shape()[0], x.shape()[1], eps,
-                  out.data().data());
-    return out;
-}
-
 void
 layerNormInto(const float *sx, int64_t n, int64_t d, float eps, float *so)
 {
@@ -916,27 +685,23 @@ layerNormInto(const float *sx, int64_t n, int64_t d, float eps, float *so)
     });
 }
 
-Int32Tensor
-addInt32(const Int32Tensor &a, const Int32Tensor &b)
+void
+addInt32Into(const int32_t *a, const int32_t *b, int64_t n, int32_t *out)
 {
-    return zipWithParallel<int32_t>(
-        a, b, [](int32_t x, int32_t y) { return x + y; });
+    zipWithInto<int32_t>(a, b, n, out,
+                         [](int32_t x, int32_t y) { return x + y; });
 }
 
-Int16Tensor
-subtractInt8(const Int8Tensor &a, const Int8Tensor &b)
+void
+subtractInt8Into(const int8_t *DITTO_RESTRICT a,
+                 const int8_t *DITTO_RESTRICT b, int64_t n,
+                 int16_t *DITTO_RESTRICT out)
 {
-    DITTO_ASSERT(a.shape() == b.shape(), "difference shape mismatch");
-    Int16Tensor out(a.shape());
-    const int8_t *DITTO_RESTRICT sa = a.data().data();
-    const int8_t *DITTO_RESTRICT sb = b.data().data();
-    int16_t *DITTO_RESTRICT so = out.data().data();
-    parallelFor(0, a.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
+    parallelFor(0, n, kElemGrain, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
-            so[i] = static_cast<int16_t>(static_cast<int16_t>(sa[i]) -
-                                         static_cast<int16_t>(sb[i]));
+            out[i] = static_cast<int16_t>(static_cast<int16_t>(a[i]) -
+                                          static_cast<int16_t>(b[i]));
     });
-    return out;
 }
 
 } // namespace kernels

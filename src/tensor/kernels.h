@@ -2,9 +2,12 @@
  * @file
  * Blocked, parallel kernel library — the fast execution substrate.
  *
- * Every public op in tensor/ops.h routes through these kernels; the
- * scalar triple-loop references they replace live on as ditto::naive::
- * and are used only for parity testing and speedup baselines.
+ * Every kernel here reads and writes caller-owned raw buffers. The
+ * compiled executors and the difference engines call them directly;
+ * the Tensor-returning ops in tensor/ops.h are shape-checking shims
+ * over the same bodies, so both produce identical bits. The scalar
+ * triple-loop references live on as ditto::naive:: and are used only
+ * for parity testing and speedup baselines.
  *
  * Design (see docs/kernels.md for the full picture):
  *  - GEMM is packed-panel and register-tiled: A is packed into
@@ -17,8 +20,6 @@
  *  - Convolutions lower to the same GEMM via im2col (1x1/stride-1/
  *    pad-0 convolutions skip the copy and feed the input slab to the
  *    packer directly).
- *  - Bias and SiLU/GELU epilogues are fused into the GEMM/conv
- *    write-back instead of running as separate tensor passes.
  *  - GEMM row panels, im2col rows, conv batches (when there are
  *    enough to occupy the pool) and the elementwise/normalization ops
  *    are parallelized with common/parallel.h's parallelFor.
@@ -34,9 +35,6 @@
 
 namespace ditto {
 namespace kernels {
-
-/** Epilogue activation fused into GEMM/conv write-back. */
-enum class Activation { kNone, kSiLU, kGELU };
 
 /**
  * Fast vectorizable expf.
@@ -87,79 +85,46 @@ fastExpf(float x)
 /**
  * @name Blocked GEMM
  *
- * C[m,n] = A[m,k] * op(B) with op(B) = B[k,n] or B^T for B:[n,k].
- * Float GEMM optionally fuses a bias row ([n]) and an activation.
+ * C[m,n] += A[m,k] * op(B) on raw row-major buffers: op(B) is B[k,n]
+ * (ldb = n) or, when trans_b, B^T for B:[n,k] (ldb = k). `c` holds the
+ * accumulation base (zeros for a plain product). The batched denoising
+ * path stacks several requests' rows into one call; each output
+ * element keeps the accumulation order of a single-request call, so
+ * results are bitwise identical to N independent calls at any thread
+ * count and batch size (the test_serve.cc parity suite asserts this
+ * end to end).
  * @{
  */
-FloatTensor gemm(const FloatTensor &a, const FloatTensor &b,
-                 bool transpose_b, const FloatTensor *bias = nullptr,
-                 Activation act = Activation::kNone);
-Int32Tensor gemmInt8(const Int8Tensor &a, const Int8Tensor &b,
-                     bool transpose_b);
-Int32Tensor gemmDiffInt16(const Int16Tensor &a, const Int8Tensor &b,
-                          bool transpose_b);
+void gemmInto(const float *a, int64_t m, int64_t k, const float *b,
+              int64_t n, bool trans_b, float *c);
+void gemmInt8Into(const int8_t *a, int64_t m, int64_t k, const int8_t *b,
+                  int64_t n, bool trans_b, int32_t *c);
+/** int16 difference codes x int8 weights: the dense diff baseline. */
+void gemmDiffInt16Into(const int16_t *a, int64_t m, int64_t k,
+                       const int8_t *b, int64_t n, bool trans_b,
+                       int32_t *c);
 /** @} */
 
 /**
  * @name im2col convolutions on the blocked GEMM
  *
- * Input NCHW, weight OIHW; float conv fuses bias [O] and activation.
+ * Convolution of `batches` stacked NCHW slabs of [Cin, h, w] at
+ * `input` with the OIHW `weight`, written to the stacked
+ * [batches, Cout, OH, OW] output. The output is overwritten (zeroed,
+ * then accumulated by the GEMM), no bias; no allocation once the
+ * thread-local im2col and packing scratch has grown to the shape.
  * @{
  */
-FloatTensor conv2d(const FloatTensor &input, const FloatTensor &weight,
-                   const FloatTensor *bias, const Conv2dParams &params,
-                   Activation act = Activation::kNone);
-Int32Tensor conv2dInt8(const Int8Tensor &input, const Int8Tensor &weight,
-                       const Conv2dParams &params);
-Int32Tensor conv2dDiffInt16(const Int16Tensor &input,
-                            const Int8Tensor &weight,
-                            const Conv2dParams &params);
-/** @} */
-
-/**
- * @name Batch-dim-aware raw entry points (serving substrate)
- *
- * The batched denoising path executes several requests' sub-problems
- * through one kernel invocation: GEMM row blocks and conv batch slabs
- * are written straight into the caller's stacked output, so per-call
- * packing, allocation and pool-dispatch overheads amortize across the
- * batch. Each output element keeps exactly the accumulation order of
- * the single-request kernels, so results are bitwise identical to N
- * independent calls at any thread count and batch size (the
- * test_serve.cc parity suite asserts this end to end).
- * @{
- */
-
-/**
- * C[m,n] += A[m,k] * op(B) on raw row-major int8 buffers. `c` rows must
- * hold the accumulation base (zeros for a plain product). op(B) is
- * B[k,n] (ldb = n) or, when trans_b, B^T for B:[n,k] (ldb = k).
- */
-void gemmInt8Into(const int8_t *a, int64_t m, int64_t k, const int8_t *b,
-                  int64_t n, bool trans_b, int32_t *c);
-
-/**
- * Integer convolution of `batches` stacked NCHW slabs of [Cin, h, w]
- * int8 codes at `input`, written to the stacked [batches, Cout, OH, OW]
- * int32 output. The output is overwritten (zeroed, then accumulated by
- * the GEMM); no allocation once the thread-local im2col and packing
- * scratch has grown to the shape. Bitwise identical to conv2dInt8 per
- * slab.
- */
+void conv2dInto(const float *input, int64_t batches, int64_t h, int64_t w,
+                const FloatTensor &weight, const Conv2dParams &params,
+                float *out);
 void conv2dInt8Into(const int8_t *input, int64_t batches, int64_t h,
                     int64_t w, const Int8Tensor &weight,
                     const Conv2dParams &params, int32_t *out);
+void conv2dDiffInt16Into(const int16_t *input, int64_t batches, int64_t h,
+                         int64_t w, const Int8Tensor &weight,
+                         const Conv2dParams &params, int32_t *out);
 /** @} */
-
-/**
- * @name Raw-buffer float entry points (the FP32 executor's substrate)
- *
- * The compiled FP32 executor lays every activation into its workspace
- * arena and calls these with caller-owned buffers; the Tensor-returning
- * forms above and below are wrappers over the same bodies, so both
- * produce identical bits.
- * @{
- */
 
 /**
  * Free the calling thread's float packing and im2col scratch — the
@@ -169,18 +134,14 @@ void conv2dInt8Into(const int8_t *input, int64_t batches, int64_t h,
  */
 void releaseFloatScratch();
 
-/** C[m,n] += A[m,k] * op(B) (float; `c` holds the accumulation base). */
-void gemmInto(const float *a, int64_t m, int64_t k, const float *b,
-              int64_t n, bool trans_b, float *c);
-
 /**
- * Float convolution of `batches` stacked [Cin, h, w] slabs into the
- * stacked [batches, Cout, OH, OW] output (overwritten), no bias.
+ * @name Parallel elementwise and normalization kernels
+ *
+ * Each overwrites `out`. groupNorm/layerNorm accumulate mean and
+ * variance in a single fused sum/sum-of-squares sweep per group/row
+ * (the naive references sweep the data three times).
+ * @{
  */
-void conv2dInto(const float *input, int64_t batches, int64_t h, int64_t w,
-                const FloatTensor &weight, const Conv2dParams &params,
-                float *out);
-
 /** out[i] = a[i] + b[i]; `out` may alias either operand. */
 void addInto(const float *a, const float *b, int64_t n, float *out);
 /** out[i] = x[i] * scale + shift; `out` may alias `x`. */
@@ -196,27 +157,12 @@ void groupNormInto(const float *x, int64_t n, int64_t c, int64_t hw,
 /** Layer norm of each row of a [rows, d] matrix. */
 void layerNormInto(const float *x, int64_t rows, int64_t d, float eps,
                    float *out);
-/** @} */
-
-/**
- * @name Parallel elementwise and normalization kernels
- *
- * groupNorm/layerNorm accumulate mean and variance in a single fused
- * sum/sum-of-squares sweep per group/row (the naive references sweep
- * the data three times).
- * @{
- */
-FloatTensor add(const FloatTensor &a, const FloatTensor &b);
-FloatTensor subtract(const FloatTensor &a, const FloatTensor &b);
-FloatTensor multiply(const FloatTensor &a, const FloatTensor &b);
-FloatTensor affine(const FloatTensor &x, float scale, float shift);
-FloatTensor silu(const FloatTensor &x);
-FloatTensor gelu(const FloatTensor &x);
-FloatTensor softmaxRows(const FloatTensor &x);
-FloatTensor groupNorm(const FloatTensor &x, int64_t groups, float eps);
-FloatTensor layerNorm(const FloatTensor &x, float eps);
-Int32Tensor addInt32(const Int32Tensor &a, const Int32Tensor &b);
-Int16Tensor subtractInt8(const Int8Tensor &a, const Int8Tensor &b);
+/** out[i] = a[i] + b[i] (int32); `out` may alias either operand. */
+void addInt32Into(const int32_t *a, const int32_t *b, int64_t n,
+                  int32_t *out);
+/** out[i] = a[i] - b[i], int8 codes widened to int16. */
+void subtractInt8Into(const int8_t *a, const int8_t *b, int64_t n,
+                      int16_t *out);
 /** @} */
 
 } // namespace kernels

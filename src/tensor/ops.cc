@@ -1,12 +1,13 @@
 /**
  * @file
- * Public kernel entry points and the scalar naive:: references.
+ * The Tensor-returning ops and the scalar naive:: references.
  *
- * The public functions forward to the blocked, parallel kernels in
- * tensor/kernels.h so every caller (diff engines, attention, MiniUnet,
- * traces, benches) gets the fast substrate with zero call-site churn.
- * The clarity-first triple loops remain below as ditto::naive, the
- * ground truth the fast kernels are parity-tested against.
+ * Each public op checks its operand shapes, allocates its result and
+ * makes one call into the raw-buffer kernels of tensor/kernels.h and
+ * tensor/diff_gemm.h, the same bodies the compiled executors and the
+ * difference engines call. The clarity-first triple loops remain below
+ * as ditto::naive, the ground truth the fast kernels are parity-tested
+ * against; they share each op's shape checks.
  */
 #include "tensor/ops.h"
 
@@ -19,29 +20,130 @@ namespace ditto {
 
 namespace {
 
+/** Extents of C[m,n] = A[m,k] * op(B): B:[k,n], or B^T for B:[n,k]. */
+struct GemmDims
+{
+    int64_t m, k, n;
+};
+
+template <typename A, typename B>
+GemmDims
+gemmDims(const Tensor<A> &a, const Tensor<B> &b, bool trans_b)
+{
+    DITTO_ASSERT(a.shape().rank() == 2 && b.shape().rank() == 2,
+                 "matmul operands must be matrices");
+    const GemmDims d{a.shape()[0], a.shape()[1],
+                     b.shape()[trans_b ? 0 : 1]};
+    DITTO_ASSERT(b.shape()[trans_b ? 1 : 0] == d.k,
+                 "matmul inner dimensions mismatch");
+    return d;
+}
+
+/** Checks conv operands and the optional bias [O]; the output shape. */
+template <typename In, typename W>
+Shape
+convOutShape(const Tensor<In> &input, const Tensor<W> &weight,
+             const FloatTensor *bias, const Conv2dParams &p)
+{
+    DITTO_ASSERT(input.shape().rank() == 4, "conv input must be NCHW");
+    DITTO_ASSERT(weight.shape().rank() == 4, "conv weight must be OIHW");
+    DITTO_ASSERT(input.shape()[1] == p.inChannels,
+                 "conv input channels mismatch");
+    DITTO_ASSERT(weight.shape()[0] == p.outChannels &&
+                 weight.shape()[1] == p.inChannels &&
+                 weight.shape()[2] == p.kernel &&
+                 weight.shape()[3] == p.kernel,
+                 "conv weight shape mismatch");
+    DITTO_ASSERT(!bias || bias->numel() == p.outChannels,
+                 "conv bias size mismatch");
+    const int64_t oh = p.outExtent(input.shape()[2]);
+    const int64_t ow = p.outExtent(input.shape()[3]);
+    DITTO_ASSERT(oh > 0 && ow > 0, "conv output would be empty");
+    return Shape{input.shape()[0], p.outChannels, oh, ow};
+}
+
+/**
+ * out[o, c, i] += bias[c] over out viewed as [outer, bias.numel(),
+ * inner]: the fully-connected bias (inner 1) and the conv bias per
+ * output channel (inner OH*OW), added to the finished product.
+ */
+void
+addBias(FloatTensor &out, const FloatTensor &bias, int64_t inner)
+{
+    const int64_t ch = bias.numel();
+    const int64_t outer = out.numel() / (ch * inner);
+    float *o = out.data().data();
+    for (int64_t i = 0; i < outer; ++i)
+        for (int64_t c = 0; c < ch; ++c, o += inner)
+            for (int64_t x = 0; x < inner; ++x)
+                o[x] += bias.at(c);
+}
+
+/** y + b for the fully-connected output y:[n, out] and bias b:[out]. */
+FloatTensor
+withFcBias(FloatTensor out, const FloatTensor *bias)
+{
+    if (bias) {
+        DITTO_ASSERT(bias->numel() == out.shape()[1],
+                     "fc bias size mismatch");
+        addBias(out, *bias, 1);
+    }
+    return out;
+}
+
+/** C = A * op(B) through a raw accumulating GEMM into a zeroed C. */
+template <typename A, typename B, typename C>
+Tensor<C>
+gemmShim(const Tensor<A> &a, const Tensor<B> &b, bool trans_b,
+         void (*raw)(const A *, int64_t, int64_t, const B *, int64_t, bool,
+                     C *))
+{
+    const GemmDims d = gemmDims(a, b, trans_b);
+    Tensor<C> c(Shape{d.m, d.n});
+    raw(a.data().data(), d.m, d.k, b.data().data(), d.n, trans_b,
+        c.data().data());
+    return c;
+}
+
+/** A convolution through a raw conv2d*Into kernel. */
+template <typename In, typename W, typename Out>
+Tensor<Out>
+convShim(const Tensor<In> &input, const Tensor<W> &weight,
+         const FloatTensor *bias, const Conv2dParams &p,
+         void (*raw)(const In *, int64_t, int64_t, int64_t, const Tensor<W> &,
+                     const Conv2dParams &, Out *))
+{
+    Tensor<Out> out(convOutShape(input, weight, bias, p));
+    raw(input.data().data(), input.shape()[0], input.shape()[2],
+        input.shape()[3], weight, p, out.data().data());
+    return out;
+}
+
+/** An elementwise binary op through a raw kernel; shapes must match. */
+template <typename T, typename Out>
+Tensor<Out>
+binaryShim(const Tensor<T> &a, const Tensor<T> &b,
+           void (*raw)(const T *, const T *, int64_t, Out *))
+{
+    DITTO_ASSERT(a.shape() == b.shape(), "elementwise shape mismatch");
+    Tensor<Out> out(a.shape());
+    raw(a.data().data(), b.data().data(), a.numel(), out.data().data());
+    return out;
+}
+
 /** Shared im2col-free convolution loop, templated over element types. */
 template <typename In, typename W, typename Out>
 Tensor<Out>
 convLoop(const Tensor<In> &input, const Tensor<W> &weight,
          const Tensor<float> *bias, const Conv2dParams &p)
 {
-    DITTO_ASSERT(input.shape().rank() == 4, "conv input must be NCHW");
-    DITTO_ASSERT(weight.shape().rank() == 4, "conv weight must be OIHW");
+    Tensor<Out> out(convOutShape(input, weight, bias, p));
     const int64_t n = input.shape()[0];
     const int64_t cin = input.shape()[1];
     const int64_t h = input.shape()[2];
     const int64_t w = input.shape()[3];
-    DITTO_ASSERT(cin == p.inChannels, "conv input channels mismatch");
-    DITTO_ASSERT(weight.shape()[0] == p.outChannels &&
-                 weight.shape()[1] == p.inChannels &&
-                 weight.shape()[2] == p.kernel &&
-                 weight.shape()[3] == p.kernel,
-                 "conv weight shape mismatch");
-    const int64_t oh = p.outExtent(h);
-    const int64_t ow = p.outExtent(w);
-    DITTO_ASSERT(oh > 0 && ow > 0, "conv output would be empty");
-
-    Tensor<Out> out(Shape{n, p.outChannels, oh, ow});
+    const int64_t oh = out.shape()[2];
+    const int64_t ow = out.shape()[3];
     for (int64_t b = 0; b < n; ++b) {
         for (int64_t oc = 0; oc < p.outChannels; ++oc) {
             for (int64_t oy = 0; oy < oh; ++oy) {
@@ -74,48 +176,19 @@ convLoop(const Tensor<In> &input, const Tensor<W> &weight,
     return out;
 }
 
-/** Shared matmul loop: C[m,n] = A[m,k] * B[k,n]. */
+/** Shared matmul loop: C[m,n] = A[m,k] * op(B). */
 template <typename A, typename B, typename Out>
 Tensor<Out>
-matmulLoop(const Tensor<A> &a, const Tensor<B> &b)
+matmulLoop(const Tensor<A> &a, const Tensor<B> &b, bool trans_b)
 {
-    DITTO_ASSERT(a.shape().rank() == 2 && b.shape().rank() == 2,
-                 "matmul operands must be matrices");
-    const int64_t m = a.shape()[0];
-    const int64_t k = a.shape()[1];
-    const int64_t n = b.shape()[1];
-    DITTO_ASSERT(b.shape()[0] == k, "matmul inner dimensions mismatch");
-    Tensor<Out> c(Shape{m, n});
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
+    const GemmDims d = gemmDims(a, b, trans_b);
+    Tensor<Out> c(Shape{d.m, d.n});
+    for (int64_t i = 0; i < d.m; ++i) {
+        for (int64_t j = 0; j < d.n; ++j) {
             Out acc{0};
-            for (int64_t x = 0; x < k; ++x)
+            for (int64_t x = 0; x < d.k; ++x)
                 acc += static_cast<Out>(a.at(i, x)) *
-                       static_cast<Out>(b.at(x, j));
-            c.at(i, j) = acc;
-        }
-    }
-    return c;
-}
-
-/** Shared transposed matmul loop: C[m,n] = A[m,k] * B[n,k]^T. */
-template <typename A, typename B, typename Out>
-Tensor<Out>
-matmulTransposedLoop(const Tensor<A> &a, const Tensor<B> &b)
-{
-    DITTO_ASSERT(a.shape().rank() == 2 && b.shape().rank() == 2,
-                 "matmul operands must be matrices");
-    const int64_t m = a.shape()[0];
-    const int64_t k = a.shape()[1];
-    const int64_t n = b.shape()[0];
-    DITTO_ASSERT(b.shape()[1] == k, "matmul inner dimensions mismatch");
-    Tensor<Out> c(Shape{m, n});
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            Out acc{0};
-            for (int64_t x = 0; x < k; ++x)
-                acc += static_cast<Out>(a.at(i, x)) *
-                       static_cast<Out>(b.at(j, x));
+                       static_cast<Out>(trans_b ? b.at(j, x) : b.at(x, j));
             c.at(i, j) = acc;
         }
     }
@@ -125,149 +198,164 @@ matmulTransposedLoop(const Tensor<A> &a, const Tensor<B> &b)
 } // namespace
 
 //
-// Public entry points: blocked, parallel fast paths.
+// Public entry points: shape checks over the raw kernels.
 //
 
 FloatTensor
 matmul(const FloatTensor &a, const FloatTensor &b)
 {
-    return kernels::gemm(a, b, /*transpose_b=*/false);
+    return gemmShim(a, b, /*trans_b=*/false, kernels::gemmInto);
 }
 
 FloatTensor
 matmulTransposed(const FloatTensor &a, const FloatTensor &b)
 {
-    return kernels::gemm(a, b, /*transpose_b=*/true);
+    return gemmShim(a, b, /*trans_b=*/true, kernels::gemmInto);
 }
 
 FloatTensor
 conv2d(const FloatTensor &input, const FloatTensor &weight,
        const FloatTensor *bias, const Conv2dParams &params)
 {
-    return kernels::conv2d(input, weight, bias, params);
+    FloatTensor out =
+        convShim(input, weight, bias, params, kernels::conv2dInto);
+    if (bias)
+        addBias(out, *bias, out.shape()[2] * out.shape()[3]);
+    return out;
 }
 
 FloatTensor
 fullyConnected(const FloatTensor &input, const FloatTensor &weight,
                const FloatTensor *bias)
 {
-    return kernels::gemm(input, weight, /*transpose_b=*/true, bias);
+    return withFcBias(matmulTransposed(input, weight), bias);
 }
 
 FloatTensor
 add(const FloatTensor &a, const FloatTensor &b)
 {
-    return kernels::add(a, b);
-}
-
-FloatTensor
-subtract(const FloatTensor &a, const FloatTensor &b)
-{
-    return kernels::subtract(a, b);
-}
-
-FloatTensor
-multiply(const FloatTensor &a, const FloatTensor &b)
-{
-    return kernels::multiply(a, b);
+    return binaryShim(a, b, kernels::addInto);
 }
 
 FloatTensor
 affine(const FloatTensor &x, float scale, float shift)
 {
-    return kernels::affine(x, scale, shift);
+    FloatTensor out(x.shape());
+    kernels::affineInto(x.data().data(), x.numel(), scale, shift,
+                        out.data().data());
+    return out;
 }
 
 FloatTensor
 silu(const FloatTensor &x)
 {
-    return kernels::silu(x);
+    FloatTensor out(x.shape());
+    kernels::siluInto(x.data().data(), x.numel(), out.data().data());
+    return out;
 }
 
 FloatTensor
 gelu(const FloatTensor &x)
 {
-    return kernels::gelu(x);
+    FloatTensor out(x.shape());
+    kernels::geluInto(x.data().data(), x.numel(), out.data().data());
+    return out;
 }
 
 FloatTensor
 softmaxRows(const FloatTensor &x)
 {
-    return kernels::softmaxRows(x);
+    DITTO_ASSERT(x.shape().rank() == 2, "softmaxRows expects a matrix");
+    FloatTensor out(x.shape());
+    kernels::softmaxRowsInto(x.data().data(), x.shape()[0], x.shape()[1],
+                             out.data().data());
+    return out;
 }
 
 FloatTensor
 groupNorm(const FloatTensor &x, int64_t groups, float eps)
 {
-    return kernels::groupNorm(x, groups, eps);
+    const Shape &s = x.shape();
+    DITTO_ASSERT(s.rank() == 4, "groupNorm expects NCHW");
+    DITTO_ASSERT(groups > 0 && s[1] % groups == 0,
+                 "groups must divide channel count");
+    FloatTensor out(s);
+    kernels::groupNormInto(x.data().data(), s[0], s[1], s[2] * s[3], groups,
+                           eps, out.data().data());
+    return out;
 }
 
 FloatTensor
 layerNorm(const FloatTensor &x, float eps)
 {
-    return kernels::layerNorm(x, eps);
+    DITTO_ASSERT(x.shape().rank() == 2, "layerNorm expects a matrix");
+    FloatTensor out(x.shape());
+    kernels::layerNormInto(x.data().data(), x.shape()[0], x.shape()[1], eps,
+                           out.data().data());
+    return out;
 }
 
 Int32Tensor
 matmulInt8(const Int8Tensor &a, const Int8Tensor &b)
 {
-    return kernels::gemmInt8(a, b, /*transpose_b=*/false);
+    return gemmShim(a, b, /*trans_b=*/false, kernels::gemmInt8Into);
 }
 
 Int32Tensor
 matmulTransposedInt8(const Int8Tensor &a, const Int8Tensor &b)
 {
-    return kernels::gemmInt8(a, b, /*transpose_b=*/true);
+    return gemmShim(a, b, /*trans_b=*/true, kernels::gemmInt8Into);
 }
 
 Int32Tensor
 conv2dInt8(const Int8Tensor &input, const Int8Tensor &weight,
            const Conv2dParams &params)
 {
-    return kernels::conv2dInt8(input, weight, params);
+    return convShim(input, weight, nullptr, params, kernels::conv2dInt8Into);
 }
 
 Int32Tensor
 fullyConnectedInt8(const Int8Tensor &input, const Int8Tensor &weight)
 {
-    return kernels::gemmInt8(input, weight, /*transpose_b=*/true);
+    return matmulTransposedInt8(input, weight);
 }
 
 Int32Tensor
 matmulDiffInt16(const Int16Tensor &a, const Int8Tensor &b)
 {
-    return kernels::gemmDiffInt16(a, b, /*transpose_b=*/false);
+    return gemmShim(a, b, /*trans_b=*/false, kernels::gemmDiffInt16Into);
 }
 
 Int32Tensor
 matmulTransposedDiffInt16(const Int16Tensor &a, const Int8Tensor &b)
 {
-    return kernels::gemmDiffInt16(a, b, /*transpose_b=*/true);
+    return gemmShim(a, b, /*trans_b=*/true, kernels::gemmDiffInt16Into);
 }
 
 Int32Tensor
 conv2dDiffInt16(const Int16Tensor &input, const Int8Tensor &weight,
                 const Conv2dParams &params)
 {
-    return kernels::conv2dDiffInt16(input, weight, params);
+    return convShim(input, weight, nullptr, params,
+                    kernels::conv2dDiffInt16Into);
 }
 
 Int32Tensor
 fullyConnectedDiffInt16(const Int16Tensor &input, const Int8Tensor &weight)
 {
-    return kernels::gemmDiffInt16(input, weight, /*transpose_b=*/true);
+    return matmulTransposedDiffInt16(input, weight);
 }
 
 Int32Tensor
 addInt32(const Int32Tensor &a, const Int32Tensor &b)
 {
-    return kernels::addInt32(a, b);
+    return binaryShim(a, b, kernels::addInt32Into);
 }
 
 Int16Tensor
 subtractInt8(const Int8Tensor &a, const Int8Tensor &b)
 {
-    return kernels::subtractInt8(a, b);
+    return binaryShim(a, b, kernels::subtractInt8Into);
 }
 
 Int32Tensor
@@ -276,8 +364,14 @@ matmulDiffPlan(const DiffGemmPlan &plan, const Int8Tensor &b,
 {
     DITTO_ASSERT(b.shape().rank() == 2 && b.shape()[0] == plan.cols,
                  "matmulDiffPlan operand shape mismatch");
-    return kernels::diffGemm(plan, b.data().data(), b.shape()[1],
-                             /*transpose_b=*/false, prev);
+    const int64_t n = b.shape()[1];
+    Int32Tensor out = prev ? *prev : Int32Tensor(Shape{plan.rows, n});
+    DITTO_ASSERT(out.shape() == Shape({plan.rows, n}),
+                 "matmulDiffPlan previous-output shape mismatch");
+    const kernels::DiffGemmBatchItem item{&plan, b.data().data(),
+                                          out.data().data()};
+    kernels::diffGemmBatch({&item, 1}, n);
+    return out;
 }
 
 Int32Tensor
@@ -286,20 +380,34 @@ matmulTransposedDiffPlan(const DiffGemmPlan &plan, const Int8Tensor &b,
 {
     DITTO_ASSERT(b.shape().rank() == 2 && b.shape()[1] == plan.cols,
                  "matmulTransposedDiffPlan operand shape mismatch");
-    return kernels::diffGemm(plan, b.data().data(), b.shape()[0],
-                             /*transpose_b=*/true, prev);
+    return matmulDiffPlan(plan, transposeInt8(b), prev);
 }
 
 Int8Tensor
 transposeInt8(const Int8Tensor &m)
 {
-    return kernels::transposeInt8(m);
+    DITTO_ASSERT(m.shape().rank() == 2, "transposeInt8 expects a matrix");
+    const int64_t rows = m.shape()[0];
+    const int64_t cols = m.shape()[1];
+    Int8Tensor out(Shape{cols, rows});
+    kernels::transposeInt8Into(m.data().data(), rows, cols,
+                               out.data().data());
+    return out;
 }
 
 Int32Tensor
 addTransposedInt32(const Int32Tensor &prev, const Int32Tensor &delta)
 {
-    return kernels::addTransposedInt32(prev, delta);
+    DITTO_ASSERT(prev.shape().rank() == 2 && delta.shape().rank() == 2,
+                 "addTransposedInt32 expects matrices");
+    const int64_t m = prev.shape()[0];
+    const int64_t n = prev.shape()[1];
+    DITTO_ASSERT(delta.shape() == Shape({n, m}),
+                 "addTransposedInt32 operand shape mismatch");
+    Int32Tensor out = prev;
+    kernels::addTransposedInt32InPlace(out.data().data(),
+                                       delta.data().data(), m, n);
+    return out;
 }
 
 //
@@ -311,13 +419,13 @@ namespace naive {
 FloatTensor
 matmul(const FloatTensor &a, const FloatTensor &b)
 {
-    return matmulLoop<float, float, float>(a, b);
+    return matmulLoop<float, float, float>(a, b, false);
 }
 
 FloatTensor
 matmulTransposed(const FloatTensor &a, const FloatTensor &b)
 {
-    return matmulTransposedLoop<float, float, float>(a, b);
+    return matmulLoop<float, float, float>(a, b, true);
 }
 
 FloatTensor
@@ -331,16 +439,7 @@ FloatTensor
 fullyConnected(const FloatTensor &input, const FloatTensor &weight,
                const FloatTensor *bias)
 {
-    FloatTensor out = matmulTransposedLoop<float, float, float>(input,
-                                                                weight);
-    if (bias) {
-        DITTO_ASSERT(bias->numel() == weight.shape()[0],
-                     "fc bias size mismatch");
-        for (int64_t r = 0; r < out.shape()[0]; ++r)
-            for (int64_t c = 0; c < out.shape()[1]; ++c)
-                out.at(r, c) += bias->at(c);
-    }
-    return out;
+    return withFcBias(naive::matmulTransposed(input, weight), bias);
 }
 
 FloatTensor
@@ -466,13 +565,13 @@ layerNorm(const FloatTensor &x, float eps)
 Int32Tensor
 matmulInt8(const Int8Tensor &a, const Int8Tensor &b)
 {
-    return matmulLoop<int8_t, int8_t, int32_t>(a, b);
+    return matmulLoop<int8_t, int8_t, int32_t>(a, b, false);
 }
 
 Int32Tensor
 matmulTransposedInt8(const Int8Tensor &a, const Int8Tensor &b)
 {
-    return matmulTransposedLoop<int8_t, int8_t, int32_t>(a, b);
+    return matmulLoop<int8_t, int8_t, int32_t>(a, b, true);
 }
 
 Int32Tensor
@@ -486,19 +585,19 @@ conv2dInt8(const Int8Tensor &input, const Int8Tensor &weight,
 Int32Tensor
 fullyConnectedInt8(const Int8Tensor &input, const Int8Tensor &weight)
 {
-    return matmulTransposedLoop<int8_t, int8_t, int32_t>(input, weight);
+    return naive::matmulTransposedInt8(input, weight);
 }
 
 Int32Tensor
 matmulDiffInt16(const Int16Tensor &a, const Int8Tensor &b)
 {
-    return matmulLoop<int16_t, int8_t, int32_t>(a, b);
+    return matmulLoop<int16_t, int8_t, int32_t>(a, b, false);
 }
 
 Int32Tensor
 matmulTransposedDiffInt16(const Int16Tensor &a, const Int8Tensor &b)
 {
-    return matmulTransposedLoop<int16_t, int8_t, int32_t>(a, b);
+    return matmulLoop<int16_t, int8_t, int32_t>(a, b, true);
 }
 
 Int32Tensor
@@ -512,7 +611,7 @@ conv2dDiffInt16(const Int16Tensor &input, const Int8Tensor &weight,
 Int32Tensor
 fullyConnectedDiffInt16(const Int16Tensor &input, const Int8Tensor &weight)
 {
-    return matmulTransposedLoop<int16_t, int8_t, int32_t>(input, weight);
+    return naive::matmulTransposedDiffInt16(input, weight);
 }
 
 } // namespace naive

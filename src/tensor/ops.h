@@ -4,10 +4,12 @@
  *
  * These entry points are the functional substrate for the Ditto
  * reproduction: every quantized / difference-processed execution path
- * is validated against them. They forward to the blocked, parallel
- * kernel library in tensor/kernels.h; the original scalar triple-loop
- * implementations are retained in ditto::naive as reference kernels
- * for parity tests and speedup baselines. The paper's performance
+ * is validated against them. This is the only Tensor-returning layer:
+ * each op checks shapes and calls one raw-buffer kernel in
+ * tensor/kernels.h or tensor/diff_gemm.h, the bodies the compiled
+ * executors call too. The original scalar triple-loop implementations
+ * are retained in ditto::naive as reference kernels for parity tests
+ * and speedup baselines. The paper's performance
  * claims are still evaluated by the cycle-level hardware model in
  * src/hw — these kernels just make the functional pipeline fast.
  */
@@ -59,12 +61,6 @@ FloatTensor fullyConnected(const FloatTensor &input, const FloatTensor &weight,
 
 /** Elementwise sum; shapes must match. */
 FloatTensor add(const FloatTensor &a, const FloatTensor &b);
-
-/** Elementwise difference a - b; shapes must match. */
-FloatTensor subtract(const FloatTensor &a, const FloatTensor &b);
-
-/** Elementwise product; shapes must match. */
-FloatTensor multiply(const FloatTensor &a, const FloatTensor &b);
 
 /** Scale-and-shift: y = x * scale + shift (scalars). */
 FloatTensor affine(const FloatTensor &x, float scale, float shift);
@@ -153,7 +149,8 @@ Int16Tensor subtractInt8(const Int8Tensor &a, const Int8Tensor &b);
  * plan (tensor/diff_gemm.h) and these entry points execute it, skipping
  * zero values and reading 4-bit lane panels from packed nibbles. The
  * engines' batched bodies (core/diff_linear.h) drive the kernels::
- * batch entry points directly; these serve tests and benches. All are
+ * batch entry points directly; these run one item through the same
+ * body (diffGemmBatch) for tests and benches. All are
  * bitwise identical to the dense matmul*DiffInt16 kernels at any
  * thread count; docs/diff_exec.md has the full story.
  * @{

@@ -175,28 +175,6 @@ TEST(KernelsParity, Conv2dIntBitwiseStridePadding)
     }
 }
 
-TEST(KernelsParity, FusedEpiloguesMatchSeparateOps)
-{
-    const FloatTensor x = randomFloat(Shape{9, 31}, 22);
-    const FloatTensor w = randomFloat(Shape{21, 31}, 23);
-    const FloatTensor bias = randomFloat(Shape{21}, 24);
-    const FloatTensor plain = fullyConnected(x, w, &bias);
-    expectNear(kernels::gemm(x, w, true, &bias,
-                             kernels::Activation::kSiLU),
-               silu(plain), 1e-4f);
-    expectNear(kernels::gemm(x, w, true, &bias,
-                             kernels::Activation::kGELU),
-               gelu(plain), 1e-4f);
-
-    const Conv2dParams p{3, 5, 3, 1, 1};
-    const FloatTensor cx = randomFloat(Shape{1, 3, 8, 8}, 25);
-    const FloatTensor cw = randomFloat(Shape{5, 3, 3, 3}, 26);
-    const FloatTensor cb = randomFloat(Shape{5}, 27);
-    expectNear(kernels::conv2d(cx, cw, &cb, p,
-                               kernels::Activation::kSiLU),
-               silu(conv2d(cx, cw, &cb, p)), 1e-4f);
-}
-
 TEST(KernelsParity, NormsAndActivations)
 {
     const FloatTensor x4 = randomFloat(Shape{2, 6, 5, 7}, 28);
@@ -455,10 +433,8 @@ TEST(SimdDispatch, DiffGemmPlanBitwiseAcrossLevels)
             Rng rng(static_cast<uint64_t>(seed++));
             prev.fillUniformInt(rng, -1000, 1000);
         }
-        expectBitwiseAcrossLevels([&] {
-            return kernels::diffGemm(plan, b.data().data(), c.n,
-                            /*transpose_b=*/false, &prev);
-        });
+        expectBitwiseAcrossLevels(
+            [&] { return matmulDiffPlan(plan, b, &prev); });
     }
 }
 
@@ -510,12 +486,8 @@ TEST(SimdDispatch, ThreadInvarianceAtEveryLevel)
     for (simd::Level level : simd::availableLevels()) {
         simd::setLevel(level);
         checkThreadInvariance([&] { return matmulInt8(a8, b8); }, true);
-        checkThreadInvariance(
-            [&] {
-                return kernels::diffGemm(plan, pb.data().data(), 53,
-                                /*transpose_b=*/false, nullptr);
-            },
-            true);
+        checkThreadInvariance([&] { return matmulDiffPlan(plan, pb); },
+                              true);
     }
     simd::resetLevel();
     setThreadCount(1);

@@ -908,8 +908,9 @@ TEST(ApproxMode, ReusedElemsMatchesPerNodeSkipLog)
     ASSERT_EQ(r.nodeSkips.size(), reports.size());
     int64_t want = 0;
     for (size_t i = 0; i < reports.size(); ++i) {
-        if (!reports[i].compute)
+        if (!reports[i].compute) {
             EXPECT_EQ(r.nodeSkips[i], 0) << reports[i].name;
+        }
         want += r.nodeSkips[i] * reports[i].outElems;
     }
     EXPECT_GT(want, 0);
@@ -939,8 +940,9 @@ TEST(ApproxMode, FidelityMonotoneNonImprovingInThreshold)
         EXPECT_LE(r.fidelity.cosine, prev_cos) << "thresh " << thresh;
         prev_psnr = r.fidelity.psnrDb;
         prev_cos = r.fidelity.cosine;
-        if (thresh == 0.0) // exact by construction
+        if (thresh == 0.0) { // exact by construction
             EXPECT_TRUE(r.fidelity.exact());
+        }
     }
     // The loosest policy actually degrades the image.
     EXPECT_LT(prev_psnr, std::numeric_limits<double>::infinity());

@@ -519,6 +519,167 @@ TEST(SlabCodec, TrailingBytesAreRejected)
     EXPECT_NE(why.find("trailing"), std::string::npos) << why;
 }
 
+/**
+ * A slab body built by hand, through the six OpCounts: every field of
+ * the header is explicit so a case can break exactly one of them.
+ */
+ByteWriter
+slabHeader(uint16_t flags, int32_t stepsDone = 1, int32_t stepsTotal = 5)
+{
+    ByteWriter w;
+    w.u32(0x424C5344u); // "DSLB"
+    w.u16(shard::kSlabCodecVersion);
+    w.u16(flags);
+    w.u64(7);
+    w.i32(stepsDone);
+    w.i32(stepsTotal);
+    for (int i = 0; i < 6; ++i)
+        w.i64(0);
+    return w;
+}
+
+/** Append a fresh FNV-1a checksum, as any peer can. */
+std::vector<uint8_t>
+seal(ByteWriter w)
+{
+    w.u64(fnv1a(w.data().data(), w.size()));
+    return w.take();
+}
+
+constexpr uint16_t kHasState = 1u << 2;
+
+/** Decode must refuse `bytes` with exactly `reason`, leaving *out as is. */
+void
+expectRefused(const std::vector<uint8_t> &bytes, const std::string &reason)
+{
+    SCOPED_TRACE(reason);
+    BatchEngine::Parked out;
+    out.id = 0xDEAD;
+    out.image = FloatTensor(Shape{2}, 3.0f);
+    std::string why;
+    EXPECT_FALSE(shard::decodeParked(bytes, &out, &why));
+    EXPECT_EQ(why, reason);
+    EXPECT_EQ(out.id, 0xDEADu) << "failed decode must not touch *out";
+    EXPECT_TRUE(out.image == FloatTensor(Shape{2}, 3.0f));
+}
+
+TEST(SlabCodec, ResealedSlabsReachEveryStructuralRefusal)
+{
+    // The hand-built layout is sound: a stateless slab with an empty
+    // image decodes.
+    {
+        ByteWriter w = slabHeader(0);
+        w.u8(1); // f32
+        w.u8(0); // rank 0: empty image
+        BatchEngine::Parked out;
+        std::string why;
+        ASSERT_TRUE(shard::decodeParked(seal(std::move(w)), &out, &why))
+            << why;
+        EXPECT_EQ(out.id, 7u);
+    }
+    // A stateful slab's state section starts after an empty image.
+    auto stateful = [] {
+        ByteWriter w = slabHeader(kHasState);
+        w.u8(1);
+        w.u8(0);
+        return w;
+    };
+
+    {
+        ByteWriter w;
+        w.u32(0x424C5344u);
+        w.u16(shard::kSlabCodecVersion);
+        w.u16(0);
+        w.u64(7);
+        w.i32(1); // stepsTotal and the OpCounts are missing
+        expectRefused(seal(std::move(w)), "truncated slab header");
+    }
+    expectRefused(seal(slabHeader(0, 6, 5)),
+                  "slab step counters out of range");
+    // Cut before the image's dtype, before its rank, and between its
+    // two dims.
+    for (int fields = 0; fields < 3; ++fields) {
+        ByteWriter w = slabHeader(0);
+        if (fields > 0)
+            w.u8(1);
+        if (fields > 1) {
+            w.u8(2);
+            w.i64(4);
+        }
+        expectRefused(seal(std::move(w)), "truncated tensor header");
+    }
+    {
+        ByteWriter w = slabHeader(0);
+        w.u8(2); // i8 where the image is f32
+        w.u8(0);
+        expectRefused(seal(std::move(w)), "tensor dtype mismatch");
+    }
+    {
+        ByteWriter w = slabHeader(0);
+        w.u8(1);
+        w.u8(5);
+        expectRefused(seal(std::move(w)), "tensor rank out of range");
+    }
+    {
+        ByteWriter w = slabHeader(0);
+        w.u8(1);
+        w.u8(2);
+        w.i64(3);
+        w.i64(-1);
+        expectRefused(seal(std::move(w)),
+                      "tensor dimension or element count out of range");
+    }
+    {
+        ByteWriter w = slabHeader(0);
+        w.u8(1);
+        w.u8(1);
+        w.i64(4);
+        w.f32(1.0f); // one element of four
+        expectRefused(seal(std::move(w)), "truncated tensor payload");
+    }
+    {
+        ByteWriter w = stateful();
+        w.u8(1); // primed, but no approx flag
+        expectRefused(seal(std::move(w)), "truncated state flags");
+    }
+    {
+        ByteWriter w = stateful();
+        w.u8(1);
+        w.u8(0);
+        w.u32((1u << 20) + 1); // prevIn slots
+        expectRefused(seal(std::move(w)), "slot count out of range");
+    }
+    // One of three consec counters; then whole consec and one of
+    // three skip tallies.
+    for (bool inSkips : {false, true}) {
+        ByteWriter w = stateful();
+        w.u8(1);
+        w.u8(0);
+        w.u32(0); // prevIn
+        w.u32(0); // prevOut
+        w.u32(inSkips ? 0 : 3);
+        if (inSkips)
+            w.u32(3);
+        w.i32(0);
+        expectRefused(seal(std::move(w)), "truncated counter array");
+    }
+}
+
+TEST(SlabCodec, OverflowingTensorHeaderIsRefused)
+{
+    // 2^32 * 2^32 elements wraps a 64-bit count to 0, which would read
+    // as an empty payload.
+    ByteWriter w = slabHeader(0);
+    w.u8(1);
+    w.u8(4);
+    w.i64(int64_t{1} << 32);
+    w.i64(int64_t{1} << 32);
+    w.i64(1);
+    w.i64(1);
+    expectRefused(seal(std::move(w)),
+                  "tensor dimension or element count out of range");
+}
+
 // ---------------------------------------------------------------------------
 // Protocol payload codecs.
 // ---------------------------------------------------------------------------
@@ -623,8 +784,32 @@ TEST(ProtocolCodec, ResultAndInfoAndWireRoundTrip)
     EXPECT_EQ(mwOut.slab, mw.slab);
 }
 
+TEST(ProtocolCodec, OverflowingImageHeaderIsRefused)
+{
+    // A result whose image declares [2^31, 2^33] and carries no
+    // payload: the element count overflows before any bound applies.
+    DenoiseResult res;
+    res.id = 5;
+    res.status = RequestStatus::Done;
+    ByteWriter w;
+    shard::putResult(w, res);
+    std::vector<uint8_t> bytes = w.take();
+    ASSERT_EQ(bytes.back(), 0u); // the empty image's rank
+    bytes.pop_back();
+    ByteWriter img;
+    img.u8(2);
+    img.i64(int64_t{1} << 31);
+    img.i64(int64_t{1} << 33);
+    bytes.insert(bytes.end(), img.data().begin(), img.data().end());
+
+    ByteReader r(bytes.data(), bytes.size());
+    DenoiseResult out;
+    EXPECT_FALSE(shard::getResult(r, &out));
+    EXPECT_EQ(out.image.numel(), 0);
+}
+
 // ---------------------------------------------------------------------------
-// Reuse-cache generation (the clear()-vs-restart disambiguator).
+// Reuse-cache generation: clear() bumps it and keeps the counters.
 // ---------------------------------------------------------------------------
 
 TEST(ReuseGeneration, ClearBumpsGenerationCountersSurvive)
@@ -645,7 +830,7 @@ TEST(ReuseGeneration, ClearBumpsGenerationCountersSurvive)
     EXPECT_EQ(after.generation, 1u);
     EXPECT_EQ(after.entries, 0u);
     EXPECT_EQ(after.bytes, 0u);
-    // Counters survive the clear: a merger adds deltas, not absolutes.
+    // Counters survive the clear, so a merger can sum the last scrape.
     EXPECT_EQ(after.hits, before.hits);
     EXPECT_EQ(after.misses, before.misses);
     EXPECT_EQ(after.stores, before.stores);
