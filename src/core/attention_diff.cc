@@ -5,9 +5,10 @@
  * Each of the two correction terms pairs one full-bit-width operand
  * with one narrow difference operand; the difference operand is
  * encoded into a sparse panel plan and executed by the batched
- * plan-driven diff GEMM (one *BatchInto body per op; the
- * single-request entry points run it on one slab). Terms whose sparse operand sits on the right of the
- * product are computed transposed — (X dY^T)^T = dY X^T — so the plan
+ * plan-driven diff GEMM. Scores (A B^T) and the weighted sum (A B) run
+ * one body, attentionBatchInto; the single-request entry points run it
+ * on one slab. The term whose sparse operand sits on the right of the
+ * product is computed transposed — (A dB)^T = dB^T A^T — so the plan
  * operand is always the left factor, then folded back with a fused
  * transpose-add. The scalar two-term expansions are retained under
  * naive:: as parity references.
@@ -52,9 +53,9 @@ attentionScoresDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
         prev_scores, Shape{tokens, keys}, 1, counts,
         [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
             EngineScratch *scratch) {
-            attentionScoresBatchInto(qo, ko, tokens, keys, q.shape()[1], 1,
-                                     primed, out, delta.data(), slab_counts,
-                                     policy, scratch);
+            attentionBatchInto(qo, ko, tokens, q.shape()[1], keys,
+                               /*trans_b=*/true, 1, primed, out, delta.data(),
+                               slab_counts, policy, scratch);
         });
 }
 
@@ -86,118 +87,6 @@ storedForm(const DiffOperand &op, int64_t n, std::vector<int8_t> *scratch)
 
 } // namespace
 
-void
-attentionScoresBatchInto(const DiffOperand &q_in, const DiffOperand &k_in,
-                         int64_t tokens, int64_t keys, int64_t d,
-                         int64_t slabs, const uint8_t *primed, int32_t *out,
-                         int32_t *delta, OpCounts *counts,
-                         DiffPolicy policy, EngineScratch *scratch)
-{
-    const int64_t q_elems = tokens * d;
-    const int64_t k_elems = keys * d;
-    const int64_t out_elems = tokens * keys;
-    const bool primed_any = anyPrimed(primed, slabs);
-    const DiffOperand q =
-        primed_any ? storedForm(q_in, slabs * q_elems, &scratch->prevA)
-                   : q_in;
-    const DiffOperand k =
-        primed_any ? storedForm(k_in, slabs * k_elems, &scratch->prevB)
-                   : k_in;
-
-    // Per-slab decisions. Sub-op 1: Q_t dK^T — dK elements each
-    // multiply `tokens` rows of Q. Sub-op 2: dQ K_prev^T — dQ elements
-    // each multiply `keys` rows of K.
-    std::vector<uint8_t> &use_diff = scratch->useDiff;
-    use_diff.assign(static_cast<size_t>(slabs), 0);
-    if (primed_any) {
-        scratch->reserve(&scratch->plans, slabs, tokens, d);
-        scratch->reserve(&scratch->plans2, slabs, keys, d);
-        const auto bt_elems = static_cast<size_t>(slabs * (q_elems + k_elems));
-        if (scratch->bT.capacity() < bt_elems)
-            scratch->bT.reserve(bt_elems);
-    }
-    int64_t n_diff = 0;
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!primed || !primed[s])
-            continue;
-        DITTO_ASSERT(q.prev && k.prev, "primed slabs need previous state");
-        const DiffClassCounts probe_dq = q.probe(s * q_elems, q_elems);
-        const DiffClassCounts probe_dk = k.probe(s * k_elems, k_elems);
-        if (counts) {
-            counts[s].merge(probeOpCounts(probe_dk, tokens));
-            counts[s].merge(probeOpCounts(probe_dq, keys));
-        }
-        // Two sub-ops against one dense product: revert unless the
-        // combined predicted sparse cost undercuts Q_t K_t^T.
-        const double predicted =
-            diffMacPenalty(tokens) *
-                static_cast<double>(probe_dk.nonzero()) *
-                static_cast<double>(tokens) +
-            diffMacPenalty(keys) * static_cast<double>(probe_dq.nonzero()) *
-                static_cast<double>(keys);
-        use_diff[s] =
-            policy == DiffPolicy::ForceDiff ||
-            predicted < static_cast<double>(tokens * keys * d);
-        n_diff += use_diff[s];
-    }
-
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (use_diff[s])
-            continue;
-        // Direct slabs: each attends within its own rows, so the K
-        // operand differs per slab and runs stay per-slab GEMMs.
-        std::memset(out + s * out_elems, 0,
-                    static_cast<size_t>(out_elems) * sizeof(int32_t));
-        kernels::gemmInt8Into(q.codes + s * q_elems, tokens, d,
-                              k.codes + s * k_elems, keys,
-                              /*trans_b=*/true, out + s * out_elems);
-    }
-    if (n_diff == 0)
-        return;
-
-    // Diff slabs: S_t = prev + dQ K_prev^T + (dK Q_t^T)^T, every term
-    // batched into one dispatch across slabs; the slab's region of
-    // `out` already holds prev.
-    std::fill(delta, delta + n_diff * out_elems, 0);
-    // Both products multiply an operand transposed: the engine
-    // de-transposes them into [d, keys] / [d, tokens] scratch once, so
-    // the plan dispatch reads contiguous rows.
-    std::vector<int8_t> &bt = scratch->bT;
-    bt.resize(static_cast<size_t>(n_diff * (q_elems + k_elems)));
-    std::vector<kernels::DiffGemmBatchItem> &items_a = scratch->items;
-    std::vector<kernels::DiffGemmBatchItem> &items_b = scratch->items2;
-    std::vector<int64_t> &diff_slabs = scratch->slabOf;
-    items_a.clear();
-    items_b.clear();
-    diff_slabs.clear();
-    int32_t *sd = delta;
-    for (int64_t s = 0; s < slabs; ++s) {
-        if (!use_diff[s])
-            continue;
-        const auto di = static_cast<int64_t>(diff_slabs.size());
-        DiffGemmPlan &plan_dq = scratch->plans[static_cast<size_t>(di)];
-        DiffGemmPlan &plan_dk = scratch->plans2[static_cast<size_t>(di)];
-        q.encode(s * q_elems, tokens, d, &plan_dq);
-        k.encode(s * k_elems, keys, d, &plan_dk);
-        int8_t *kt = bt.data() + di * (q_elems + k_elems);
-        int8_t *qt = kt + k_elems;
-        kernels::transposeInt8Into(k.prev + s * k_elems, keys, d, kt);
-        kernels::transposeInt8Into(q.codes + s * q_elems, tokens, d, qt);
-        items_a.push_back({&plan_dq, kt, out + s * out_elems});
-        items_b.push_back({&plan_dk, qt, sd + di * out_elems});
-        diff_slabs.push_back(s);
-    }
-    kernels::diffGemmBatch(items_a, keys);
-    kernels::diffGemmBatch(items_b, tokens);
-    const int64_t *slab_of = diff_slabs.data();
-    parallelFor(0, n_diff, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i)
-            kernels::addTransposedInt32InPlace(out + slab_of[i] * out_elems,
-                                               sd + i * out_elems, tokens,
-                                               keys);
-    });
-}
-
 Int32Tensor
 attentionOutputDirect(const Int8Tensor &p, const Int8Tensor &v)
 {
@@ -225,158 +114,126 @@ attentionOutputDiff(const Int8Tensor &p, const Int8Tensor &prev_p,
         prev_out, Shape{rows, d}, 1, counts,
         [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
             EngineScratch *scratch) {
-            attentionOutputBatchInto(po, vo, rows, inner, d, 1, primed, out,
-                                     delta.data(), slab_counts, policy,
-                                     scratch);
+            attentionBatchInto(po, vo, rows, inner, d, /*trans_b=*/false, 1,
+                               primed, out, delta.data(), slab_counts, policy,
+                               scratch);
         });
 }
 
 void
-attentionOutputBatchInto(const DiffOperand &p_in, const DiffOperand &v_in,
-                         int64_t rows, int64_t inner, int64_t d,
-                         int64_t slabs, const uint8_t *primed, int32_t *out,
-                         int32_t *delta, OpCounts *counts,
-                         DiffPolicy policy, EngineScratch *scratch)
+attentionBatchInto(const DiffOperand &a_in, const DiffOperand &b_in,
+                   int64_t m, int64_t k, int64_t n, bool trans_b,
+                   int64_t slabs, const uint8_t *primed, int32_t *out,
+                   int32_t *delta, OpCounts *counts, DiffPolicy policy,
+                   EngineScratch *scratch)
 {
-    const int64_t p_elems = rows * inner;
-    const int64_t v_elems = inner * d;
-    const int64_t out_elems = rows * d;
+    const int64_t a_elems = m * k;
+    const int64_t b_elems = k * n;
+    const int64_t out_elems = m * n;
+    // De-transposed scratch per diff slab: A_t^T [k, m], and for A B^T
+    // also B_prev^T [k, n] (A B reads B_prev as it is).
+    const int64_t bt_stride = a_elems + (trans_b ? b_elems : 0);
     const bool primed_any = anyPrimed(primed, slabs);
-    const DiffOperand p =
-        primed_any ? storedForm(p_in, slabs * p_elems, &scratch->prevA)
-                   : p_in;
-    const DiffOperand v =
-        primed_any ? storedForm(v_in, slabs * v_elems, &scratch->prevB)
-                   : v_in;
+    const DiffOperand a =
+        primed_any ? storedForm(a_in, slabs * a_elems, &scratch->prevA)
+                   : a_in;
+    const DiffOperand b =
+        primed_any ? storedForm(b_in, slabs * b_elems, &scratch->prevB)
+                   : b_in;
 
-    // Per-slab decisions: sub-op 1 (P_t dV) charges each dV element
-    // `rows` multiplies, sub-op 2 (dP V_prev) each dP element `d`.
+    // Per-slab decisions. Sub-op 1, A_t dB: each dB element multiplies
+    // `m` rows of A. Sub-op 2, dA B_prev: each dA element multiplies
+    // `n` columns of B.
     std::vector<uint8_t> &use_diff = scratch->useDiff;
     use_diff.assign(static_cast<size_t>(slabs), 0);
     if (primed_any) {
-        scratch->reserve(&scratch->plans, slabs, rows, inner);
-        scratch->reserve(&scratch->plans2, slabs, d, inner);
-        if (scratch->bT.capacity() < static_cast<size_t>(slabs * p_elems))
-            scratch->bT.reserve(static_cast<size_t>(slabs * p_elems));
+        scratch->reserve(&scratch->plans, slabs, m, k);
+        scratch->reserve(&scratch->plans2, slabs, n, k);
+        if (scratch->bT.capacity() < static_cast<size_t>(slabs * bt_stride))
+            scratch->bT.reserve(static_cast<size_t>(slabs * bt_stride));
     }
     int64_t n_diff = 0;
     for (int64_t s = 0; s < slabs; ++s) {
         if (!primed || !primed[s])
             continue;
-        DITTO_ASSERT(p.prev && v.prev, "primed slabs need previous state");
-        const DiffClassCounts probe_dp = p.probe(s * p_elems, p_elems);
-        const DiffClassCounts probe_dv = v.probe(s * v_elems, v_elems);
+        DITTO_ASSERT(a.prev && b.prev, "primed slabs need previous state");
+        const DiffClassCounts probe_da = a.probe(s * a_elems, a_elems);
+        const DiffClassCounts probe_db = b.probe(s * b_elems, b_elems);
         if (counts) {
-            counts[s].merge(probeOpCounts(probe_dv, rows));
-            counts[s].merge(probeOpCounts(probe_dp, d));
+            counts[s].merge(probeOpCounts(probe_db, m));
+            counts[s].merge(probeOpCounts(probe_da, n));
         }
+        // Two sub-ops against one dense product: revert unless the
+        // combined predicted sparse cost undercuts A_t B_t.
         const double predicted =
-            diffMacPenalty(rows) *
-                static_cast<double>(probe_dv.nonzero()) *
-                static_cast<double>(rows) +
-            diffMacPenalty(d) * static_cast<double>(probe_dp.nonzero()) *
-                static_cast<double>(d);
+            diffMacPenalty(m) * static_cast<double>(probe_db.nonzero()) *
+                static_cast<double>(m) +
+            diffMacPenalty(n) * static_cast<double>(probe_da.nonzero()) *
+                static_cast<double>(n);
         use_diff[s] = policy == DiffPolicy::ForceDiff ||
-                      predicted < static_cast<double>(rows * inner * d);
+                      predicted < static_cast<double>(m * k * n);
         n_diff += use_diff[s];
     }
 
     for (int64_t s = 0; s < slabs; ++s) {
         if (use_diff[s])
             continue;
+        // Direct slabs: each multiplies its own B, so runs stay
+        // per-slab GEMMs.
         std::memset(out + s * out_elems, 0,
                     static_cast<size_t>(out_elems) * sizeof(int32_t));
-        kernels::gemmInt8Into(p.codes + s * p_elems, rows, inner,
-                              v.codes + s * v_elems, d, /*trans_b=*/false,
+        kernels::gemmInt8Into(a.codes + s * a_elems, m, k,
+                              b.codes + s * b_elems, n, trans_b,
                               out + s * out_elems);
     }
     if (n_diff == 0)
         return;
 
-    // Diff slabs: O_t = prev + dP V_prev + (dV^T P_t^T)^T, batched; the
-    // slab's region of `out` already holds prev.
+    // Diff slabs: out_t = prev + dA B_prev + (dB^T A_t^T)^T, each term
+    // batched into one dispatch across slabs; the slab's region of
+    // `out` already holds prev. The plan dispatch reads contiguous
+    // rows, so the dense factors are de-transposed into scratch once.
     std::fill(delta, delta + n_diff * out_elems, 0);
-    // (dV^T P_t^T) multiplies P_t transposed: de-transposed once into
-    // [inner, rows] scratch per diff slab.
     std::vector<int8_t> &bt = scratch->bT;
-    bt.resize(static_cast<size_t>(n_diff * p_elems));
+    bt.resize(static_cast<size_t>(n_diff * bt_stride));
     std::vector<kernels::DiffGemmBatchItem> &items_a = scratch->items;
     std::vector<kernels::DiffGemmBatchItem> &items_b = scratch->items2;
     std::vector<int64_t> &diff_slabs = scratch->slabOf;
     items_a.clear();
     items_b.clear();
     diff_slabs.clear();
-    int32_t *sd = delta;
     for (int64_t s = 0; s < slabs; ++s) {
         if (!use_diff[s])
             continue;
         const auto di = static_cast<int64_t>(diff_slabs.size());
-        DiffGemmPlan &plan_dp = scratch->plans[static_cast<size_t>(di)];
-        DiffGemmPlan &plan_dvt = scratch->plans2[static_cast<size_t>(di)];
-        p.encode(s * p_elems, rows, inner, &plan_dp);
-        encodeTemporalDiffTransposedInto(v.codes + s * v_elems,
-                                         v.prev + s * v_elems, inner, d,
-                                         &plan_dvt);
-        int8_t *pt = bt.data() + di * p_elems;
-        kernels::transposeInt8Into(p.codes + s * p_elems, rows, inner, pt);
-        items_a.push_back(
-            {&plan_dp, v.prev + s * v_elems, out + s * out_elems});
-        items_b.push_back({&plan_dvt, pt, sd + di * d * rows});
+        DiffGemmPlan &plan_da = scratch->plans[static_cast<size_t>(di)];
+        DiffGemmPlan &plan_dbt = scratch->plans2[static_cast<size_t>(di)];
+        a.encode(s * a_elems, m, k, &plan_da);
+        const int8_t *b_prev = b.prev + s * b_elems;
+        int8_t *at = bt.data() + di * bt_stride;
+        kernels::transposeInt8Into(a.codes + s * a_elems, m, k, at);
+        if (trans_b) {
+            // B is [n, k]: dB is already dB^T's layout; B_prev^T is not.
+            b.encode(s * b_elems, n, k, &plan_dbt);
+            int8_t *bpt = at + a_elems;
+            kernels::transposeInt8Into(b_prev, n, k, bpt);
+            b_prev = bpt;
+        } else {
+            encodeTemporalDiffTransposedInto(b.codes + s * b_elems, b_prev,
+                                             k, n, &plan_dbt);
+        }
+        items_a.push_back({&plan_da, b_prev, out + s * out_elems});
+        items_b.push_back({&plan_dbt, at, delta + di * out_elems});
         diff_slabs.push_back(s);
     }
-    kernels::diffGemmBatch(items_a, d);
-    kernels::diffGemmBatch(items_b, rows);
+    kernels::diffGemmBatch(items_a, n);
+    kernels::diffGemmBatch(items_b, m);
     const int64_t *slab_of = diff_slabs.data();
     parallelFor(0, n_diff, 1, [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             kernels::addTransposedInt32InPlace(out + slab_of[i] * out_elems,
-                                               sd + i * d * rows, rows, d);
+                                               delta + i * out_elems, m, n);
     });
-}
-
-CrossAttentionEngine::CrossAttentionEngine(Int8Tensor k_const)
-    : kConst_(std::move(k_const))
-{
-    DITTO_ASSERT(kConst_.shape().rank() == 2,
-                 "context operand must be a matrix");
-    kConstT_ = transposeInt8(kConst_);
-}
-
-Int32Tensor
-CrossAttentionEngine::runDirect(const Int8Tensor &q) const
-{
-    return matmulTransposedInt8(q, kConst_);
-}
-
-Int32Tensor
-CrossAttentionEngine::runDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
-                              const Int32Tensor &prev_scores,
-                              OpCounts *counts, DiffPolicy policy) const
-{
-    DITTO_ASSERT(q.shape() == prev_q.shape(),
-                 "cross attention diff shape mismatch");
-    DITTO_ASSERT(q.shape().rank() == 2 && q.shape()[1] == kConst_.shape()[1],
-                 "cross attention query must be [rows, d]");
-    const int64_t rows = q.shape()[0];
-    const DiffOperand op{q.data().data(), prev_q.data().data(), nullptr};
-    return detail::runPrimed(
-        prev_scores, Shape{rows, kConst_.shape()[0]}, 1, counts,
-        [&](int32_t *out, const uint8_t *primed, OpCounts *slab_counts,
-            EngineScratch *scratch) {
-            runBatchInto(op, rows, 1, primed, out, slab_counts, policy,
-                         scratch);
-        });
-}
-
-void
-CrossAttentionEngine::runBatchInto(const DiffOperand &q, int64_t rows,
-                                   int64_t slabs, const uint8_t *primed,
-                                   int32_t *out, OpCounts *counts,
-                                   DiffPolicy policy,
-                                   EngineScratch *scratch) const
-{
-    detail::runBatchWeightStationaryInto(q, rows, slabs, primed, out, counts,
-                                         policy, kConst_, kConstT_, scratch);
 }
 
 namespace naive {
@@ -449,20 +306,6 @@ attentionOutputDiff(const Int8Tensor &p, const Int8Tensor &prev_p,
         }
     }
     return out;
-}
-
-Int32Tensor
-crossAttentionScoresDiff(const Int8Tensor &q, const Int8Tensor &prev_q,
-                         const Int8Tensor &k_const,
-                         const Int32Tensor &prev_scores, OpCounts *counts)
-{
-    DITTO_ASSERT(q.shape() == prev_q.shape(),
-                 "cross attention diff shape mismatch");
-    const Int16Tensor dq = subtractInt8(q, prev_q);
-    if (counts)
-        counts->merge(tallyOps(dq, k_const.shape()[0]));
-    const Int32Tensor delta = ditto::matmulTransposedDiffInt16(dq, k_const);
-    return addInt32(prev_scores, delta);
 }
 
 } // namespace naive

@@ -226,21 +226,17 @@ threadEngineScratch()
     return scratch;
 }
 
-namespace detail {
-
 void
-runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
-                             int64_t slabs, const uint8_t *primed,
-                             int32_t *out, OpCounts *counts,
-                             DiffPolicy policy, const Int8Tensor &weight,
-                             const Int8Tensor &weight_t,
-                             EngineScratch *scratch)
+DiffFcEngine::runBatchInto(const DiffOperand &x, int64_t rows, int64_t slabs,
+                           const uint8_t *primed, int32_t *out,
+                           OpCounts *counts, DiffPolicy policy,
+                           EngineScratch *scratch) const
 {
     DITTO_ASSERT(slabs > 0 && rows % slabs == 0,
                  "batched fc input must stack equal row slabs");
     const int64_t slab_rows = rows / slabs;
-    const int64_t in = weight.shape()[1];
-    const int64_t out_features = weight.shape()[0];
+    const int64_t in = weight_.shape()[1];
+    const int64_t out_features = weight_.shape()[0];
     const int64_t slab_elems = slab_rows * in;
     const int64_t out_elems = slab_rows * out_features;
 
@@ -276,7 +272,7 @@ runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
                     static_cast<size_t>((e - s) * out_elems) *
                         sizeof(int32_t));
         kernels::gemmInt8Into(x.codes + s * slab_elems, (e - s) * slab_rows,
-                              in, weight.data().data(), out_features,
+                              in, weight_.data().data(), out_features,
                               /*trans_b=*/true, out + s * out_elems);
         s = e;
     }
@@ -293,21 +289,9 @@ runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
             continue;
         DiffGemmPlan &plan = scratch->plans[items.size()];
         x.encode(s * slab_elems, slab_rows, in, &plan);
-        items.push_back({&plan, weight_t.data().data(), out + s * out_elems});
+        items.push_back({&plan, weightT_.data().data(), out + s * out_elems});
     }
     kernels::diffGemmBatch(items, out_features);
-}
-
-} // namespace detail
-
-void
-DiffFcEngine::runBatchInto(const DiffOperand &x, int64_t rows, int64_t slabs,
-                           const uint8_t *primed, int32_t *out,
-                           OpCounts *counts, DiffPolicy policy,
-                           EngineScratch *scratch) const
-{
-    detail::runBatchWeightStationaryInto(x, rows, slabs, primed, out, counts,
-                                         policy, weight_, weightT_, scratch);
 }
 
 DiffConvEngine::DiffConvEngine(Int8Tensor weight, Conv2dParams params)

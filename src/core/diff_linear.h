@@ -241,7 +241,9 @@ runPrimed(const Int32Tensor &prev_out, const Shape &out_shape,
 /**
  * Fully-connected layer with temporal difference processing.
  *
- * Holds the quantized weight; callers drive it step by step.
+ * Holds the quantized weight; callers drive it step by step. Cross
+ * attention with a constant context runs here too: Q' K'^T with K' as
+ * the weight, P' V' with V'^T as the weight.
  */
 class DiffFcEngine
 {
@@ -346,25 +348,6 @@ class DiffConvEngine
     Int8Tensor wrevT_; //!< kx-reversed rows for the interior fast path
     Conv2dParams params_;
 };
-
-namespace detail {
-
-/**
- * Shared weight-stationary body (DiffFcEngine and
- * CrossAttentionEngine, stored codes or handed-over difference alike):
- * per-slab probe and Defo decision, then contiguous direct runs as one
- * row-folded GEMM and all diff slabs as one batched plan dispatch
- * accumulating into `out` in place.
- */
-void runBatchWeightStationaryInto(const DiffOperand &x, int64_t rows,
-                                  int64_t slabs, const uint8_t *primed,
-                                  int32_t *out, OpCounts *counts,
-                                  DiffPolicy policy,
-                                  const Int8Tensor &weight,
-                                  const Int8Tensor &weight_t,
-                                  EngineScratch *scratch);
-
-} // namespace detail
 
 namespace naive {
 

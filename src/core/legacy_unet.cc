@@ -190,9 +190,10 @@ HandWiredMiniUnet::HandWiredMiniUnet(MiniUnetConfig cfg) : cfg_(cfg)
     eConvOut_.emplace(qConvOut_.codes, Conv2dParams{c, ic, 3, 1, 1});
     eCrossQ_.emplace(qCrossQ_.codes);
     eCrossOut_.emplace(qCrossOut_.codes);
+    // Q' x K'^T with constant K' is weight-stationary with K' as the
+    // weight; P' x V' with constant V' is weight-stationary with V'^T
+    // as the weight: O = P' V' = P' (V'^T)^T.
     eCrossQk_.emplace(qCrossKConst_.codes);
-    // P' x V' with constant V' is weight-stationary with V'^T as the
-    // weight: O = P' V' = P' (V'^T)^T.
     eCrossPv_.emplace(transposeInt8(qCrossVConst_.codes));
 
     calibrateActScales();

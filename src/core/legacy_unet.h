@@ -3,18 +3,19 @@
  * The hand-wired MiniUnet: the graph runtime's parity reference.
  *
  * This is the original manually-routed implementation of the MiniUnet
- * slice — every layer explicitly wired through its
- * DiffConvEngine/DiffFcEngine/CrossAttentionEngine single-request
- * entry points, with its own calibration. The MiniUnet itself is the
- * miniUnetSpec preset compiled by runtime/compiled.h; this
- * implementation is deliberately retained as an *independent*
- * reference (the same role ditto::naive plays for the fast kernels):
- * the golden parity suite in tests/test_runtime.cc asserts the
- * compiled preset reproduces it bit for bit in every mode, batch size
- * and thread count. It has one executor — a batch of compiled slabs is
- * checked against one hand-wired rollout per slab — so a layer added
- * to the preset is written here once; the suite fails loudly on any
- * divergence.
+ * slice — every layer explicitly wired through the single-request entry
+ * points of its DiffConvEngine / DiffFcEngine or of the attention
+ * difference functions, with its own calibration. Cross attention's
+ * constant-context products run on DiffFcEngines, with K' and V'^T as
+ * the weights. The MiniUnet itself is the miniUnetSpec preset compiled
+ * by runtime/compiled.h; this implementation is deliberately retained
+ * as an *independent* reference (the same role ditto::naive plays for
+ * the fast kernels): the golden parity suite in tests/test_runtime.cc
+ * asserts the compiled preset reproduces it bit for bit in every mode,
+ * batch size and thread count. It has one executor — a batch of
+ * compiled slabs is checked against one hand-wired rollout per slab —
+ * so a layer added to the preset is written here once; the suite fails
+ * loudly on any divergence.
  */
 #ifndef DITTO_CORE_LEGACY_UNET_H
 #define DITTO_CORE_LEGACY_UNET_H
@@ -117,7 +118,7 @@ class HandWiredMiniUnet
     std::optional<DiffConvEngine> eAttnQ_, eAttnK_, eAttnV_, eAttnProj_;
     std::optional<DiffConvEngine> eConvOut_;
     std::optional<DiffFcEngine> eCrossQ_, eCrossOut_;
-    std::optional<CrossAttentionEngine> eCrossQk_;
+    std::optional<DiffFcEngine> eCrossQk_; //!< K' as the weight
     std::optional<DiffFcEngine> eCrossPv_; //!< V'^T as the weight
 
     /** Static activation scales per quantization point. */

@@ -23,6 +23,7 @@
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/attention_diff.h"
 #include "quant/encoder.h"
 #include "runtime/workspace.h"
 #include "tensor/kernels.h"
@@ -32,6 +33,20 @@
 namespace ditto {
 
 namespace {
+
+/** Dynamic operands of a compute op: dynamic attention multiplies two. */
+int
+numOperands(RtOp op)
+{
+    return op == RtOp::AttnScores || op == RtOp::AttnOutput ? 2 : 1;
+}
+
+/** Quantization point of a compute node's dynamic operand `j`. */
+int
+operandScale(const NodeSpec &ns, int j)
+{
+    return j == 0 ? ns.scaleIn : ns.scaleIn2;
+}
 
 /** He-style random weight init (the legacy MiniUnet draw). */
 FloatTensor
@@ -610,8 +625,8 @@ CompiledModel::nodeReports() const
         r.op = nd.spec.op;
         r.layer = nd.layer;
         r.compute = rtIsCompute(nd.spec.op);
-        r.diffBypass = nd.diffBypass;
-        r.diffBypass2 = nd.diffBypass2;
+        r.diffBypass = !nd.in[0].stored();
+        r.diffBypass2 = !nd.in[1].stored();
         r.junction = nd.junction.has_value();
         r.sumSkip = r.compute && !nd.fLive;
         r.emitsPayload = nd.emitPayload;
@@ -1007,78 +1022,96 @@ CompiledModel::forwardQuant(const float *x, int64_t bsz, bool approx,
             continue;
         }
 
-        // Weight-stationary compute: one engine, one dynamic operand.
-        if (ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
-            ns.op == RtOp::CrossScores || ns.op == RtOp::CrossOutput) {
-            Workspace::Tables::Value &in = inVal(0);
-            const Shape &one = inShape(0);
-            const int64_t in_elems = one.numel();
-            const QuantParams qp{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            // The operand arrives pre-quantized in this node's code
-            // domain from a junction fold or a single-producer
-            // payload; everyone else quantizes the float input — into
-            // the stored slot's other half in Ditto mode.
-            int8_t *codes = nullptr;
-            int16_t *dptr = nullptr;
-            if (nd.junction) {
-                codes = state ? nextCodes(nd.jSlot, one)
-                              : planned<int8_t>(arena, nd.bufs[plan].op, bsz);
-                if (have_primed)
-                    dptr = planned<int16_t>(arena, nd.bufs[plan].opD16, bsz);
-                runJunction(nd, ws, prevCodes(nd.jSlot), primed, bsz, codes,
-                            dptr);
-            } else if (nd.diffBypass) {
-                DITTO_ASSERT(in.codes, "bypass payload missing codes");
-                codes = in.codes;
-                if (have_primed) {
-                    DITTO_ASSERT(in.d16, "bypass payload missing difference");
-                    dptr = in.d16;
+        // Compute: one engine over one dynamic operand (conv, fc, cross
+        // attention) or two (dynamic attention), each of whose
+        // difference is stored codes, a producer's hand-over or a
+        // junction fold.
+        if (rtIsCompute(ns.op)) {
+            const int nops = numOperands(ns.op);
+            int8_t *codes[2] = {};
+            int16_t *diff[2] = {};
+            int64_t elems[2] = {};
+            int64_t stored_elems = 0;
+            for (int j = 0; j < nops; ++j) {
+                const Operand &o = nd.in[j];
+                Workspace::Tables::Value &v = inVal(j);
+                elems[j] = inShape(j).numel();
+                if (o.producer >= 0) {
+                    DITTO_ASSERT(v.codes, "operand payload missing codes");
+                    codes[j] = v.codes;
+                    if (have_primed) {
+                        DITTO_ASSERT(v.d16,
+                                     "operand payload missing difference");
+                        diff[j] = v.d16;
+                    }
+                    continue;
                 }
-            } else {
-                codes = state ? nextCodes(nd.inSlot, one)
-                              : planned<int8_t>(arena, nd.bufs[plan].op, bsz);
-                quantizeInto(in.f, in_elems * bsz, qp, codes);
+                // Stored codes and folds write this step's codes into
+                // the slot's other half in Ditto mode.
+                codes[j] = state ? nextCodes(o.slot, inShape(j))
+                                 : planned<int8_t>(arena,
+                                                   nd.bufs[plan].op[j], bsz);
+                if (o.folded) {
+                    if (have_primed)
+                        diff[j] = planned<int16_t>(arena, nd.bufs[plan].opD16,
+                                                   bsz);
+                    runJunction(nd, ws, prevCodes(o.slot), primed, bsz,
+                                codes[j], diff[j]);
+                } else {
+                    const QuantParams qp{
+                        actScale_[static_cast<size_t>(operandScale(ns, j))],
+                        8};
+                    quantizeInto(v.f, elems[j] * bsz, qp, codes[j]);
+                    stored_elems += elems[j];
+                }
             }
 
             // ApproxDitto: probe each approx slab's temporal difference
-            // — a handed-over delta, a junction fold's delta, or the
-            // stored previous codes — and skip it when stable enough.
+            // of every operand — a handed-over or folded delta, or the
+            // stored previous codes — and skip the slab only when all
+            // of them are stable enough (every expansion term carries
+            // one operand's difference).
             const Skips sk = decideSkips(ns.id, [&](int64_t s) {
-                const DiffClassCounts pc =
-                    dptr ? countDiffClasses(dptr + s * in_elems, in_elems)
-                         : countTemporalDiffClasses(
-                               codes + s * in_elems,
-                               prevCodes(nd.inSlot) + s * in_elems,
-                               in_elems);
-                return approxActivity(pc) <= approxThresh_;
+                bool stable = true;
+                for (int j = 0; stable && j < nops; ++j) {
+                    const int64_t n = elems[j];
+                    const DiffClassCounts c =
+                        diff[j] ? countDiffClasses(diff[j] + s * n, n)
+                                : countTemporalDiffClasses(
+                                      codes[j] + s * n,
+                                      prevCodes(nd.in[j].slot) + s * n, n);
+                    stable = approxActivity(c) <= approxThresh_;
+                }
+                return stable;
             });
-            // A skipped slab replays its cached output and freezes its
-            // difference reference to the operand that output
+            // A skipped slab replays its cached output and freezes each
+            // operand's difference reference to the operand that output
             // corresponds to, so the next executed step's delta
             // telescopes across the skipped one exactly (out = prevOut
-            // + W(x_{t+1} - x_{t-1})). Its difference region is forced
-            // to zero (and its frozen codes re-stored), which makes the
-            // batched engines reproduce the replay bitwise — out =
-            // prevOut + W*0 — while non-skipped slabs run unchanged.
+            // + W(x_{t+1} - x_{t-1})): its codes are re-stored, its
+            // difference region is forced to zero and a producer's
+            // emission is rolled back. That makes the batched engines
+            // reproduce the replay bitwise — out = prevOut + W*0 —
+            // while non-skipped slabs run unchanged.
             for (int64_t s = 0; sk.any && s < bsz; ++s) {
                 if (!isSkipped(sk, s))
                     continue;
-                if (nd.junction) {
-                    copySlabRegion(prevCodes(nd.jSlot), codes, s, in_elems);
-                    zeroSlabRegion(dptr, s, in_elems);
-                } else if (nd.diffBypass) {
-                    zeroSlabRegion(dptr, s, in_elems);
-                    // The producer already flipped: its pre-update
-                    // emission is the cache's other half.
-                    const Node &prod =
-                        nodes_[static_cast<size_t>(nd.srcProducer)];
-                    const auto es = static_cast<size_t>(prod.emitSlot);
-                    copySlabRegion(state->nextIn[es].data().data(),
-                                   state->prevIn[es].data().data(), s,
-                                   in_elems);
-                } else {
-                    copySlabRegion(prevCodes(nd.inSlot), codes, s, in_elems);
+                for (int j = 0; j < nops; ++j) {
+                    const Operand &o = nd.in[j];
+                    if (o.slot >= 0)
+                        copySlabRegion(prevCodes(o.slot), codes[j], s,
+                                       elems[j]);
+                    if (diff[j])
+                        zeroSlabRegion(diff[j], s, elems[j]);
+                    if (o.producer >= 0) {
+                        // The producer already flipped: its pre-update
+                        // emission is the cache's other half.
+                        const auto es = static_cast<size_t>(
+                            nodes_[static_cast<size_t>(o.producer)].emitSlot);
+                        copySlabRegion(state->nextIn[es].data().data(),
+                                       state->prevIn[es].data().data(), s,
+                                       elems[j]);
+                    }
                 }
                 if (counts)
                     counts[s].reusedElems += ns.outShape.numel();
@@ -1090,147 +1123,47 @@ CompiledModel::forwardQuant(const float *x, int64_t bsz, bool approx,
             // difference and needs none: every slab runs direct.
             int32_t *acc = accumulator(nd);
             OpCounts *eng = engineCounts(sk);
-            const bool stored = !nd.diffBypass && !nd.junction;
             if (!sk.all) {
-                const DiffOperand op{codes,
-                                     stored ? prevCodes(nd.inSlot) : nullptr,
-                                     dptr};
-                if (nd.conv)
-                    nd.conv->runBatchInto(
-                        op, bsz, one[2], one[3], primed, acc,
-                        planned<int32_t>(arena, nd.bufs[plan].delta, bsz), eng,
-                        opts_.policy, &scratch);
-                else if (nd.cross)
-                    nd.cross->runBatchInto(op, one[0] * bsz, bsz, primed, acc,
-                                           eng, opts_.policy, &scratch);
-                else
-                    nd.fc->runBatchInto(op, one[0] * bsz, bsz, primed, acc,
-                                        eng, opts_.policy, &scratch);
-                settleCounts(sk, eng, stored ? in_elems : 0);
-            }
-
-            nodeEpilogue(nd, ws, arena, acc, state, primed, have_primed,
-                         bsz, counts);
-            if (state && nd.inSlot >= 0)
-                flip(nd.inSlot);
-            else if (state && nd.junction)
-                flip(nd.jSlot);
-            continue;
-        }
-
-        // Dynamic-dynamic attention: two operands, two-term expansion,
-        // either operand possibly handed over by its producer.
-        if (ns.op == RtOp::AttnScores || ns.op == RtOp::AttnOutput) {
-            Workspace::Tables::Value &av = inVal(0);
-            Workspace::Tables::Value &bv = inVal(1);
-            const Shape &sa = inShape(0);
-            const Shape &sb = inShape(1);
-            const QuantParams qpa{
-                actScale_[static_cast<size_t>(ns.scaleIn)], 8};
-            const QuantParams qpb{
-                actScale_[static_cast<size_t>(ns.scaleIn2)], 8};
-            auto operandCodes = [&](bool bypass, Workspace::Tables::Value &v,
-                                    int slot, int64_t buf, const Shape &one,
-                                    const QuantParams &qp) -> int8_t * {
-                if (bypass) {
-                    DITTO_ASSERT(v.codes, "operand payload missing codes");
-                    return v.codes;
-                }
-                int8_t *c = state ? nextCodes(slot, one)
-                                  : planned<int8_t>(arena, buf, bsz);
-                quantizeInto(v.f, one.numel() * bsz, qp, c);
-                return c;
-            };
-            int8_t *a_codes = operandCodes(nd.diffBypass, av, nd.inSlot,
-                                           nd.bufs[plan].op, sa, qpa);
-            int8_t *b_codes = operandCodes(nd.diffBypass2, bv, nd.inSlot2,
-                                           nd.bufs[plan].op2, sb, qpb);
-
-            // ApproxDitto is all-or-nothing per slab across both
-            // operands (every expansion term carries a difference
-            // factor of one operand or the other), so zeroing a skipped
-            // slab's difference regions makes the batched engine
-            // reproduce the replay bitwise for it.
-            const int64_t a_elems = sa.numel();
-            const int64_t b_elems = sb.numel();
-            const Skips sk = decideSkips(ns.id, [&](int64_t s) {
-                auto stableOperand = [&](bool bypass, const int16_t *d,
-                                         const int8_t *c, int slot,
-                                         int64_t elems) {
-                    const DiffClassCounts cc =
-                        bypass ? countDiffClasses(d + s * elems, elems)
-                               : countTemporalDiffClasses(
-                                     c + s * elems,
-                                     prevCodes(slot) + s * elems, elems);
-                    return approxActivity(cc) <= approxThresh_;
-                };
-                return stableOperand(nd.diffBypass, av.d16, a_codes,
-                                     nd.inSlot, a_elems) &&
-                       stableOperand(nd.diffBypass2, bv.d16, b_codes,
-                                     nd.inSlot2, b_elems);
-            });
-            for (int64_t s = 0; sk.any && s < bsz; ++s) {
-                if (!isSkipped(sk, s))
-                    continue;
-                auto freeze = [&](bool bypass, int16_t *d, int8_t *c,
-                                  int src, int slot, int64_t elems) {
-                    if (bypass) {
-                        zeroSlabRegion(d, s, elems);
-                        const Node &prod = nodes_[static_cast<size_t>(src)];
-                        const auto es = static_cast<size_t>(prod.emitSlot);
-                        copySlabRegion(state->nextIn[es].data().data(),
-                                       state->prevIn[es].data().data(), s,
-                                       elems);
-                    } else {
-                        copySlabRegion(prevCodes(slot), c, s, elems);
-                    }
-                };
-                freeze(nd.diffBypass, av.d16, a_codes, nd.srcProducer,
-                       nd.inSlot, a_elems);
-                freeze(nd.diffBypass2, bv.d16, b_codes, nd.srcProducer2,
-                       nd.inSlot2, b_elems);
-                if (counts)
-                    counts[s].reusedElems += ns.outShape.numel();
-            }
-
-            int32_t *acc = accumulator(nd);
-            OpCounts *eng = engineCounts(sk);
-            const bool scores = ns.op == RtOp::AttnScores;
-            if (!sk.all) {
-                DiffOperand a{a_codes, nullptr, nullptr};
-                DiffOperand b{b_codes, nullptr, nullptr};
-                if (have_primed) {
-                    DITTO_ASSERT(!nd.diffBypass || av.d16,
-                                 "operand payload missing difference");
-                    DITTO_ASSERT(!nd.diffBypass2 || bv.d16,
-                                 "operand payload missing difference");
-                    a.diff = nd.diffBypass ? av.d16 : nullptr;
-                    a.prev = nd.diffBypass ? nullptr : prevCodes(nd.inSlot);
-                    b.diff = nd.diffBypass2 ? bv.d16 : nullptr;
-                    b.prev = nd.diffBypass2 ? nullptr : prevCodes(nd.inSlot2);
-                }
+                DiffOperand op[2];
+                for (int j = 0; j < nops; ++j)
+                    op[j] = {codes[j],
+                             nd.in[j].stored() ? prevCodes(nd.in[j].slot)
+                                               : nullptr,
+                             diff[j]};
+                const Shape &sa = inShape(0);
                 int32_t *delta =
                     planned<int32_t>(arena, nd.bufs[plan].delta, bsz);
-                if (scores)
-                    attentionScoresBatchInto(a, b, sa[0], sb[0], sa[1], bsz,
-                                             primed, acc, delta, eng,
-                                             opts_.policy, &scratch);
-                else
-                    attentionOutputBatchInto(a, b, sa[0], sa[1], sb[1], bsz,
-                                             primed, acc, delta, eng,
-                                             opts_.policy, &scratch);
-                if (have_primed)
-                    settleCounts(sk, eng,
-                                 (a.prev ? a_elems : 0) +
-                                     (b.prev ? b_elems : 0));
+                switch (ns.op) {
+                  case RtOp::Conv2d:
+                    nd.conv->runBatchInto(op[0], bsz, sa[2], sa[3], primed,
+                                          acc, delta, eng, opts_.policy,
+                                          &scratch);
+                    break;
+                  case RtOp::AttnScores:
+                  case RtOp::AttnOutput: {
+                    // Scores are A B^T over B = K [keys, d]; the weighted
+                    // sum is A B over B = V [tokens, d].
+                    const bool trans_b = ns.op == RtOp::AttnScores;
+                    const Shape &sb = inShape(1);
+                    attentionBatchInto(op[0], op[1], sa[0], sa[1],
+                                       trans_b ? sb[0] : sb[1], trans_b, bsz,
+                                       primed, acc, delta, eng, opts_.policy,
+                                       &scratch);
+                    break;
+                  }
+                  default: // Fc, CrossScores, CrossOutput
+                    nd.fc->runBatchInto(op[0], sa[0] * bsz, bsz, primed, acc,
+                                        eng, opts_.policy, &scratch);
+                    break;
+                }
+                settleCounts(sk, eng, stored_elems);
             }
 
             nodeEpilogue(nd, ws, arena, acc, state, primed, have_primed,
                          bsz, counts);
-            if (state && nd.inSlot >= 0)
-                flip(nd.inSlot);
-            if (state && nd.inSlot2 >= 0)
-                flip(nd.inSlot2);
+            for (int j = 0; state && j < nops; ++j)
+                if (nd.in[j].slot >= 0)
+                    flip(nd.in[j].slot);
             continue;
         }
 
@@ -1610,26 +1543,22 @@ CompiledModel::planBuffers()
         }
         ask(kPlanFp32, lineBytes<float>(out_elems), last[ui], &NodeBufs::f);
         if (rtIsCompute(ns.op)) {
-            const bool attn = ns.op == RtOp::AttnScores ||
-                              ns.op == RtOp::AttnOutput;
+            const int nops = numOperands(ns.op);
             outSlotShape_[static_cast<size_t>(nd.outSlot)] = ns.outShape;
-            if (nd.inSlot >= 0)
-                inSlotShape_[static_cast<size_t>(nd.inSlot)] = inShape(0);
-            if (nd.inSlot2 >= 0)
-                inSlotShape_[static_cast<size_t>(nd.inSlot2)] = inShape(1);
+            for (int j = 0; j < nops; ++j)
+                if (nd.in[j].slot >= 0)
+                    inSlotShape_[static_cast<size_t>(nd.in[j].slot)] =
+                        inShape(j);
             if (nd.emitSlot >= 0)
                 inSlotShape_[static_cast<size_t>(nd.emitSlot)] = ns.outShape;
-            if (nd.jSlot >= 0)
-                inSlotShape_[static_cast<size_t>(nd.jSlot)] = inShape(0);
             // QuantDirect has no state: operand codes and accumulators
             // are transients there (an accumulator lives until its
             // junction consumer has folded it).
-            if (!nd.diffBypass || nd.junction)
-                ask(kPlanDirect, lineBytes<int8_t>(inShape(0).numel()), i,
-                    &NodeBufs::op);
-            if (attn && !nd.diffBypass2)
-                ask(kPlanDirect, lineBytes<int8_t>(inShape(1).numel()), i,
-                    &NodeBufs::op2);
+            for (int j = 0; j < nops; ++j)
+                if (nd.in[j].producer < 0)
+                    plans[kPlanDirect].push_back(
+                        {lineBytes<int8_t>(inShape(j).numel()), i, i,
+                         &nd.bufs[kPlanDirect].op[j]});
             ask(kPlanDirect, lineBytes<int32_t>(out_elems), acc_end[ui],
                 &NodeBufs::acc);
             // The Ditto passes keep those in the state, and add the
@@ -1637,7 +1566,7 @@ CompiledModel::planBuffers()
             if (nd.junction)
                 ask(kPlanDitto, lineBytes<int16_t>(inShape(0).numel()), i,
                     &NodeBufs::opD16);
-            if (ns.op == RtOp::Conv2d || attn)
+            if (ns.op == RtOp::Conv2d || nops == 2)
                 ask(kPlanDitto, lineBytes<int32_t>(out_elems), i,
                     &NodeBufs::delta);
             if (nd.fLive) {
@@ -1778,12 +1707,13 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
           case RtOp::CrossScores: {
             // K' = context x W^T is constant across steps: a weight
             // from the hardware's point of view (computed in FP32 and
-            // quantized per-tensor, exactly like the legacy model).
+            // quantized per-tensor, exactly like the legacy model), so
+            // Q' K'^T is weight-stationary with K' as the weight.
             nd.constF = fullyConnected(
                 wF[static_cast<size_t>(ns.context)],
                 wF[static_cast<size_t>(ns.weight)], nullptr);
             QuantW q = quantW(nd.constF);
-            nd.cross.emplace(std::move(q.codes));
+            nd.fc.emplace(std::move(q.codes));
             nd.wScale = q.scale;
             break;
           }
@@ -1842,23 +1772,18 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
 
         // Pass A.
         for (const NodeSpec &ns : spec.nodes) {
-            const bool ws = ns.op == RtOp::Conv2d || ns.op == RtOp::Fc ||
-                            ns.op == RtOp::CrossScores ||
-                            ns.op == RtOp::CrossOutput;
-            const bool attn = ns.op == RtOp::AttnScores ||
-                              ns.op == RtOp::AttnOutput;
-            if (!ws && !attn)
+            if (!rtIsCompute(ns.op))
                 continue;
+            const int nops = numOperands(ns.op);
             const int layer = n2l[static_cast<size_t>(ns.id)];
             // Weight-stationary operands follow the layer verdict; an
             // attention node's verdict is a property of both operands
             // together, so its operands qualify individually by the
             // wire walk alone (the walk only ever lands on a compute
             // producer, which is exactly the diff-domain condition).
-            if (ws &&
+            if (nops == 1 &&
                 m.deps_[static_cast<size_t>(layer)].diffCalcNeeded)
                 continue;
-            const int nops = attn ? 2 : 1;
             for (int j = 0; j < nops; ++j) {
                 const int p = traceProducer(
                     ns.inputs[static_cast<size_t>(j)]);
@@ -1869,17 +1794,8 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
                 if (prod.emitPayload)
                     continue; // one payload target per producer
                 prod.emitPayload = true;
-                prod.emitScale = j == 0 ? ns.scaleIn : ns.scaleIn2;
-                if (j == 0) {
-                    m.nodes_[static_cast<size_t>(ns.id)].diffBypass =
-                        true;
-                    m.nodes_[static_cast<size_t>(ns.id)].srcProducer = p;
-                } else {
-                    m.nodes_[static_cast<size_t>(ns.id)].diffBypass2 =
-                        true;
-                    m.nodes_[static_cast<size_t>(ns.id)].srcProducer2 =
-                        p;
-                }
+                prod.emitScale = operandScale(ns, j);
+                m.nodes_[static_cast<size_t>(ns.id)].in[j].producer = p;
                 ++m.numBypass_;
             }
         }
@@ -1947,12 +1863,11 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
             return true;
         };
         for (const NodeSpec &ns : spec.nodes) {
-            if (ns.op != RtOp::Conv2d && ns.op != RtOp::Fc &&
-                ns.op != RtOp::CrossScores && ns.op != RtOp::CrossOutput)
+            if (!rtIsCompute(ns.op) || numOperands(ns.op) != 1)
                 continue;
             CompiledModel::Node &nd =
                 m.nodes_[static_cast<size_t>(ns.id)];
-            if (nd.diffBypass)
+            if (!nd.in[0].stored())
                 continue;
             const int layer = n2l[static_cast<size_t>(ns.id)];
             if (m.deps_[static_cast<size_t>(layer)].diffCalcNeeded)
@@ -1974,7 +1889,7 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
             DITTO_ASSERT(off == in0.outShape.numel(),
                          "junction plan does not tile the operand");
             nd.junction = std::move(plan);
-            nd.diffBypass = true;
+            nd.in[0].folded = true;
             ++m.numBypass_;
         }
         DITTO_ASSERT(!m.nodes_.back().emitPayload,
@@ -1997,30 +1912,17 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
                 flive[static_cast<size_t>(
                     ns.inputs[static_cast<size_t>(j)])] = 1;
             };
-            switch (ns.op) {
-              case RtOp::Input:
-                break;
-              case RtOp::Conv2d:
-              case RtOp::Fc:
-              case RtOp::CrossScores:
-              case RtOp::CrossOutput:
-                if (!nd.diffBypass)
-                    need(0);
-                break;
-              case RtOp::AttnScores:
-              case RtOp::AttnOutput:
-                if (!nd.diffBypass)
-                    need(0);
-                if (!nd.diffBypass2)
-                    need(1);
-                break;
-              default:
+            if (rtIsCompute(ns.op)) {
+                // A compute node reads the float value of its stored
+                // operands only.
+                for (int j = 0; j < numOperands(ns.op); ++j)
+                    if (nd.in[j].stored())
+                        need(j);
+            } else if (flive[i]) {
                 // Structural / vector ops read every operand's float
                 // value — but only if they execute themselves.
-                if (flive[i])
-                    for (size_t j = 0; j < ns.inputs.size(); ++j)
-                        need(static_cast<int>(j));
-                break;
+                for (size_t j = 0; j < ns.inputs.size(); ++j)
+                    need(static_cast<int>(j));
             }
         }
         for (size_t i = 0; i < m.nodes_.size(); ++i) {
@@ -2046,24 +1948,22 @@ compile(const ModelSpec &spec, const CompileOptions &opts)
     // Payload emissions and junction folds keep their previous
     // *emitted codes* in the same int8 state pool — next step's delta
     // is a subtraction against that cache, never a float
-    // recomputation of the previous step.
+    // recomputation of the previous step. The numbering — output
+    // slot, stored operands in operand order, emission, fold — is the
+    // slab wire layout (src/shard/slab_codec.h).
     for (CompiledModel::Node &nd : m.nodes_) {
-        const RtOp op = nd.spec.op;
-        if (!rtIsCompute(op))
+        if (!rtIsCompute(nd.spec.op))
             continue;
+        const int nops = numOperands(nd.spec.op);
         nd.outSlot = m.numOutSlots_++;
-        if (op == RtOp::AttnScores || op == RtOp::AttnOutput) {
-            if (!nd.diffBypass)
-                nd.inSlot = m.numInSlots_++;
-            if (!nd.diffBypass2)
-                nd.inSlot2 = m.numInSlots_++;
-        } else if (!nd.diffBypass) {
-            nd.inSlot = m.numInSlots_++;
-        }
+        for (int j = 0; j < nops; ++j)
+            if (nd.in[j].stored())
+                nd.in[j].slot = m.numInSlots_++;
         if (nd.emitPayload)
             nd.emitSlot = m.numInSlots_++;
-        if (nd.junction)
-            nd.jSlot = m.numInSlots_++;
+        for (int j = 0; j < nops; ++j)
+            if (nd.in[j].folded)
+                nd.in[j].slot = m.numInSlots_++;
     }
 
     m.planBuffers();

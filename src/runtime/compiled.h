@@ -6,9 +6,11 @@
  * Defo's static dependency analysis (ModelGraph::analyzeDependencies,
  * paper Section IV-B) and builds a topologically-ordered program of
  * engine nodes: every weight-stationary layer owns a persistent
- * DiffConvEngine / DiffFcEngine / CrossAttentionEngine, attention
- * layers route through the two-term difference expansion, and the
- * per-node dependency verdict decides how difference state flows:
+ * DiffConvEngine or DiffFcEngine (cross attention's constant K'/V'
+ * are weights), dynamic attention layers route through the two-term
+ * difference expansion (attentionBatchInto), and the per-node
+ * dependency verdict decides how each dynamic operand's difference
+ * arrives (Node::Operand):
  *
  *  - diffCalcNeeded == false and the operand arrives from a single
  *    compute producer through reshape-only wire: the node stores *no*
@@ -51,8 +53,13 @@
  * executor, and it is batched: a single request runs as a batch of
  * one (DittoState is a one-slab BatchDittoState, forward() is
  * forwardBatch on it), and one step loop (runSteps) carries rollouts
- * and the serving engine alike. Activation scales are calibrated by an
- * FP32 rollout at every compile().
+ * and the serving engine alike. Every compute node — conv, fc, cross
+ * or dynamic attention — runs one branch of that executor, driven by
+ * its operand records: build each operand's DiffOperand, decide the
+ * ApproxDitto skips once across all operands, freeze the skipped
+ * slabs, run the node's engine and flip the operands' code slots.
+ * Activation scales are calibrated by an FP32 rollout at every
+ * compile().
  *
  * Both executors run allocation-free in steady state: compile() also
  * derives a buffer plan from the nodes' output shapes — every transient
@@ -74,7 +81,6 @@
 #include <string>
 #include <vector>
 
-#include "core/attention_diff.h"
 #include "core/diff_linear.h"
 #include "core/run_mode.h"
 #include "quant/quantizer.h"
@@ -503,10 +509,29 @@ class CompiledModel
         int64_t codes = -1; //!< int8 payload codes
         int64_t d16 = -1;   //!< int16 payload difference
         int64_t acc = -1;   //!< int32 accumulator (QuantDirect)
-        int64_t op = -1;    //!< operand codes (QuantDirect quantize/fold)
-        int64_t op2 = -1;   //!< second attention operand codes
+        int64_t op[2] = {-1, -1}; //!< operand codes (QuantDirect)
         int64_t opD16 = -1; //!< junction fold difference
         int64_t delta = -1; //!< conv / attention diff deltas
+    };
+
+    /**
+     * How one dynamic operand of a compute node gets its temporal
+     * difference: stored (quantized from its float input into code
+     * slot `slot`, whose other half holds the previous step's codes),
+     * handed over (its single compute producer `producer` requantizes
+     * its accumulator pair into this operand's codes and difference)
+     * or folded (the node's JunctionPlan folds its producers'
+     * accumulators into codes and a difference, caching the codes in
+     * `slot`).
+     */
+    struct Operand
+    {
+        int slot = -1;       //!< code slot: stored codes or fold cache
+        int producer = -1;   //!< hand-over producer node id
+        bool folded = false; //!< built by the node's JunctionPlan
+
+        /** Quantized here and subtracted against its stored codes. */
+        bool stored() const { return producer < 0 && !folded; }
     };
 
     /** One compiled node: spec + engines + state/dependency wiring. */
@@ -514,32 +539,23 @@ class CompiledModel
     {
         NodeSpec spec;
         std::optional<DiffConvEngine> conv;
-        std::optional<DiffFcEngine> fc; //!< Fc and CrossOutput (V'^T)
-        std::optional<CrossAttentionEngine> cross;
+        //! Fc, CrossScores (K' as the weight), CrossOutput (V'^T)
+        std::optional<DiffFcEngine> fc;
         float wScale = 1.0f;  //!< weight / K' / V' quantization scale
         FloatTensor wF;       //!< FP32 weight (FP32 path)
         FloatTensor constF;   //!< FP32 K'/V' constant (cross nodes)
-        int inSlot = -1;      //!< previous-input slot; -1 when bypassed
-        int inSlot2 = -1;     //!< second operand slot (attention)
+        Operand in[2];        //!< dynamic operands (attention: two)
         int outSlot = -1;     //!< previous-output (accumulator) slot
-        bool diffBypass = false; //!< operand 0 diff handed over (payload
-                                 //!< or junction plan)
-        bool diffBypass2 = false; //!< attention operand 1 handed over
         bool emitPayload = false; //!< requantizes its accumulator pair
                                   //!< for a hand-over consumer
         int emitScale = -1;   //!< the consumer's quantization point
         bool fLive = true;    //!< quant modes materialize float output
         bool skipExec = false; //!< plan-covered structural node
-        std::optional<JunctionPlan> junction; //!< operand fold
+        std::optional<JunctionPlan> junction; //!< operand 0's fold
         int emitSlot = -1; //!< code cache of the emitted payload: the
                            //!< previous step's emission, subtracted to
                            //!< form the hand-over delta without a
                            //!< float recomputation
-        int jSlot = -1;    //!< code cache of this node's junction fold
-        int srcProducer = -1;  //!< producer node id behind a
-                               //!< diffBypass hand-over (operand 0);
-                               //!< -1 for junction folds
-        int srcProducer2 = -1; //!< same for attention operand 1
         int layer = -1;    //!< graph layer id (dependency verdict)
         NodeBufs bufs[kNumPlans]; //!< arena offsets per plan
     };

@@ -4,6 +4,8 @@
  */
 #include "shard/slab_codec.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "shard/protocol.h"
 
@@ -64,10 +66,16 @@ getVec(ByteReader &r, std::vector<T> *out, Put get, std::string *why)
         *why = "slot count out of range";
         return false;
     }
-    std::vector<T> v(n);
+    // Each slot is built as it decodes, so a declared count the bytes
+    // cannot back allocates nothing: every slot takes at least 2 bytes
+    // (a tensor's dtype and rank, or a 4- or 8-byte counter).
+    std::vector<T> v;
+    v.reserve(std::min<size_t>(n, r.remaining() / 2));
     for (uint32_t i = 0; i < n; ++i) {
-        if (!get(r, &v[i], why))
+        T slot{};
+        if (!get(r, &slot, why))
             return false;
+        v.push_back(std::move(slot));
     }
     *out = std::move(v);
     return true;

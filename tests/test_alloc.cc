@@ -15,6 +15,9 @@
  *  - BatchEngine::step on an unchanged mixed-mode batch of 4;
  *  - BatchEngine::join of 1 and of 3 parked requests into a primed
  *    engine: the same count, one growth per burst.
+ *
+ * The counter also sums the bytes asked for, which bounds what a
+ * hostile slab can make the shard codec allocate before it is refused.
  */
 #include <gtest/gtest.h>
 
@@ -26,21 +29,27 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/parallel.h"
 #include "runtime/compiled.h"
 #include "runtime/presets.h"
 #include "serve/batch_rollout.h"
+#include "shard/slab_codec.h"
 
 namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<int64_t> g_allocs{0};
+std::atomic<int64_t> g_bytes{0};
 
 void *
 countedAlloc(std::size_t n, std::size_t align)
 {
-    if (g_counting.load(std::memory_order_relaxed))
+    if (g_counting.load(std::memory_order_relaxed)) {
         g_allocs.fetch_add(1, std::memory_order_relaxed);
+        g_bytes.fetch_add(static_cast<int64_t>(n),
+                          std::memory_order_relaxed);
+    }
     if (n == 0)
         n = 1;
     void *p = nullptr;
@@ -121,13 +130,17 @@ operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 namespace ditto {
 namespace {
 
-/** Heap allocations made while alive (read with count()). */
+/**
+ * Heap allocations made while alive: read their number with count()
+ * or their requested bytes with bytes().
+ */
 class AllocCounter
 {
   public:
     AllocCounter()
     {
         g_allocs.store(0);
+        g_bytes.store(0);
         g_counting.store(true);
     }
     ~AllocCounter() { g_counting.store(false); }
@@ -137,6 +150,13 @@ class AllocCounter
     {
         g_counting.store(false);
         return g_allocs.load();
+    }
+
+    int64_t
+    bytes()
+    {
+        g_counting.store(false);
+        return g_bytes.load();
     }
 };
 
@@ -391,6 +411,48 @@ TEST(WorkspaceCheckout, NestedRolloutGetsItsOwnWorkspace)
         EXPECT_EQ(t, ref.finalImage);
     EXPECT_EQ(outer.finalImage,
               m.rollout(RunMode::QuantDitto, m.requestNoise(0)).finalImage);
+}
+
+/**
+ * A slab's declared slot count buys no memory its bytes cannot back: a
+ * checksummed 92-byte slab declaring 2^20 previous-output slots, and
+ * the same slab declaring 2^20 previous-input slots, carry none, and
+ * decoding either one to its refusal allocates under 4 KiB.
+ */
+TEST(SlabCodec, UnbackedSlotCountAllocatesUnder4KiB)
+{
+    for (bool in_prev_out : {true, false}) {
+        SCOPED_TRACE(in_prev_out ? "prevOut" : "prevIn");
+        ByteWriter w;
+        w.u32(0x424C5344u); // "DSLB"
+        w.u16(shard::kSlabCodecVersion);
+        w.u16(1u << 2); // hasState
+        w.u64(7);
+        w.i32(1); // stepsDone
+        w.i32(5); // stepsTotal
+        for (int i = 0; i < 6; ++i)
+            w.i64(0); // OpCounts
+        w.u8(1);      // f32 image
+        w.u8(0);      // rank 0: empty
+        w.u8(1);      // primed
+        w.u8(0);      // approx
+        if (in_prev_out)
+            w.u32(0); // no prevIn slots
+        w.u32(1u << 20);
+        w.u64(fnv1a(w.data().data(), w.size()));
+        const std::vector<uint8_t> slab = w.take();
+        ASSERT_EQ(slab.size(), in_prev_out ? 92u : 88u);
+
+        BatchEngine::Parked out;
+        std::string why;
+        why.reserve(64);
+        AllocCounter c;
+        const bool ok = shard::decodeParked(slab, &out, &why);
+        const int64_t bytes = c.bytes();
+        EXPECT_FALSE(ok);
+        EXPECT_EQ(why, "truncated tensor header");
+        EXPECT_LT(bytes, 4096);
+    }
 }
 
 } // namespace

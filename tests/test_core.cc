@@ -56,13 +56,25 @@ perturb(const Int8Tensor &base, uint64_t seed, double flip_prob = 0.4,
 
 TEST(DiffFc, BitExactAgainstDirect)
 {
-    DiffFcEngine engine(randomCodes(Shape{16, 32}, 1));
-    const Int8Tensor x_prev = randomCodes(Shape{4, 32}, 2);
-    const Int8Tensor x_cur = perturb(x_prev, 3);
-    const Int32Tensor out_prev = engine.runDirect(x_prev);
-    const Int32Tensor via_diff = engine.runDiff(x_cur, x_prev, out_prev);
-    const Int32Tensor direct = engine.runDirect(x_cur);
-    EXPECT_TRUE(via_diff == direct);
+    // A plain fc layer, and cross attention's Q' K'^T with the constant
+    // context projection K' [7, 8] as the weight.
+    const struct
+    {
+        Shape weight, x;
+        uint64_t seed;
+    } cases[] = {
+        {Shape{16, 32}, Shape{4, 32}, 1},
+        {Shape{7, 8}, Shape{5, 8}, 37},
+    };
+    for (const auto &c : cases) {
+        DiffFcEngine engine(randomCodes(c.weight, c.seed));
+        const Int8Tensor x_prev = randomCodes(c.x, c.seed + 1);
+        const Int8Tensor x_cur = perturb(x_prev, c.seed + 2);
+        const Int32Tensor out_prev = engine.runDirect(x_prev);
+        const Int32Tensor via_diff = engine.runDiff(x_cur, x_prev, out_prev);
+        const Int32Tensor direct = engine.runDirect(x_cur);
+        EXPECT_TRUE(via_diff == direct) << c.weight.toString();
+    }
 }
 
 TEST(DiffFc, ExactEvenForExtremeDifferences)
@@ -207,16 +219,6 @@ TEST(AttnDiff, OpCountsCoverBothSubOperations)
     attentionScoresDiff(q_cur, q_prev, k_cur, k_prev, s_prev, &counts);
     // Two sub-operations, each tokens x tokens x d multiplies.
     EXPECT_EQ(counts.total(), 2 * 6 * 6 * 8);
-}
-
-TEST(CrossAttn, DiffBitExactWithConstantContext)
-{
-    CrossAttentionEngine engine(randomCodes(Shape{7, 8}, 37));
-    const Int8Tensor q_prev = randomCodes(Shape{5, 8}, 38);
-    const Int8Tensor q_cur = perturb(q_prev, 39);
-    const Int32Tensor s_prev = engine.runDirect(q_prev);
-    EXPECT_TRUE(engine.runDiff(q_cur, q_prev, s_prev) ==
-                engine.runDirect(q_cur));
 }
 
 // ---- BOPs accounting ----------------------------------------------------

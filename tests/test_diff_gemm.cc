@@ -311,22 +311,35 @@ perturb(const Int8Tensor &base, uint64_t seed)
 
 TEST(DiffEngines, FcSparseMatchesNaiveDense)
 {
-    const Int8Tensor w = randomInt8(Shape{19, 33}, 300);
-    DiffFcEngine engine(w);
-    const Int8Tensor x_prev = randomInt8(Shape{7, 33}, 301);
-    const Int8Tensor x_cur = perturb(x_prev, 302);
-    const Int32Tensor out_prev = engine.runDirect(x_prev);
-    OpCounts sparse_counts, dense_counts;
-    const Int32Tensor sparse =
-        engine.runDiff(x_cur, x_prev, out_prev, &sparse_counts,
-                       DiffPolicy::ForceDiff);
-    const Int32Tensor dense =
-        naive::fcRunDiff(x_cur, x_prev, out_prev, w, &dense_counts);
-    EXPECT_TRUE(sparse == dense);
-    EXPECT_TRUE(sparse == engine.runDirect(x_cur));
-    EXPECT_EQ(sparse_counts.zeroSkipped, dense_counts.zeroSkipped);
-    EXPECT_EQ(sparse_counts.low4, dense_counts.low4);
-    EXPECT_EQ(sparse_counts.full8, dense_counts.full8);
+    // A plain fc layer, and cross attention's Q' K'^T with the constant
+    // context projection K' [7, 29] as the weight.
+    const struct
+    {
+        Shape weight, x;
+        uint64_t seed;
+    } cases[] = {
+        {Shape{19, 33}, Shape{7, 33}, 300},
+        {Shape{7, 29}, Shape{12, 29}, 508},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.weight.toString());
+        const Int8Tensor w = randomInt8(c.weight, c.seed);
+        DiffFcEngine engine(w);
+        const Int8Tensor x_prev = randomInt8(c.x, c.seed + 1);
+        const Int8Tensor x_cur = perturb(x_prev, c.seed + 2);
+        const Int32Tensor out_prev = engine.runDirect(x_prev);
+        OpCounts sparse_counts, dense_counts;
+        const Int32Tensor sparse =
+            engine.runDiff(x_cur, x_prev, out_prev, &sparse_counts,
+                           DiffPolicy::ForceDiff);
+        const Int32Tensor dense =
+            naive::fcRunDiff(x_cur, x_prev, out_prev, w, &dense_counts);
+        EXPECT_TRUE(sparse == dense);
+        EXPECT_TRUE(sparse == engine.runDirect(x_cur));
+        EXPECT_EQ(sparse_counts.zeroSkipped, dense_counts.zeroSkipped);
+        EXPECT_EQ(sparse_counts.low4, dense_counts.low4);
+        EXPECT_EQ(sparse_counts.full8, dense_counts.full8);
+    }
 }
 
 TEST(DiffEngines, ConvSparseMatchesNaiveDense)
@@ -402,21 +415,6 @@ TEST(DiffEngines, AttentionOutputSparseMatchesNaive)
     EXPECT_EQ(sparse_counts.low4, dense_counts.low4);
 }
 
-TEST(DiffEngines, CrossAttentionSparseMatchesNaive)
-{
-    const Int8Tensor k_const = randomInt8(Shape{7, 29}, 508);
-    CrossAttentionEngine engine(k_const);
-    const Int8Tensor q_prev = randomInt8(Shape{12, 29}, 509);
-    const Int8Tensor q_cur = perturb(q_prev, 510);
-    const Int32Tensor s_prev = engine.runDirect(q_prev);
-    const Int32Tensor sparse =
-        engine.runDiff(q_cur, q_prev, s_prev, nullptr,
-                       DiffPolicy::ForceDiff);
-    EXPECT_TRUE(sparse == naive::crossAttentionScoresDiff(
-                              q_cur, q_prev, k_const, s_prev));
-    EXPECT_TRUE(sparse == engine.runDirect(q_cur));
-}
-
 TEST(DiffEngines, EngineThreadCountInvariance)
 {
     const Conv2dParams p{3, 6, 3, 1, 1};
@@ -460,8 +458,9 @@ TEST(DiffEngines, SingleRequestEntryPointsRejectMismatchedShapes)
     EXPECT_DEATH(conv.runDiff(img, img, randomInt32(Shape{1, 4, 5, 6}, 808)),
                  "previous output shape mismatch");
 
-    const CrossAttentionEngine cross(randomInt8(Shape{7, 8}, 809));
-    EXPECT_DEATH(cross.runDiff(x, x, randomInt32(Shape{5, 6}, 810)),
+    // Cross attention's Q' K'^T: K' [7, 8] as the weight.
+    const DiffFcEngine cross_qk(randomInt8(Shape{7, 8}, 809));
+    EXPECT_DEATH(cross_qk.runDiff(x, x, randomInt32(Shape{5, 6}, 810)),
                  "previous output shape mismatch");
 
     const Int8Tensor q = randomInt8(Shape{6, 8}, 811);

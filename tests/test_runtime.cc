@@ -854,41 +854,41 @@ TEST(ApproxMode, BatchedSkipDecisionsMatchSequential)
     // Threshold 1.0 skips every slab alike; 0.5 splits the batch, and a
     // slab skipped beside an executing batch-mate still runs the engine
     // over a zeroed region — its tallies must not leak into the request.
-    DeepUnetConfig du;
-    du.resolution = 8;
-    du.baseChannels = 8;
-    du.steps = 5;
-    CompiledModel m = compile(deepUnetSpec(du));
-    for (double thresh : {1.0, 0.5}) {
-        m.setApproxPolicy(thresh, 2);
-        for (int64_t batch : {1, 3, 4}) {
-            std::vector<FloatTensor> noises;
-            for (int64_t b = 0; b < batch; ++b)
-                noises.push_back(
-                    m.requestNoise(static_cast<uint64_t>(300 + b)));
-            const std::vector<RolloutResult> got =
-                m.rolloutBatch(RunMode::ApproxDitto, noises);
-            ASSERT_EQ(got.size(), noises.size());
-            for (size_t i = 0; i < noises.size(); ++i) {
-                const RolloutResult want =
-                    m.rollout(RunMode::ApproxDitto, noises[i]);
-                const std::string where = "thresh " +
-                                          std::to_string(thresh) +
-                                          " batch " +
-                                          std::to_string(batch) +
-                                          " slab " + std::to_string(i);
-                EXPECT_TRUE(want.finalImage == got[i].finalImage)
-                    << where;
-                EXPECT_GT(want.dittoOps.reusedElems, 0) << where;
-                EXPECT_EQ(want.nodeSkips, got[i].nodeSkips) << where;
-                const OpCounts &a = want.dittoOps;
-                const OpCounts &b = got[i].dittoOps;
-                EXPECT_EQ(a.zeroSkipped, b.zeroSkipped) << where;
-                EXPECT_EQ(a.low4, b.low4) << where;
-                EXPECT_EQ(a.full8, b.full8) << where;
-                EXPECT_EQ(a.diffCalcElems, b.diffCalcElems) << where;
-                EXPECT_EQ(a.summationElems, b.summationElems) << where;
-                EXPECT_EQ(a.reusedElems, b.reusedElems) << where;
+    // Every preset: the one skip-and-freeze path runs stored operands,
+    // fc hand-overs, junction folds, cross attention and attention with
+    // one stored and one handed-over operand.
+    for (const ModelSpec &spec : approxPresetSpecs()) {
+        CompiledModel m = compile(spec);
+        for (double thresh : {1.0, 0.5}) {
+            m.setApproxPolicy(thresh, 2);
+            for (int64_t batch : {1, 3, 4}) {
+                std::vector<FloatTensor> noises;
+                for (int64_t b = 0; b < batch; ++b)
+                    noises.push_back(
+                        m.requestNoise(static_cast<uint64_t>(300 + b)));
+                const std::vector<RolloutResult> got =
+                    m.rolloutBatch(RunMode::ApproxDitto, noises);
+                ASSERT_EQ(got.size(), noises.size());
+                for (size_t i = 0; i < noises.size(); ++i) {
+                    const RolloutResult want =
+                        m.rollout(RunMode::ApproxDitto, noises[i]);
+                    const std::string where =
+                        spec.name + " thresh " + std::to_string(thresh) +
+                        " batch " + std::to_string(batch) + " slab " +
+                        std::to_string(i);
+                    EXPECT_TRUE(want.finalImage == got[i].finalImage)
+                        << where;
+                    EXPECT_GT(want.dittoOps.reusedElems, 0) << where;
+                    EXPECT_EQ(want.nodeSkips, got[i].nodeSkips) << where;
+                    const OpCounts &a = want.dittoOps;
+                    const OpCounts &b = got[i].dittoOps;
+                    EXPECT_EQ(a.zeroSkipped, b.zeroSkipped) << where;
+                    EXPECT_EQ(a.low4, b.low4) << where;
+                    EXPECT_EQ(a.full8, b.full8) << where;
+                    EXPECT_EQ(a.diffCalcElems, b.diffCalcElems) << where;
+                    EXPECT_EQ(a.summationElems, b.summationElems) << where;
+                    EXPECT_EQ(a.reusedElems, b.reusedElems) << where;
+                }
             }
         }
     }
@@ -896,25 +896,24 @@ TEST(ApproxMode, BatchedSkipDecisionsMatchSequential)
 
 TEST(ApproxMode, ReusedElemsMatchesPerNodeSkipLog)
 {
-    DeepUnetConfig du;
-    du.resolution = 8;
-    du.baseChannels = 8;
-    du.steps = 5;
-    CompiledModel m = compile(deepUnetSpec(du));
-    m.setApproxPolicy(1.0, 2);
-    const RolloutResult r = m.rollout(RunMode::ApproxDitto);
-    const std::vector<CompiledModel::NodeReport> reports =
-        m.nodeReports();
-    ASSERT_EQ(r.nodeSkips.size(), reports.size());
-    int64_t want = 0;
-    for (size_t i = 0; i < reports.size(); ++i) {
-        if (!reports[i].compute) {
-            EXPECT_EQ(r.nodeSkips[i], 0) << reports[i].name;
+    for (const ModelSpec &spec : approxPresetSpecs()) {
+        CompiledModel m = compile(spec);
+        m.setApproxPolicy(1.0, 2);
+        const RolloutResult r = m.rollout(RunMode::ApproxDitto);
+        const std::vector<CompiledModel::NodeReport> reports =
+            m.nodeReports();
+        ASSERT_EQ(r.nodeSkips.size(), reports.size()) << spec.name;
+        int64_t want = 0;
+        for (size_t i = 0; i < reports.size(); ++i) {
+            if (!reports[i].compute) {
+                EXPECT_EQ(r.nodeSkips[i], 0)
+                    << spec.name << " " << reports[i].name;
+            }
+            want += r.nodeSkips[i] * reports[i].outElems;
         }
-        want += r.nodeSkips[i] * reports[i].outElems;
+        EXPECT_GT(want, 0) << spec.name;
+        EXPECT_EQ(r.dittoOps.reusedElems, want) << spec.name;
     }
-    EXPECT_GT(want, 0);
-    EXPECT_EQ(r.dittoOps.reusedElems, want);
 }
 
 TEST(ApproxMode, FidelityMonotoneNonImprovingInThreshold)

@@ -335,14 +335,16 @@ slabOf(const Tensor<T> &t, const Shape &shape, int64_t s)
     return out;
 }
 
+/** An fc layer: [rows, in] operand slabs times an [out, in] weight. */
 OpRow
-fcRow(Rng &rng)
+fcRow(Rng &rng, std::string name, int64_t rows_per_slab, int64_t in,
+      int64_t out)
 {
     OpRow r;
-    r.name = "fc";
-    r.aSlab = Shape{9, 32};
+    r.name = std::move(name);
+    r.aSlab = Shape{rows_per_slab, in};
     stackedOperand(r.aSlab, -127, 127, rng, &r.a, &r.prevA);
-    Int8Tensor w(Shape{16, 32});
+    Int8Tensor w(Shape{out, in});
     w.fillUniformInt(rng, -127, 127);
     const auto eng = std::make_shared<const DiffFcEngine>(w);
     const int64_t rows = kOpSlabs * r.aSlab[0];
@@ -402,38 +404,6 @@ convRow(Rng &rng, const Conv2dParams &p, int64_t h, int64_t w_extent)
 }
 
 OpRow
-crossRow(Rng &rng)
-{
-    OpRow r;
-    r.name = "cross attention";
-    r.aSlab = Shape{12, 29};
-    stackedOperand(r.aSlab, -127, 127, rng, &r.a, &r.prevA);
-    Int8Tensor k_const(Shape{7, 29});
-    k_const.fillUniformInt(rng, -127, 127);
-    const auto eng = std::make_shared<const CrossAttentionEngine>(k_const);
-    const int64_t rows = kOpSlabs * r.aSlab[0];
-    r.batched = [eng, rows](const DiffOperand &a, const DiffOperand &,
-                            const uint8_t *primed, int32_t *out, int32_t *,
-                            OpCounts *c, DiffPolicy pol, EngineScratch *sc) {
-        eng->runBatchInto(a, rows, kOpSlabs, primed, out, c, pol, sc);
-    };
-    r.single = [eng](const Int8Tensor &a, const Int8Tensor &pa,
-                     const Int8Tensor &, const Int8Tensor &,
-                     const Int32Tensor &po, OpCounts *c, DiffPolicy pol) {
-        return eng->runDiff(a, pa, po, c, pol);
-    };
-    r.naive = [k_const](const Int8Tensor &a, const Int8Tensor &pa,
-                        const Int8Tensor &, const Int8Tensor &,
-                        const Int32Tensor &po, OpCounts *c) {
-        return naive::crossAttentionScoresDiff(a, pa, k_const, po, c);
-    };
-    r.direct = [eng](const Int8Tensor &a, const Int8Tensor &) {
-        return eng->runDirect(a);
-    };
-    return r;
-}
-
-OpRow
 scoresRow(Rng &rng, int64_t tokens, int64_t keys, int64_t d)
 {
     OpRow r;
@@ -446,8 +416,8 @@ scoresRow(Rng &rng, int64_t tokens, int64_t keys, int64_t d)
                                   const uint8_t *primed, int32_t *out,
                                   int32_t *delta, OpCounts *c,
                                   DiffPolicy pol, EngineScratch *sc) {
-        attentionScoresBatchInto(q, k, tokens, keys, d, kOpSlabs, primed, out,
-                                 delta, c, pol, sc);
+        attentionBatchInto(q, k, tokens, d, keys, /*trans_b=*/true, kOpSlabs,
+                           primed, out, delta, c, pol, sc);
     };
     r.single = [](const Int8Tensor &q, const Int8Tensor &pq,
                   const Int8Tensor &k, const Int8Tensor &pk,
@@ -476,8 +446,8 @@ outputRow(Rng &rng)
     r.batched = [](const DiffOperand &p, const DiffOperand &v,
                    const uint8_t *primed, int32_t *out, int32_t *delta,
                    OpCounts *c, DiffPolicy pol, EngineScratch *sc) {
-        attentionOutputBatchInto(p, v, rows, inner, d, kOpSlabs, primed, out,
-                                 delta, c, pol, sc);
+        attentionBatchInto(p, v, rows, inner, d, /*trans_b=*/false, kOpSlabs,
+                           primed, out, delta, c, pol, sc);
     };
     r.single = [](const Int8Tensor &p, const Int8Tensor &pp,
                   const Int8Tensor &v, const Int8Tensor &pv,
@@ -497,11 +467,13 @@ TEST(BatchedOpsTest, EveryOpBatchIntoMatchesSingleCalls)
 {
     Rng rng(9);
     const std::vector<OpRow> rows = {
-        fcRow(rng),
+        fcRow(rng, "fc", 9, 32, 16),
         convRow(rng, Conv2dParams{3, 5, 3, 1, 1}, 7, 7),
         convRow(rng, Conv2dParams{4, 6, 1, 1, 0}, 6, 5),
         convRow(rng, Conv2dParams{2, 4, 3, 2, 1}, 8, 9),
-        crossRow(rng),
+        // Cross attention's Q' K'^T: the constant K' [7, 29] is the
+        // weight.
+        fcRow(rng, "cross attention", 12, 29, 7),
         scoresRow(rng, 10, 10, 18),
         scoresRow(rng, 21, 13, 18),
         outputRow(rng),
